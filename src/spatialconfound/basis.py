@@ -29,6 +29,10 @@ class BasisSet:
     ``freq[j]`` is the max-norm of column j's frequency pair and
     ``penalty[j]`` its diagonal penalty weight.  ``max_freq`` records the
     truncation level the basis was built (or restricted) to.
+
+    The penalized solver in ``pls`` requires nonzero, mutually orthogonal
+    columns (a diagonal ``gram()``), as the Fourier basis has on its grid;
+    ``gram_diagonal`` checks this.
     """
 
     columns: np.ndarray  # (n, p)
@@ -50,6 +54,26 @@ class BasisSet:
         if cached is None:
             cached = self.columns.T @ self.columns
             object.__setattr__(self, "_gram", cached)
+        return cached
+
+    def gram_diagonal(self) -> np.ndarray:
+        """Diagonal of ``gram()``, after checking once that it is diagonal.
+
+        Raises ``ValueError`` when a column has zero norm or an
+        off-diagonal entry exceeds 1e-12 times the largest diagonal entry.
+        """
+        cached = getattr(self, "_gram_diagonal", None)
+        if cached is None:
+            gram = self.gram()
+            cached = np.diag(gram).copy()
+            off = np.abs(gram - np.diag(cached)).max(initial=0.0)
+            if off > 1e-12 * cached.max(initial=0.0) or not np.all(cached > 0):
+                raise ValueError(
+                    "basis columns must be nonzero and mutually orthogonal (diagonal "
+                    f"B'B); B'B has off-diagonal entries up to {off:.3g} and "
+                    f"diagonal entries down to {cached.min():.3g}"
+                )
+            object.__setattr__(self, "_gram_diagonal", cached)
         return cached
 
 

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from typing import Optional
 
 from . import __version__
@@ -168,18 +169,19 @@ def cmd_mc(args, argv) -> int:
     return 0
 
 
+def _with_config(plan: MCPlan, config_path: Optional[str]) -> MCPlan:
+    """The plan on the config at ``config_path`` (targets recomputed), if given."""
+    if config_path is None:
+        return plan
+    return replace(plan, config=load_config(config_path), targets=None)
+
+
 def cmd_scenario(args, argv) -> int:
-    if args.config:
-        config = load_config(args.config)
-        base = MCPlan(
-            config=config,
-            estimators=default_scenario_plan(args.kind, r=args.reps).estimators,
-            R=args.reps,
-            master_seed=args.seed,
-        )
-    else:
-        base = default_scenario_plan(args.kind, r=args.reps, master_seed=args.seed,
-                                     max_freq=args.max_freq)
+    base = _with_config(
+        default_scenario_plan(args.kind, r=args.reps, master_seed=args.seed,
+                              max_freq=args.max_freq),
+        args.config,
+    )
     result = scenario_experiment(args.kind, base)
     csv_path = f"{args.out}.csv"
     json_path = f"{args.out}.json"
@@ -196,16 +198,10 @@ def cmd_scenario(args, argv) -> int:
 
 
 def cmd_aic_bias(args, argv) -> int:
-    if args.config:
-        config = load_config(args.config)
-        base = MCPlan(
-            config=config,
-            estimators=default_aic_plan(r=args.reps).estimators,
-            R=args.reps,
-            master_seed=args.seed,
-        )
-    else:
-        base = default_aic_plan(r=args.reps, master_seed=args.seed, max_freq=args.max_freq)
+    base = _with_config(
+        default_aic_plan(r=args.reps, master_seed=args.seed, max_freq=args.max_freq),
+        args.config,
+    )
     lambdas = _parse_lambdas(args.lambdas) if args.lambdas else list(DEFAULT_LAMBDA_GRID)
     result = aic_bias_experiment(base, lambdas)
     csv_path = f"{args.out}.csv"

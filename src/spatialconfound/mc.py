@@ -167,7 +167,7 @@ def _run_replication(config, estimators, bases, master_seed, rep):
                 include_c_in_stage1=spec.include_c_in_stage1,
             )
             out[spec.name] = (rec.beta1_hat, rec.ci95[0], rec.ci95[1], rec.aic)
-        except (DegeneracyError, np.linalg.LinAlgError):
+        except DegeneracyError:
             out[spec.name] = None
     return out
 
@@ -218,8 +218,9 @@ def _cell(values, lo, hi, aics, target, n_failed) -> CellStats:
 def run_mc(plan: MCPlan, n_jobs: int = 1) -> MCSummary:
     """Execute the plan and summarize each estimator against each target.
 
-    Estimator failures (collinearity, degenerate residuals, singular
-    systems) are counted per estimator and never abort the run.  The
+    Estimator failures (collinearity, degenerate residuals, undefined
+    estimands) are counted per estimator and never abort the run; any
+    other exception is a bug and propagates.  The
     summary is deterministic for a fixed plan regardless of ``n_jobs``.
     """
     grid = make_grid(plan.config.m)
@@ -496,7 +497,7 @@ def aic_bias_experiment(
         F = np.column_stack([np.ones(grid.n), obs.Z, obs.C])
         try:
             sweep = sweep_lambda(obs.Y, F, b, grid_lams, ["intercept", "Z", "C"])
-        except (DegeneracyError, np.linalg.LinAlgError):
+        except DegeneracyError:
             n_failed += 1
             continue
         beta_rows.append(sweep.fixed_coefs[:, 1])

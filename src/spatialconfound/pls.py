@@ -4,31 +4,49 @@ Fits  y ~ fixed design + penalized basis,  minimizing
 
     || y - F a - B g ||^2  +  lam * g' diag(penalty) g.
 
-The fixed block is never penalized.  ``fit_pls`` solves a single smoothing
-value (0, finite, or +inf as the all-shrunk sentinel) and reports effective
-degrees of freedom, GCV, AIC and the model-based covariance of the fixed
-coefficients.  ``sweep_lambda`` evaluates a whole grid of smoothing values
-cheaply by diagonalizing the projected basis once, and
-``select_lambda_gcv`` uses the sweep to pick the GCV minimizer.
+The fixed block F (n x q) is never penalized.  The basis B (n x p) must have
+mutually orthogonal columns, B'B = diag(d0), as the Fourier basis has on its
+grid.  Then, with W = B'F, b = B'y and D = d0 + lam * penalty, the basis
+block has the closed form
+
+    g = (b - W a) / D,
+
+and a is the least-squares solution on the q-column augmented design
+
+    [ F_perp            ]        [ y_perp          ]
+    [ sqrt(delta) * W   ]   for  [ sqrt(delta) * b ],    delta = 1/d0 - 1/D,
+
+where F_perp = F - B (W / d0) and y_perp = y - B (b / d0) are residualized
+on the basis (its normal matrix is the Schur complement
+S = F_perp'F_perp + W' delta W, which is never formed).  ``_Solver`` sets
+this up once per (y, F, B) and answers each smoothing value with an SVD of a
+q-column matrix: lam = 0 (delta = 0), finite lam, lam = +inf (1/D = 0, the
+basis pinned to zero) and p = 0 (F_perp = F) are all inputs to the same
+formulas.  ``fit_pls`` answers one lambda, ``sweep_lambda`` a grid, and
+``select_lambda_gcv`` the GCV minimizer of a grid.
 
 Conventions pinned here and relied on elsewhere:
 
     edf       = trace of the influence (hat) operator
+              = q + p - lam * sum_j penalty_j [D^-1 + D^-1 W S^-1 W' D^-1]_jj
     sigma2    = RSS / (n - edf)
     gcv       = n * RSS / (n - edf)^2
     aic       = n * log(RSS / n) + 2 * edf
-    cov_fixed = sigma2 * fixed block of the penalized normal-equations inverse
+    cov_fixed = sigma2 * S^-1, the fixed block of the penalized
+                normal-equations inverse
 
-Rank deficiency of the unpenalized (lam = 0) joint design raises
-``CollinearityError`` naming the offending columns: that is the surface on
-which a fully spatial exposure shows up as an error rather than a number.
+Rank deficiency of the fixed design at any lambda, or of the unpenalized
+(lam = 0) joint design [F, B], raises ``CollinearityError`` naming the
+offending columns: that is the surface on which a fully spatial exposure
+shows up as an error rather than a number.  Both are tested on singular
+values of q-column matrices, never on a Gram product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -65,8 +83,7 @@ class LambdaSweep:
     """Per-lambda summaries from a smoothing-grid sweep.
 
     Rows align with ``lambdas`` in the order given by the caller.  The
-    quantities match what ``fit_pls`` would report at the same lambda, up
-    to floating round-off.
+    quantities are those ``fit_pls`` reports at the same lambda.
     """
 
     lambdas: np.ndarray
@@ -77,30 +94,13 @@ class LambdaSweep:
     fixed_coefs: np.ndarray  # (len(lambdas), q)
 
 
-def _as_design(y, fixed) -> tuple[np.ndarray, np.ndarray]:
-    y = np.asarray(y, dtype=float).ravel()
-    F = np.asarray(fixed, dtype=float)
-    if F.ndim == 1:
-        F = F[:, None]
-    if F.shape[0] != y.shape[0]:
-        raise ValueError(f"fixed design has {F.shape[0]} rows for {y.shape[0]} responses")
-    return y, F
-
-
-def _names(q: int, basis: BasisSet, fixed_names: Optional[Sequence[str]]) -> list[str]:
-    if fixed_names is None:
-        fixed_names = [f"fixed[{j}]" for j in range(q)]
-    else:
-        fixed_names = list(fixed_names)
-        if len(fixed_names) != q:
-            raise ValueError("fixed_names length does not match the fixed design")
-    return fixed_names + column_names(basis)
-
-
-def _null_columns(vt_row: np.ndarray, names: Sequence[str]) -> tuple[str, ...]:
-    load = np.abs(vt_row)
-    picks = np.nonzero(load > 0.2 * load.max())[0]
-    return tuple(names[int(j)] for j in picks[:8])
+class _Solution(NamedTuple):
+    lam: float
+    fixed_coefs: np.ndarray
+    basis_coefs: np.ndarray
+    rss: float
+    edf: float
+    V: np.ndarray  # S^-1 = V V' for the Schur complement S
 
 
 def _criteria(n: int, rss: float, edf: float) -> tuple[float, float, float]:
@@ -115,16 +115,127 @@ def _criteria(n: int, rss: float, edf: float) -> tuple[float, float, float]:
     return sigma2, gcv, aic
 
 
-def _check_full_rank(M: np.ndarray, names: Sequence[str], what: str) -> None:
-    if M.shape[1] == 0:
-        return
-    u, s, vt = np.linalg.svd(M, full_matrices=False)
-    if s[0] == 0 or s[-1] / s[0] < RCOND_COLLINEAR:
-        cols = _null_columns(vt[-1], names)
+def _as_lambdas(values) -> list[float]:
+    lams = [float(v) for v in values]
+    if not lams:
+        raise ValueError("lambda grid must be nonempty")
+    for v in lams:
+        if math.isnan(v) or v < 0:
+            raise ValueError(f"lambda values must be nonnegative, got {v}")
+    return lams
+
+
+class _Solver:
+    """The penalized least-squares problem for one (y, F, B), any lambda."""
+
+    def __init__(self, y, fixed, basis: BasisSet, fixed_names: Optional[Sequence[str]]):
+        y = np.asarray(y, dtype=float).ravel()
+        F = np.asarray(fixed, dtype=float)
+        if F.ndim == 1:
+            F = F[:, None]
+        if F.shape[0] != y.shape[0]:
+            raise ValueError(f"fixed design has {F.shape[0]} rows for {y.shape[0]} responses")
+        if basis.n != y.shape[0]:
+            raise ValueError("basis rows do not match the response length")
+        if fixed_names is not None and len(fixed_names) != F.shape[1]:
+            raise ValueError("fixed_names length does not match the fixed design")
+        self.y, self.F, self.basis, self.fixed_names = y, F, basis, fixed_names
+        if F.shape[1] > F.shape[0]:
+            raise CollinearityError(
+                f"fixed design has {F.shape[1]} columns for {F.shape[0]} rows",
+                columns=tuple(self._names()),
+            )
+        B = basis.columns
+        self.d0 = basis.gram_diagonal()
+        self.W = B.T @ F
+        self.b = B.T @ y
+        F_perp = F - B @ (self.W / self.d0[:, None])
+        y_perp = y - B @ (self.b / self.d0)
+        # F_perp = Q R: R has the singular values of F_perp, and each lambda
+        # then works on q + p rows instead of n + p.
+        Q, self.R = np.linalg.qr(F_perp)
+        self.c = Q.T @ y_perp
+        r = y_perp - Q @ self.c
+        self.rss_perp = float(r @ r)
+
+    def _names(self) -> list[str]:
+        if self.fixed_names is not None:
+            return list(self.fixed_names)
+        return [f"fixed[{j}]" for j in range(self.F.shape[1])]
+
+    def _augmented(self, lam: float):
+        """Shrunk share rho of each basis column, delta, and the design's SVD."""
+        if math.isinf(lam):
+            rho = np.ones(self.basis.p)
+        else:
+            pen = lam * self.basis.penalty
+            rho = pen / (self.d0 + pen)
+        delta = rho / self.d0
+        M = np.vstack([self.R, np.sqrt(delta)[:, None] * self.W])
+        u, s, vt = np.linalg.svd(M, full_matrices=False)
+        return rho, delta, u, s, vt
+
+    def _require_full_rank(self, lam: float, s: np.ndarray, vt: np.ndarray) -> None:
+        if s[0] > 0 and s[-1] / s[0] >= RCOND_COLLINEAR:
+            return
+        rcond = s[-1] / s[0] if s[0] > 0 else 0.0
+        null = vt[-1]
+        names = self._names()
+        if lam == 0.0:
+            # [F, B] [v; -W v / d0] = F_perp v: the joint null vector.
+            what = "joint design at lambda=0"
+            null = np.concatenate([null, -(self.W @ null) / self.d0])
+            names += column_names(self.basis)
+        else:
+            what = "fixed design"
+        load = np.abs(null)
+        picks = np.nonzero(load > 0.2 * load.max())[0]
+        cols = tuple(names[int(j)] for j in picks[:8])
         raise CollinearityError(
-            f"{what} is numerically collinear (rcond {0.0 if s[0] == 0 else s[-1] / s[0]:.2e}); "
+            f"{what} is numerically collinear (rcond {rcond:.2e}); "
             f"implicated columns: {', '.join(cols)}",
             columns=cols,
+        )
+
+    def solve(self, lams: Sequence[float]) -> list[_Solution]:
+        """Solutions in the order of ``lams``, each after the rank check it needs."""
+        if any(lam > 0 for lam in lams):
+            # At lam = +inf the augmented design has the singular values of F.
+            _, _, _, s, vt = self._augmented(math.inf)
+            self._require_full_rank(math.inf, s, vt)
+        q, p = self.F.shape[1], self.basis.p
+        out = []
+        for lam in lams:
+            rho, delta, u, s, vt = self._augmented(lam)
+            if lam == 0.0:
+                self._require_full_rank(0.0, s, vt)
+            target = np.concatenate([self.c, np.sqrt(delta) * self.b])
+            a = vt.T @ ((u.T @ target) / s)
+            V = vt.T / s
+            inv_D = (1.0 - rho) / self.d0
+            gap = self.b - self.W @ a
+            r_perp = self.c - self.R @ a  # ||y_perp - F_perp a||^2 = ||r_perp||^2 + rss_perp
+            rss = float(r_perp @ r_perp) + self.rss_perp + float(self.d0 @ (delta * gap) ** 2)
+            h = ((self.W @ V) ** 2).sum(axis=1)  # diag(W S^-1 W')
+            edf = q + p - float((rho * (1.0 + inv_D * h)).sum())
+            out.append(_Solution(lam, a, inv_D * gap, rss, edf, V))
+        return out
+
+    def fit_result(self, sol: _Solution) -> FitResult:
+        fitted = self.F @ sol.fixed_coefs + self.basis.columns @ sol.basis_coefs
+        sigma2, gcv, aic = _criteria(self.y.shape[0], sol.rss, sol.edf)
+        s_inv = sol.V @ sol.V.T
+        return FitResult(
+            fixed_coefs=sol.fixed_coefs,
+            basis_coefs=sol.basis_coefs,
+            lam=sol.lam,
+            edf=sol.edf,
+            gcv=gcv,
+            aic=aic,
+            sigma2_hat=sigma2,
+            cov_fixed=sigma2 * 0.5 * (s_inv + s_inv.T),
+            fitted=fitted,
+            residuals=self.y - fitted,
         )
 
 
@@ -142,119 +253,14 @@ def fit_pls(
     fixed design alone).
 
     Raises ``CollinearityError`` when the fixed design, or at lam = 0 the
-    joint design, has reciprocal condition number below 1e-10.
+    joint design, has reciprocal condition number below 1e-10, and
+    ``ValueError`` when the basis columns are not mutually orthogonal.
     """
-    y, F = _as_design(y, fixed)
-    B = basis.columns
-    if B.shape[0] != y.shape[0]:
-        raise ValueError("basis rows do not match the response length")
-    n, q = F.shape
-    p = B.shape[1]
     if not (isinstance(lam, (int, float, np.floating, np.integer)) and not isinstance(lam, bool)):
         raise ValueError(f"lambda must be a real number, got {lam!r}")
-    lam = float(lam)
-    if math.isnan(lam) or lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    names = _names(q, basis, fixed_names)
-
-    if lam == 0.0 or p == 0:
-        X = np.column_stack([F, B]) if p else F
-        if X.shape[1] > n:
-            raise CollinearityError(
-                f"joint design at lambda=0 has {X.shape[1]} columns for {n} rows",
-                columns=tuple(names),
-            )
-        u, s, vt = np.linalg.svd(X, full_matrices=False)
-        if s[0] == 0 or s[-1] / s[0] < RCOND_COLLINEAR:
-            cols = _null_columns(vt[-1], names[: X.shape[1]])
-            raise CollinearityError(
-                f"joint design at lambda=0 is numerically collinear "
-                f"(rcond {0.0 if s[0] == 0 else s[-1] / s[0]:.2e}); "
-                f"implicated columns: {', '.join(cols)}",
-                columns=cols,
-            )
-        coef = vt.T @ ((u.T @ y) / s)
-        fitted = X @ coef
-        residuals = y - fitted
-        edf = float(X.shape[1])
-        rss = float(residuals @ residuals)
-        sigma2, gcv, aic = _criteria(n, rss, edf)
-        inv_xtx_fixed = (vt.T[:q] / s**2) @ vt[:, :q]
-        cov_fixed = sigma2 * 0.5 * (inv_xtx_fixed + inv_xtx_fixed.T)
-        return FitResult(
-            fixed_coefs=coef[:q].copy(),
-            basis_coefs=coef[q:].copy(),
-            lam=lam,
-            edf=edf,
-            gcv=gcv,
-            aic=aic,
-            sigma2_hat=sigma2,
-            cov_fixed=cov_fixed,
-            fitted=fitted,
-            residuals=residuals,
-        )
-
-    _check_full_rank(F, names[:q], "fixed design")
-
-    if math.isinf(lam):
-        u, s, vt = np.linalg.svd(F, full_matrices=False)
-        alpha = vt.T @ ((u.T @ y) / s)
-        fitted = F @ alpha
-        residuals = y - fitted
-        edf = float(q)
-        rss = float(residuals @ residuals)
-        sigma2, gcv, aic = _criteria(n, rss, edf)
-        inv_ftf = (vt.T / s**2) @ vt
-        cov_fixed = sigma2 * 0.5 * (inv_ftf + inv_ftf.T)
-        return FitResult(
-            fixed_coefs=alpha,
-            basis_coefs=np.zeros(p),
-            lam=lam,
-            edf=edf,
-            gcv=gcv,
-            aic=aic,
-            sigma2_hat=sigma2,
-            cov_fixed=cov_fixed,
-            fitted=fitted,
-            residuals=residuals,
-        )
-
-    # Finite positive lambda: penalized normal equations.
-    FtF = F.T @ F
-    FtB = F.T @ B
-    BtB = basis.gram()
-    A = np.block([[FtF, FtB], [FtB.T, BtB]])
-    A_pen = A.copy()
-    A_pen[q:, q:] += lam * np.diag(basis.penalty)
-    rhs = np.concatenate([F.T @ y, B.T @ y])
-    try:
-        coef = np.linalg.solve(A_pen, rhs)
-        inv_cols = np.linalg.solve(A_pen, np.eye(q + p)[:, :q])
-        M = np.linalg.solve(A_pen, A)
-    except np.linalg.LinAlgError as exc:
-        raise CollinearityError(
-            f"penalized normal equations are singular at lambda={lam}: {exc}",
-            columns=tuple(names),
-        ) from exc
-    fitted = F @ coef[:q] + B @ coef[q:]
-    residuals = y - fitted
-    edf = float(np.trace(M))
-    rss = float(residuals @ residuals)
-    sigma2, gcv, aic = _criteria(n, rss, edf)
-    block = inv_cols[:q, :]
-    cov_fixed = sigma2 * 0.5 * (block + block.T)
-    return FitResult(
-        fixed_coefs=coef[:q].copy(),
-        basis_coefs=coef[q:].copy(),
-        lam=lam,
-        edf=edf,
-        gcv=gcv,
-        aic=aic,
-        sigma2_hat=sigma2,
-        cov_fixed=cov_fixed,
-        fitted=fitted,
-        residuals=residuals,
-    )
+    lams = _as_lambdas([lam])
+    solver = _Solver(y, fixed, basis, fixed_names)
+    return solver.fit_result(solver.solve(lams)[0])
 
 
 def sweep_lambda(
@@ -266,94 +272,21 @@ def sweep_lambda(
 ) -> LambdaSweep:
     """Evaluate RSS, EDF, GCV, AIC and fixed coefficients on a lambda grid.
 
-    One eigen-decomposition of the penalty-scaled projected basis Gram
-    matrix serves every lambda, so each additional grid point costs O(p^2).
-    Results agree with per-lambda ``fit_pls`` calls to round-off; the
-    equivalence is exercised by the test suite.
+    The basis products are formed once; each grid point then costs an SVD
+    of a (q + p) x q matrix.
     """
-    y, F = _as_design(y, fixed)
-    B = basis.columns
-    n, q = F.shape
-    p = B.shape[1]
-    lams = [float(v) for v in lambdas]
-    if not lams:
-        raise ValueError("lambda grid must be nonempty")
-    for v in lams:
-        if math.isnan(v) or v < 0:
-            raise ValueError(f"lambda grid values must be nonnegative, got {v}")
-    names = _names(q, basis, fixed_names)
-    _check_full_rank(F, names[:q], "fixed design")
-
-    if p == 0:
-        base = fit_pls(y, F, basis, 0.0, fixed_names)
-        k = len(lams)
-        return LambdaSweep(
-            lambdas=np.array(lams),
-            rss=np.full(k, base.rss),
-            edf=np.full(k, base.edf),
-            gcv=np.full(k, base.gcv),
-            aic=np.full(k, base.aic),
-            fixed_coefs=np.tile(base.fixed_coefs, (k, 1)),
-        )
-
-    FtF = F.T @ F
-    FtB = F.T @ B
-    Fty = F.T @ y
-    BtB = basis.gram()
-    Bty = B.T @ y
-    C1 = np.linalg.solve(FtF, FtB)  # (q, p)
-    c0 = np.linalg.solve(FtF, Fty)  # (q,)
-    G = BtB - FtB.T @ C1  # Gram of the basis projected off the fixed block
-    bty_t = Bty - FtB.T @ c0
-
-    w = basis.penalty**-0.5
-    K = G * w[:, None] * w[None, :]
-    diag = np.diag(K).copy()
-    off = K - np.diag(diag)
-    if np.abs(off).max(initial=0.0) <= 1e-12 * max(np.abs(diag).max(initial=0.0), 1.0):
-        s = diag
-        V = None
-        c = w * bty_t
-    else:
-        s, V = np.linalg.eigh(K)
-        s = np.clip(s, 0.0, None)
-        c = V.T @ (w * bty_t)
-
-    k = len(lams)
-    out_rss = np.empty(k)
-    out_edf = np.empty(k)
-    out_gcv = np.empty(k)
-    out_aic = np.empty(k)
-    out_fixed = np.empty((k, q))
-    s_max = float(s.max(initial=0.0))
-    for i, lam in enumerate(lams):
-        if lam == 0.0 and (s_max == 0.0 or float(s.min()) <= 1e-12 * s_max):
-            # Numerically rank deficient without the penalty: delegate to the
-            # dense path, which applies the authoritative rcond test and
-            # names the offending columns if it really is collinear.
-            fit = fit_pls(y, F, basis, 0.0, fixed_names)
-            out_rss[i], out_edf[i] = fit.rss, fit.edf
-            out_gcv[i], out_aic[i] = fit.gcv, fit.aic
-            out_fixed[i] = fit.fixed_coefs
-            continue
-        d = s + lam
-        shrunk = c / d
-        gamma = w * (shrunk if V is None else V @ shrunk)
-        alpha = c0 - C1 @ gamma
-        resid = y - F @ alpha - B @ gamma
-        rss = float(resid @ resid)
-        edf = q + float((s / d).sum()) if not math.isinf(lam) else float(q)
-        _, gcv, aic = _criteria(n, rss, edf)
-        out_rss[i], out_edf[i] = rss, edf
-        out_gcv[i], out_aic[i] = gcv, aic
-        out_fixed[i] = alpha
+    lams = _as_lambdas(lambdas)
+    solver = _Solver(y, fixed, basis, fixed_names)
+    sols = solver.solve(lams)
+    n = solver.y.shape[0]
+    crit = np.array([_criteria(n, sol.rss, sol.edf) for sol in sols])
     return LambdaSweep(
         lambdas=np.array(lams),
-        rss=out_rss,
-        edf=out_edf,
-        gcv=out_gcv,
-        aic=out_aic,
-        fixed_coefs=out_fixed,
+        rss=np.array([sol.rss for sol in sols]),
+        edf=np.array([sol.edf for sol in sols]),
+        gcv=crit[:, 1],
+        aic=crit[:, 2],
+        fixed_coefs=np.array([sol.fixed_coefs for sol in sols]),
     )
 
 
@@ -369,15 +302,14 @@ def select_lambda_gcv(
     Ties break toward the smallest lambda.  The default grid is
     {0} union 41 log-spaced points in [1e-4, 1e6].
     """
-    grid = DEFAULT_LAMBDA_GRID if lambda_grid is None else tuple(float(v) for v in lambda_grid)
-    if len(grid) == 0:
-        raise ValueError("lambda grid must be nonempty")
+    grid = _as_lambdas(DEFAULT_LAMBDA_GRID if lambda_grid is None else lambda_grid)
     if len(set(grid)) != len(grid):
         raise ValueError("lambda grid values must be distinct")
-    ordered = sorted(grid)
-    sweep = sweep_lambda(y, fixed, basis, ordered, fixed_names)
-    best = int(np.argmin(sweep.gcv))  # first minimum = smallest lambda on ties
-    return fit_pls(y, fixed, basis, ordered[best], fixed_names)
+    solver = _Solver(y, fixed, basis, fixed_names)
+    sols = solver.solve(sorted(grid))
+    n = solver.y.shape[0]
+    gcv = [_criteria(n, sol.rss, sol.edf)[1] for sol in sols]
+    return solver.fit_result(sols[int(np.argmin(gcv))])  # first minimum = smallest lambda
 
 
 def project_out(v, onto) -> np.ndarray:

@@ -226,6 +226,18 @@ class TestScenarioAndAic:
         doc = json.loads((tmp_path / "aic.json").read_text())
         assert len(doc["rows"]) == 3
 
+    @pytest.mark.parametrize("command", ["scenario", "aic-bias"])
+    def test_max_freq_honoured_with_config(self, tmp_path, command):
+        # The default max_freq (10) is too high for an m=16 grid; --max-freq 5 fits.
+        config_path, _ = write_config(tmp_path, m=16, spec_S2=SpectralSpec(3, 5, 0.0, 1.0))
+        out = tmp_path / "run"
+        extra = ["--kind", "strong-exposure-weak-outcome"] if command == "scenario" else []
+        code = main([command, "--config", str(config_path), "--reps", "2", "--seed", "1",
+                     "--max-freq", "5", "--out", str(out)] + extra)
+        assert code == 0
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+        assert manifest["config"]["m"] == 16
+
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import spatialconfound.mc
 from spatialconfound import (
     EstimandUndefinedError,
     EstimatorKind,
@@ -142,6 +143,15 @@ class TestRunMc:
         assert np.isnan(rsr_cell.mean_bias)
         assert ols_cell.n_success == 4 and ols_cell.n_failed == 0
 
+    def test_linalg_error_propagates(self, monkeypatch):
+        # Data degeneracies arrive as typed errors; a LinAlgError is a bug.
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(spatialconfound.mc, "fit_estimator", broken)
+        with pytest.raises(np.linalg.LinAlgError):
+            run_mc(small_plan(r=2))
+
     def test_no_confounding_all_estimators_unbiased(self):
         # Neutrality is a no-smoothing property: data-driven smoothing in
         # the two-stage methods carries a small O(edf/n) regularization
@@ -202,6 +212,14 @@ class TestAicBias:
         base = default_aic_plan(r=2)
         with pytest.raises(ValueError, match="0"):
             aic_bias_experiment(base, [1.0, 10.0])
+
+    def test_linalg_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(spatialconfound.mc, "sweep_lambda", broken)
+        with pytest.raises(np.linalg.LinAlgError):
+            aic_bias_experiment(default_aic_plan(r=2, max_freq=6), [0.0, 1.0])
 
     def test_nothing_to_confound_no_flag(self):
         config = small_config(

@@ -1,6 +1,7 @@
 """Penalized least-squares engine: solver, GCV selection, projections."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,6 +42,29 @@ def random_problem(seed, n=64, m=8, max_freq=3, noise=0.5):
     y = F @ rng.normal(size=3) + b.columns @ rng.normal(size=b.p) * 0.3
     y = y + noise * rng.normal(size=n)
     return y, F, b
+
+
+def dense_oracle(y, F, b, lam):
+    """Penalized normal equations on the joint design, solved densely.
+
+    Returns fixed coefficients, edf = tr((A + lam P)^-1 A), GCV and the
+    fixed block of sigma2 * (A + lam P)^-1.  At lam = inf the basis is
+    pinned to zero, leaving OLS on F.
+    """
+    n, q = F.shape
+    if math.isinf(lam):
+        X, pen = F, np.zeros(q)
+    else:
+        X = np.column_stack([F, b.columns])
+        pen = np.concatenate([np.zeros(q), lam * b.penalty])
+    A = X.T @ X
+    A_pen = A + np.diag(pen)
+    coef = np.linalg.solve(A_pen, X.T @ y)
+    edf = float(np.trace(np.linalg.solve(A_pen, A)))
+    resid = y - X @ coef
+    rss = float(resid @ resid)
+    cov_fixed = rss / (n - edf) * np.linalg.inv(A_pen)[:q, :q]
+    return coef[:q], edf, n * rss / (n - edf) ** 2, cov_fixed
 
 
 class TestToyInstance:
@@ -187,6 +211,29 @@ class TestSweep:
             assert sweep.edf[i] == pytest.approx(fit.edf, rel=1e-8)
 
 
+class TestDenseOracle:
+    lambdas = [0.0, 1e-2, 3.7, 1e3, math.inf]
+
+    @pytest.mark.parametrize("lam", lambdas)
+    def test_fit_matches_dense_normal_equations(self, lam):
+        y, F, b = random_problem(19)
+        fit = fit_pls(y, F, b, lam)
+        coefs, edf, gcv, cov_fixed = dense_oracle(y, F, b, lam)
+        assert fit.fixed_coefs == pytest.approx(coefs, rel=1e-8)
+        assert fit.edf == pytest.approx(edf, rel=1e-8)
+        assert fit.gcv == pytest.approx(gcv, rel=1e-8)
+        assert fit.cov_fixed == pytest.approx(cov_fixed, rel=1e-8)
+
+    def test_sweep_matches_dense_normal_equations(self):
+        y, F, b = random_problem(20)
+        sweep = sweep_lambda(y, F, b, self.lambdas)
+        for i, lam in enumerate(self.lambdas):
+            coefs, edf, gcv, _ = dense_oracle(y, F, b, lam)
+            assert sweep.fixed_coefs[i] == pytest.approx(coefs, rel=1e-8)
+            assert sweep.edf[i] == pytest.approx(edf, rel=1e-8)
+            assert sweep.gcv[i] == pytest.approx(gcv, rel=1e-8)
+
+
 class TestSelectLambdaGcv:
     def test_singleton_grid_zero(self):
         y, F, b = random_problem(9)
@@ -251,6 +298,27 @@ class TestCollinearity:
         F = np.column_stack([np.ones(16), np.linspace(0, 1, 16)] + [np.eye(16)[:, i] for i in range(7)])
         with pytest.raises(CollinearityError):
             fit_pls(np.ones(16), F, b, 0.0)
+        wide = np.column_stack([np.eye(16), np.ones(16)])  # 17 fixed columns, no basis
+        with pytest.raises(CollinearityError):
+            fit_pls(np.ones(16), wide, empty_basis(16), 0.0)
+
+
+class TestNonOrthogonalBasis:
+    def test_rejected_by_every_entry_point(self):
+        y, F, b = random_problem(21)
+        zeroed = b.columns.copy()
+        zeroed[:, 0] = 0.0
+        for bad in (
+            replace(b, columns=b.columns + 0.1 * b.columns[:, :1]),
+            replace(b, columns=zeroed),
+        ):
+            for call in (
+                lambda: fit_pls(y, F, bad, 1.0),
+                lambda: sweep_lambda(y, F, bad, [0.0, 1.0]),
+                lambda: select_lambda_gcv(y, F, bad),
+            ):
+                with pytest.raises(ValueError, match="orthogonal"):
+                    call()
 
 
 class TestProjectOut:
