@@ -51,7 +51,6 @@ from .fields import (
     SpectralSpec,
     derive_seed,
     field_dft_energy,
-    field_to_csv,
     frequency_pairs,
     make_grid,
     sample_field,

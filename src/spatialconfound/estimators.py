@@ -9,9 +9,11 @@ outcome-stage AIC, and a few numeric diagnostics.
 Methods:
 
     NonSpatialOLS       OLS of Y on (1, Z, C)
-    RSR                 OLS of Y on (1, Z, C, basis projected off (1, Z, C));
-                        leaves the exposure coefficient of the plain OLS
-                        unchanged (only the residual accounting moves)
+    RSR                 OLS of Y on (1, Z, C, basis projected off (1, Z, C)):
+                        the OLS point estimate, with standard error
+                        sqrt(sigma2 * [(F'F)^-1]_11) from the residual
+                        variance sigma2 of the lambda = 0 fit on
+                        F = (1, Z, C) plus the basis
     Spatial             penalized fit of Y on (1, Z, C) + basis
     SpatialPlus         stage 1 residualizes Z on (1, C) + basis, stage 2
                         fits Y on (1, residual, C) + basis
@@ -34,10 +36,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .basis import BasisSet, column_names, empty_basis, restrict_low_frequency
+from .basis import BasisSet, empty_basis, restrict_low_frequency
 from .dgp import Observations
 from .errors import DegenerateResidualError
-from .pls import FitResult, fit_pls, project_out, select_lambda_gcv
+from .pls import FitResult, _criteria, _Solver, fit_pls, select_lambda_gcv
 
 Smoothing = Union[None, float, Sequence[float]]
 
@@ -120,6 +122,23 @@ def _design_cond(M: np.ndarray) -> float:
     return float(s[0] / s[-1]) if s[-1] > 0 else math.inf
 
 
+def _exposure_residual_share(r_z: np.ndarray, z) -> float:
+    """var(r_z) / var(Z), after checking that the residuals are not zero.
+
+    Raises ``DegenerateResidualError`` when spatial adjustment leaves the
+    exposure residuals numerically zero.
+    """
+    var_z = float(np.asarray(z).var())
+    var_r = float(r_z.var())
+    if var_z == 0.0 or var_r < RESIDUAL_DEGENERACY_SHARE * var_z:
+        raise DegenerateResidualError(
+            "exposure residuals are numerically zero after spatial adjustment: "
+            "the exposure is fully spatial and the spatially-conditional "
+            "coefficient is not identified"
+        )
+    return var_r / var_z
+
+
 def _fit_stage(y, F, b: BasisSet, smoothing: Smoothing, names) -> FitResult:
     if smoothing is None:
         return select_lambda_gcv(y, F, b, None, names)
@@ -149,27 +168,26 @@ def fit_nonspatial(obs: Observations) -> EstimateRecord:
 def fit_rsr(obs: Observations, b: BasisSet) -> EstimateRecord:
     """Restricted spatial regression: spatial terms projected off (1, Z, C).
 
-    The basis block is orthogonalized against the fixed design before
-    entering the outcome OLS, so the exposure coefficient (a Frisch-Waugh
-    identity) matches plain OLS; only the error accounting changes.
+    RSR is OLS of Y on [F, B_perp], F = (1, Z, C) and B_perp the basis
+    residualized on F.  B_perp is orthogonal to F, so the exposure
+    coefficient is the OLS one (a Frisch-Waugh identity) and the joint Gram
+    is block diagonal; [F, B_perp] spans the same space as [F, B], so the
+    residuals are those of the unpenalized fit on [F, B].  One solver
+    gives both: lambda = +inf (OLS, S^-1 = (F'F)^-1) and lambda = 0 (RSS,
+    edf = q + p, sigma2, AIC); the standard error is
+    sqrt(sigma2 * [(F'F)^-1]_11).
     """
     F, names = _fixed_design(obs)
-    if b.p:
-        b_perp = project_out(b.columns, F)
-        joint = np.column_stack([F, b_perp])
-        joint_names = names + [f"rsr:{c}" for c in column_names(b)]
-    else:
-        joint = F
-        joint_names = names
-    fit = fit_pls(obs.Y, joint, empty_basis(obs.grid.n), 0.0, joint_names)
-    se = float(np.sqrt(fit.cov_fixed[1, 1]))
+    ols, joint = _Solver(obs.Y, F, b, names).solve([math.inf, 0.0])
+    sigma2, _, aic = _criteria(obs.grid.n, joint.rss, joint.edf)
+    s_inv = ols.V @ ols.V.T  # (F'F)^-1
     return _record(
         EstimatorKind.RSR,
-        fit.fixed_coefs[1],
-        se,
+        ols.fixed_coefs[1],
+        float(np.sqrt(sigma2 * s_inv[1, 1])),
         lambdas={},
-        edf={"outcome": fit.edf},
-        aic=fit.aic,
+        edf={"outcome": joint.edf},
+        aic=aic,
         diagnostics={"fixed_cond": _design_cond(F)},
     )
 
@@ -195,7 +213,7 @@ def _spatial_plus_stages(
     b: BasisSet,
     smoothing: Smoothing,
     include_c_in_stage1: bool,
-) -> tuple[FitResult, FitResult, np.ndarray]:
+) -> tuple[FitResult, FitResult, float]:
     n = obs.grid.n
     ones = np.ones(n)
     if include_c_in_stage1:
@@ -206,16 +224,10 @@ def _spatial_plus_stages(
         names1 = ["intercept"]
     stage1 = _fit_stage(obs.Z, F1, b, smoothing, names1)
     r_z = stage1.residuals
-    var_z = float(np.asarray(obs.Z).var())
-    if float(r_z.var()) < RESIDUAL_DEGENERACY_SHARE * var_z or var_z == 0.0:
-        raise DegenerateResidualError(
-            "exposure residuals are numerically zero after spatial adjustment: "
-            "the exposure is fully spatial and the spatially-conditional "
-            "coefficient is not identified"
-        )
+    share = _exposure_residual_share(r_z, obs.Z)
     F2 = np.column_stack([ones, r_z, obs.C])
     stage2 = _fit_stage(obs.Y, F2, b, smoothing, ["intercept", "r_Z", "C"])
-    return stage1, stage2, r_z
+    return stage1, stage2, share
 
 
 def fit_spatial_plus(
@@ -234,9 +246,8 @@ def fit_spatial_plus(
     residual variance (a fully spatial exposure).
     """
     _fixed_design(obs)  # validates shapes, n > 3
-    stage1, stage2, r_z = _spatial_plus_stages(obs, b, smoothing, include_c_in_stage1)
+    stage1, stage2, share = _spatial_plus_stages(obs, b, smoothing, include_c_in_stage1)
     se = float(np.sqrt(stage2.cov_fixed[1, 1]))
-    var_z = float(np.asarray(obs.Z).var())
     return _record(
         EstimatorKind.SPATIAL_PLUS,
         stage2.fixed_coefs[1],
@@ -244,9 +255,7 @@ def fit_spatial_plus(
         lambdas={"exposure": stage1.lam, "outcome": stage2.lam},
         edf={"exposure": stage1.edf, "outcome": stage2.edf},
         aic=stage2.aic,
-        diagnostics={
-            "exposure_residual_share": float(r_z.var() / var_z),
-        },
+        diagnostics={"exposure_residual_share": share},
     )
 
 
@@ -265,13 +274,7 @@ def fit_gsem(obs: Observations, b: BasisSet, smoothing: Smoothing = None) -> Est
     for name, values in (("outcome", obs.Y), ("exposure", obs.Z), ("covariate", obs.C)):
         fits[name] = _fit_stage(values, ones, b, smoothing, ["intercept"])
         resids[name] = fits[name].residuals
-    var_z = float(np.asarray(obs.Z).var())
-    if var_z == 0.0 or float(resids["exposure"].var()) < RESIDUAL_DEGENERACY_SHARE * var_z:
-        raise DegenerateResidualError(
-            "exposure residuals are numerically zero after spatial adjustment: "
-            "the exposure is fully spatial and the spatially-conditional "
-            "coefficient is not identified"
-        )
+    share = _exposure_residual_share(resids["exposure"], obs.Z)
     final_design = np.column_stack([np.ones(n), resids["exposure"], resids["covariate"]])
     final = fit_pls(
         resids["outcome"], final_design, empty_basis(n), 0.0, ["intercept", "r_Z", "r_C"]
@@ -284,9 +287,7 @@ def fit_gsem(obs: Observations, b: BasisSet, smoothing: Smoothing = None) -> Est
         lambdas={name: fits[name].lam for name in fits},
         edf={**{name: fits[name].edf for name in fits}, "final_ols": final.edf},
         aic=final.aic,
-        diagnostics={
-            "exposure_residual_share": float(resids["exposure"].var() / var_z),
-        },
+        diagnostics={"exposure_residual_share": share},
     )
 
 

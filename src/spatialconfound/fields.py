@@ -228,13 +228,3 @@ def field_dft_energy(field: FieldSample, grid: LocationGrid) -> dict[int, float]
     totals = np.bincount(shell.ravel(), weights=power.ravel(), minlength=m // 2 + 1)
     return {int(k): float(totals[k]) for k in range(m // 2 + 1)}
 
-
-def field_to_csv(field: FieldSample, grid: LocationGrid, path) -> None:
-    """Write the field as CSV with columns x,y,value in grid row order."""
-    values = np.asarray(field.values)
-    if values.shape != (grid.n,):
-        raise ValueError("field length does not match grid size")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("x,y,value\n")
-        for (x, y), v in zip(grid.coords, values):
-            fh.write(f"{float(x)!r},{float(y)!r},{float(v)!r}\n")

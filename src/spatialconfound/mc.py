@@ -31,7 +31,7 @@ import numpy as np
 from .basis import BasisSet, fourier_basis
 from .dgp import ScenarioConfig, config_hash, generate_dataset
 from .errors import DegeneracyError
-from .estimators import EstimatorKind, Smoothing, fit_estimator
+from .estimators import EstimatorKind, Smoothing, _fixed_design, fit_estimator
 from .fields import IidSpec, SpectralSpec, derive_seed, make_grid
 from .oracle import EstimandSet, compute_estimands
 from .pls import DEFAULT_LAMBDA_GRID, sweep_lambda
@@ -271,19 +271,24 @@ def run_mc(plan: MCPlan, n_jobs: int = 1) -> MCSummary:
 # ---------------------------------------------------------------------------
 
 
-def scenario_config(kind: str) -> ScenarioConfig:
-    """The pinned configuration for one confounding scenario."""
+def _with_strengths(config: ScenarioConfig, kind: str) -> ScenarioConfig:
+    """``config`` with the scenario's exposure loading a2 and outcome weight b4."""
     if kind not in SCENARIO_KINDS:
         raise ValueError(f"scenario kind must be one of {SCENARIO_KINDS}, got {kind!r}")
     strength = _SCENARIO_STRENGTHS[kind]
-    base = _SCENARIO_BASE
-    beta = list(base["beta"])
+    beta = list(config.beta)
     beta[4] = strength["b4"]
-    loadings = list(base["loadings"])
+    loadings = list(config.loadings)
     loadings[1] = strength["a2"]
-    return ScenarioConfig(
-        beta=tuple(beta),
-        loadings=tuple(loadings),
+    return replace(config, beta=tuple(beta), loadings=tuple(loadings))
+
+
+def scenario_config(kind: str) -> ScenarioConfig:
+    """The pinned configuration for one confounding scenario."""
+    base = _SCENARIO_BASE
+    config = ScenarioConfig(
+        beta=base["beta"],
+        loadings=base["loadings"],
         nu_sd=base["nu_sd"],
         sigma=base["sigma"],
         spec_S1=SpectralSpec(*_SCENARIO_S1_BAND, decay=0.0, variance=1.0),
@@ -293,6 +298,7 @@ def scenario_config(kind: str) -> ScenarioConfig:
         u_sd=base["u_sd"],
         m=base["m"],
     )
+    return _with_strengths(config, kind)
 
 
 def _smoothed_trio(max_freq: int) -> tuple[EstimatorSpec, ...]:
@@ -367,14 +373,7 @@ def scenario_experiment(kind: str, base: MCPlan) -> ScenarioResult:
     GCV-smoothed trio otherwise.  Bias is judged against the achieved
     spatially-conditional target ``beta_cond_achieved``.
     """
-    if kind not in SCENARIO_KINDS:
-        raise ValueError(f"scenario kind must be one of {SCENARIO_KINDS}, got {kind!r}")
-    strength = _SCENARIO_STRENGTHS[kind]
-    beta = list(base.config.beta)
-    beta[4] = strength["b4"]
-    loadings = list(base.config.loadings)
-    loadings[1] = strength["a2"]
-    config = replace(base.config, beta=tuple(beta), loadings=tuple(loadings))
+    config = _with_strengths(base.config, kind)
     kinds = {spec.kind for spec in base.estimators}
     trio = {EstimatorKind.SPATIAL, EstimatorKind.SPATIAL_PLUS, EstimatorKind.GSEM}
     if kinds == trio:
@@ -494,9 +493,9 @@ def aic_bias_experiment(
     for rep in range(base.R):
         ds = generate_dataset(base.config, derive_seed(base.master_seed, rep))
         obs = ds.observations()
-        F = np.column_stack([np.ones(grid.n), obs.Z, obs.C])
+        fixed, fixed_names = _fixed_design(obs)
         try:
-            sweep = sweep_lambda(obs.Y, F, b, grid_lams, ["intercept", "Z", "C"])
+            sweep = sweep_lambda(obs.Y, fixed, b, grid_lams, fixed_names)
         except DegeneracyError:
             n_failed += 1
             continue

@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("0[1-3]_*.py"))
+DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
 
 
 def test_demos_found():
-    assert [d.name[:2] for d in DEMOS] == ["01", "02", "03"]
+    assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)

@@ -114,18 +114,28 @@ class TestRSR:
         assert rsr.aic == ols.aic
         assert rsr.edf == ols.edf
 
-    def test_orthogonal_basis_same_as_plain_augmented_ols(self):
-        # gSEM-style residual basis is already orthogonal to (1, Z, C).
-        ds = generate_dataset(scenario(), 7)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_dense_projected_design(self, seed):
+        # RSR as defined: OLS on [F, B_perp], B_perp the basis residualized
+        # on F = (1, Z, C), built and solved densely here.
+        ds = generate_dataset(scenario(), seed)
         obs = ds.observations()
-        b = fourier_basis(ds.grid, 3)
+        b = fourier_basis(ds.grid, 5)
         F = np.column_stack([np.ones(obs.grid.n), obs.Z, obs.C])
-        b_perp_cols = b.columns - F @ np.linalg.lstsq(F, b.columns, rcond=None)[0]
-        b_perp = replace(b, columns=b_perp_cols)
-        rec_via_rsr = fit_rsr(obs, b_perp)
-        X = np.column_stack([F, b_perp_cols])
-        coef = np.linalg.lstsq(X, obs.Y, rcond=None)[0]
-        assert rec_via_rsr.beta1_hat == pytest.approx(float(coef[1]), rel=1e-10)
+        b_perp = b.columns - F @ np.linalg.lstsq(F, b.columns, rcond=None)[0]
+        X = np.column_stack([F, b_perp])
+        coef, _, rank, _ = np.linalg.lstsq(X, obs.Y, rcond=None)
+        resid = obs.Y - X @ coef
+        rss = float(resid @ resid)
+        n, edf = obs.grid.n, X.shape[1]
+        assert rank == edf
+        se = math.sqrt(rss / (n - edf) * np.linalg.inv(X.T @ X)[1, 1])
+        aic = n * math.log(rss / n) + 2 * edf
+        rec = fit_rsr(obs, b)
+        assert rec.beta1_hat == pytest.approx(float(coef[1]), rel=1e-10)
+        assert rec.se == pytest.approx(se, rel=1e-10)
+        assert rec.aic == pytest.approx(aic, rel=1e-10)
+        assert rec.edf["outcome"] == pytest.approx(edf, rel=1e-10)
 
 
 class TestSpatial:

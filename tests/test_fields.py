@@ -9,7 +9,6 @@ from spatialconfound import (
     SpectralSpec,
     derive_seed,
     field_dft_energy,
-    field_to_csv,
     frequency_pairs,
     make_grid,
     sample_field,
@@ -210,19 +209,3 @@ class TestSeedDerivation:
         assert derive_seed(1, "x", 2) == derive_seed(1, "x", 2)
         assert derive_seed(1, "x", 2) != derive_seed(1, "x", 3)
 
-
-def test_field_csv_export(tmp_path):
-    grid = make_grid(4)
-    f = sample_grf(grid, SpectralSpec(1, 2, 0.0, 1.0), seed=8)
-    path = tmp_path / "field.csv"
-    field_to_csv(f, grid, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,y,value"
-    assert len(lines) == grid.n + 1
-    x, y, v = lines[1].split(",")
-    assert float(x) == grid.coords[0, 0] and float(y) == grid.coords[0, 1]
-    assert float(v) == f.values[0]
-
-    path2 = tmp_path / "field2.csv"
-    field_to_csv(sample_grf(grid, SpectralSpec(1, 2, 0.0, 1.0), seed=8), grid, path2)
-    assert path.read_bytes() == path2.read_bytes()

@@ -9,8 +9,10 @@ import pytest
 from spatialconfound import (
     BasisSet,
     CollinearityError,
+    Observations,
     empty_basis,
     fit_pls,
+    fit_rsr,
     fourier_basis,
     make_grid,
     project_out,
@@ -306,6 +308,7 @@ class TestCollinearity:
 class TestNonOrthogonalBasis:
     def test_rejected_by_every_entry_point(self):
         y, F, b = random_problem(21)
+        obs = Observations(Z=F[:, 1], C=F[:, 2], Y=y, grid=make_grid(8))
         zeroed = b.columns.copy()
         zeroed[:, 0] = 0.0
         for bad in (
@@ -316,6 +319,7 @@ class TestNonOrthogonalBasis:
                 lambda: fit_pls(y, F, bad, 1.0),
                 lambda: sweep_lambda(y, F, bad, [0.0, 1.0]),
                 lambda: select_lambda_gcv(y, F, bad),
+                lambda: fit_rsr(obs, bad),
             ):
                 with pytest.raises(ValueError, match="orthogonal"):
                     call()
