@@ -42,12 +42,16 @@ from .mc import (
     run_mc,
     scenario_experiment,
     summary_to_csv,
-    summary_to_json,
 )
 from .oracle import compute_estimands
 from .pls import DEFAULT_LAMBDA_GRID
 
 ESTIMATOR_NAMES = tuple(kind.value for kind in EstimatorKind)
+
+
+def _dump_json(obj, fh) -> None:
+    json.dump(obj, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def _write_manifest(out_path: str, subcommand: str, argv, config=None, config_path=None,
@@ -63,10 +67,21 @@ def _write_manifest(out_path: str, subcommand: str, argv, config=None, config_pa
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    path = f"{out_path}.manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(f"{out_path}.manifest.json", "w", encoding="utf-8") as fh:
+        _dump_json(manifest, fh)
+
+
+def _write_outputs(args, argv, config, write_csv, payload) -> int:
+    """``<out>.csv`` by ``write_csv``, ``payload`` as ``<out>.json``, and the manifest."""
+    csv_path, json_path = f"{args.out}.csv", f"{args.out}.json"
+    write_csv(csv_path)
+    with open(json_path, "w", encoding="utf-8") as fh:
+        _dump_json(payload, fh)
+    _write_manifest(
+        args.out, args.subcommand, argv, config=config, config_path=args.config,
+        master_seed=args.seed, outputs=[csv_path, json_path],
+    )
+    return 0
 
 
 def _default_max_freq(m: int) -> int:
@@ -112,16 +127,14 @@ def cmd_fit(args, argv) -> int:
         cutoff=args.cutoff,
         include_c_in_stage1=not args.no_c_in_stage1,
     )
-    json.dump(record.to_dict(), sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    _dump_json(record.to_dict(), sys.stdout)
     return 0
 
 
 def cmd_targets(args, argv) -> int:
     config = load_config(args.config)
     targets = compute_estimands(config)
-    json.dump(targets.as_dict(), sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    _dump_json(targets.as_dict(), sys.stdout)
     return 0
 
 
@@ -158,63 +171,38 @@ def cmd_mc(args, argv) -> int:
         master_seed=args.seed,
     )
     summary = run_mc(plan, n_jobs=args.threads)
-    csv_path = f"{args.out}.csv"
-    json_path = f"{args.out}.json"
-    summary_to_csv(summary, csv_path)
-    summary_to_json(summary, json_path)
-    _write_manifest(
-        args.out, "mc", argv, config=config, config_path=args.config,
-        master_seed=args.seed, outputs=[csv_path, json_path],
+    return _write_outputs(
+        args, argv, config, lambda path: summary_to_csv(summary, path), summary.to_dict()
     )
-    return 0
 
 
-def _with_config(plan: MCPlan, config_path: Optional[str]) -> MCPlan:
-    """The plan on the config at ``config_path`` (targets recomputed), if given."""
-    if config_path is None:
-        return plan
-    return replace(plan, config=load_config(config_path), targets=None)
+def _with_config(plan: MCPlan, args) -> MCPlan:
+    """The plan on the ``--config`` file, if given, with ``--max-freq`` as the
+    basis size of its estimators; without ``--max-freq`` the size follows
+    the config's grid side, as in ``fit`` and ``mc``."""
+    config = plan.config if args.config is None else load_config(args.config)
+    max_freq = args.max_freq or _default_max_freq(config.m)
+    estimators = tuple(replace(spec, max_freq=max_freq) for spec in plan.estimators)
+    return replace(plan, config=config, estimators=estimators)
 
 
 def cmd_scenario(args, argv) -> int:
-    base = _with_config(
-        default_scenario_plan(args.kind, r=args.reps, master_seed=args.seed,
-                              max_freq=args.max_freq),
-        args.config,
-    )
+    base = _with_config(default_scenario_plan(args.kind, r=args.reps, master_seed=args.seed), args)
     result = scenario_experiment(args.kind, base)
-    csv_path = f"{args.out}.csv"
-    json_path = f"{args.out}.json"
-    summary_to_csv(result.summary, csv_path)
     payload = {"verdict": result.verdict.to_dict(), "summary": result.summary.to_dict()}
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(
-        args.out, "scenario", argv, config=result.plan.config, config_path=args.config,
-        master_seed=args.seed, outputs=[csv_path, json_path],
+    return _write_outputs(
+        args, argv, result.plan.config, lambda path: summary_to_csv(result.summary, path),
+        payload,
     )
-    return 0
 
 
 def cmd_aic_bias(args, argv) -> int:
-    base = _with_config(
-        default_aic_plan(r=args.reps, master_seed=args.seed, max_freq=args.max_freq),
-        args.config,
-    )
+    base = _with_config(default_aic_plan(r=args.reps, master_seed=args.seed), args)
     lambdas = _parse_lambdas(args.lambdas) if args.lambdas else list(DEFAULT_LAMBDA_GRID)
     result = aic_bias_experiment(base, lambdas)
-    csv_path = f"{args.out}.csv"
-    json_path = f"{args.out}.json"
-    aic_table_to_csv(result, csv_path)
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(
-        args.out, "aic-bias", argv, config=base.config, config_path=args.config,
-        master_seed=args.seed, outputs=[csv_path, json_path],
+    return _write_outputs(
+        args, argv, base.config, lambda path: aic_table_to_csv(result, path), result.to_dict()
     )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="override the default base config")
     p.add_argument("--reps", type=int, default=500)
     p.add_argument("--seed", type=int, default=20240501)
-    p.add_argument("--max-freq", type=int, default=10, dest="max_freq")
+    p.add_argument("--max-freq", type=int, default=None, dest="max_freq")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_scenario)
 
@@ -277,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--reps", type=int, default=300)
     p.add_argument("--seed", type=int, default=20240707)
-    p.add_argument("--max-freq", type=int, default=10, dest="max_freq")
+    p.add_argument("--max-freq", type=int, default=None, dest="max_freq")
     p.add_argument("--lambdas", default=None, help="comma-separated lambda table")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_aic_bias)

@@ -1,20 +1,24 @@
 """Monte Carlo harness: replicate, estimate, summarize, and the two
 scenario experiments.
 
-``run_mc`` replays a plan: per replication it generates a dataset (seeds
-derived from the master seed and the replication index), runs every
-configured estimator, and aggregates bias / SD / RMSE / coverage of the
-exposure coefficient against each of the four population targets.
-Replications are independent work units; results are stored by replication
-index and reduced in index order, so summaries are identical no matter how
-many worker threads execute them.
+One replication loop serves every experiment: replication ``rep`` of a
+plan generates a dataset from a seed derived from the plan's master seed
+and ``rep``, and hands its observations to a fit.  Replications are independent work units;
+results are stored by replication index and reduced in index order, so
+summaries are identical no matter how many worker threads execute them.
+The loop's bases are built once per call, one per ``max_freq``.
 
-``scenario_experiment`` builds the two confounding scenarios (a strong
-predictor of the exposure that barely moves the outcome, and the reverse),
-runs Spatial, Spatial+ and gSEM with GCV smoothing, and reports which
+``run_mc`` replays a plan: it runs every configured estimator (a plan
+holds at most one estimator of each kind) and aggregates bias / SD /
+RMSE / coverage of the exposure coefficient against each of the four
+population targets, which a plan always computes from its config.
+
+``scenario_experiment`` imposes one of the two confounding scenarios (a
+strong predictor of the exposure that barely moves the outcome, and the
+reverse) on a plan of Spatial, Spatial+ and gSEM, and reports which
 method tracks the spatially-conditional quantity better.
-``aic_bias_experiment`` sweeps fixed smoothing values for the Spatial
-model and tabulates mean AIC against mean absolute bias, flagging
+``aic_bias_experiment`` sweeps fixed smoothing values for the plan's
+Spatial model and tabulates mean AIC against mean absolute bias, flagging
 smoothing levels that improve AIC while worsening the coefficient.
 """
 
@@ -23,8 +27,8 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -44,22 +48,24 @@ SCENARIO_KINDS = (SCENARIO_STRONG_EXPOSURE, SCENARIO_STRONG_OUTCOME)
 
 # Scenario calibration: high-frequency confounder band well above the S1
 # band, moderate noise, grid small enough for desk-scale replication counts.
-_SCENARIO_BASE = dict(
+_SCENARIO_BASE = ScenarioConfig(
     beta=(0.0, 2.0, 1.0, 1.0, 0.0, 0.0),  # b4 filled per scenario
     loadings=(1.0, 0.0, 0.5),  # a2 filled per scenario
     nu_sd=1.0,
     sigma=0.5,
+    spec_S1=SpectralSpec(1, 2, decay=0.0, variance=1.0),
+    spec_S2=SpectralSpec(6, 10, decay=0.0, variance=1.0),
+    spec_C=IidSpec(sd=1.0),
     e_sd=0.5,
     u_sd=0.0,
     m=32,
 )
-_SCENARIO_S1_BAND = (1, 2)
-_SCENARIO_S2_BAND = (6, 10)
 _SCENARIO_STRENGTHS = {
     SCENARIO_STRONG_EXPOSURE: {"a2": 2.0, "b4": 0.2},
     SCENARIO_STRONG_OUTCOME: {"a2": 0.2, "b4": 2.0},
 }
 DEFAULT_SCENARIO_MAX_FREQ = 10
+_TRIO = (EstimatorKind.SPATIAL, EstimatorKind.SPATIAL_PLUS, EstimatorKind.GSEM)
 
 
 @dataclass(frozen=True)
@@ -70,23 +76,22 @@ class EstimatorSpec:
     max_freq: Optional[int] = None
     smoothing: Smoothing = None
     cutoff: Optional[int] = None
-    include_c_in_stage1: bool = True
-    label: Optional[str] = None
 
     @property
     def name(self) -> str:
-        return self.label if self.label is not None else self.kind.value
+        return self.kind.value
 
 
 @dataclass(frozen=True)
 class MCPlan:
-    """A full Monte Carlo specification; targets are computed on build."""
+    """A full Monte Carlo specification; targets are computed from the
+    config on every build, ``dataclasses.replace`` included."""
 
     config: ScenarioConfig
     estimators: tuple[EstimatorSpec, ...]
     R: int
     master_seed: int
-    targets: Optional[EstimandSet] = None
+    targets: EstimandSet = field(init=False)
 
     def __post_init__(self):
         if self.R < 1:
@@ -96,10 +101,9 @@ class MCPlan:
             raise ValueError("plan needs at least one estimator")
         names = [e.name for e in estimators]
         if len(set(names)) != len(names):
-            raise ValueError(f"estimator labels must be unique, got {names}")
+            raise ValueError(f"estimator kinds must be unique, got {names}")
         object.__setattr__(self, "estimators", estimators)
-        if self.targets is None:
-            object.__setattr__(self, "targets", compute_estimands(self.config))
+        object.__setattr__(self, "targets", compute_estimands(self.config))
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,7 @@ class CellStats:
 
 @dataclass(frozen=True)
 class MCSummary:
-    cells: dict[str, dict[str, CellStats]]  # estimator label -> target -> stats
+    cells: dict[str, dict[str, CellStats]]  # estimator name -> target -> stats
     targets: EstimandSet
     config_hash: str
     master_seed: int
@@ -141,35 +145,31 @@ class MCSummary:
         }
 
 
-def _resolve_basis(spec: EstimatorSpec, grid, cache: dict) -> Optional[BasisSet]:
-    if spec.kind is EstimatorKind.NONSPATIAL_OLS:
-        return None
-    max_freq = spec.max_freq
-    if max_freq is None:
-        raise ValueError(f"estimator {spec.name!r} needs max_freq for its basis")
-    if max_freq not in cache:
-        cache[max_freq] = fourier_basis(grid, max_freq)
-    return cache[max_freq]
+def _bases(plan: MCPlan) -> dict[int, BasisSet]:
+    """One Fourier basis per ``max_freq`` among the plan's basis estimators."""
+    grid = make_grid(plan.config.m)
+    bases: dict[int, BasisSet] = {}
+    for spec in plan.estimators:
+        if spec.kind is EstimatorKind.NONSPATIAL_OLS:
+            continue
+        if spec.max_freq is None:
+            raise ValueError(f"estimator {spec.name!r} needs max_freq for its basis")
+        if spec.max_freq not in bases:
+            bases[spec.max_freq] = fourier_basis(grid, spec.max_freq)
+    return bases
 
 
-def _run_replication(config, estimators, bases, master_seed, rep):
-    ds = generate_dataset(config, derive_seed(master_seed, rep))
-    obs = ds.observations()
-    out = {}
-    for spec in estimators:
-        try:
-            rec = fit_estimator(
-                spec.kind,
-                obs,
-                bases[spec.name],
-                smoothing=spec.smoothing,
-                cutoff=spec.cutoff,
-                include_c_in_stage1=spec.include_c_in_stage1,
-            )
-            out[spec.name] = (rec.beta1_hat, rec.ci95[0], rec.ci95[1], rec.aic)
-        except DegeneracyError:
-            out[spec.name] = None
-    return out
+def _replicate(plan: MCPlan, fit: Callable, n_jobs: int = 1) -> list:
+    """``fit(obs)`` on each replication's dataset, in replication order."""
+
+    def one(rep):
+        ds = generate_dataset(plan.config, derive_seed(plan.master_seed, rep))
+        return fit(ds.observations())
+
+    if n_jobs > 1:
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            return list(pool.map(one, range(plan.R)))
+    return [one(rep) for rep in range(plan.R)]
 
 
 def _cell(values, lo, hi, aics, target, n_failed) -> CellStats:
@@ -223,31 +223,29 @@ def run_mc(plan: MCPlan, n_jobs: int = 1) -> MCSummary:
     other exception is a bug and propagates.  The
     summary is deterministic for a fixed plan regardless of ``n_jobs``.
     """
-    grid = make_grid(plan.config.m)
-    basis_cache: dict[int, BasisSet] = {}
-    bases = {spec.name: _resolve_basis(spec, grid, basis_cache) for spec in plan.estimators}
+    bases = _bases(plan)
 
-    reps = range(plan.R)
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(
-                pool.map(
-                    lambda rep: _run_replication(
-                        plan.config, plan.estimators, bases, plan.master_seed, rep
-                    ),
-                    reps,
+    def fit(obs):
+        out = {}
+        for spec in plan.estimators:
+            try:
+                rec = fit_estimator(
+                    spec.kind,
+                    obs,
+                    bases.get(spec.max_freq),
+                    smoothing=spec.smoothing,
+                    cutoff=spec.cutoff,
                 )
-            )
-    else:
-        results = [
-            _run_replication(plan.config, plan.estimators, bases, plan.master_seed, rep)
-            for rep in reps
-        ]
+                out[spec.name] = (rec.beta1_hat, rec.ci95[0], rec.ci95[1], rec.aic)
+            except DegeneracyError:
+                out[spec.name] = None
+        return out
 
+    results = _replicate(plan, fit, n_jobs)
     cells: dict[str, dict[str, CellStats]] = {}
     target_map = plan.targets.as_dict()
     for spec in plan.estimators:
-        rows = [results[rep][spec.name] for rep in reps]
+        rows = [result[spec.name] for result in results]
         ok = [r for r in rows if r is not None]
         n_failed = len(rows) - len(ok)
         values = np.array([r[0] for r in ok])
@@ -285,28 +283,7 @@ def _with_strengths(config: ScenarioConfig, kind: str) -> ScenarioConfig:
 
 def scenario_config(kind: str) -> ScenarioConfig:
     """The pinned configuration for one confounding scenario."""
-    base = _SCENARIO_BASE
-    config = ScenarioConfig(
-        beta=base["beta"],
-        loadings=base["loadings"],
-        nu_sd=base["nu_sd"],
-        sigma=base["sigma"],
-        spec_S1=SpectralSpec(*_SCENARIO_S1_BAND, decay=0.0, variance=1.0),
-        spec_S2=SpectralSpec(*_SCENARIO_S2_BAND, decay=0.0, variance=1.0),
-        spec_C=IidSpec(sd=1.0),
-        e_sd=base["e_sd"],
-        u_sd=base["u_sd"],
-        m=base["m"],
-    )
-    return _with_strengths(config, kind)
-
-
-def _smoothed_trio(max_freq: int) -> tuple[EstimatorSpec, ...]:
-    return (
-        EstimatorSpec(kind=EstimatorKind.SPATIAL, max_freq=max_freq),
-        EstimatorSpec(kind=EstimatorKind.SPATIAL_PLUS, max_freq=max_freq),
-        EstimatorSpec(kind=EstimatorKind.GSEM, max_freq=max_freq),
-    )
+    return _with_strengths(_SCENARIO_BASE, kind)
 
 
 def default_scenario_plan(
@@ -318,7 +295,7 @@ def default_scenario_plan(
     """The ledgered default plan for a scenario experiment."""
     return MCPlan(
         config=scenario_config(kind),
-        estimators=_smoothed_trio(max_freq),
+        estimators=tuple(EstimatorSpec(kind=k, max_freq=max_freq) for k in _TRIO),
         R=r,
         master_seed=master_seed,
     )
@@ -344,16 +321,7 @@ class ScenarioVerdict:
     gsem_not_worse_than_both: bool
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "expected_winner": self.expected_winner,
-            "bias": dict(self.bias),
-            "mc_se": dict(self.mc_se),
-            "abs_bias": dict(self.abs_bias),
-            "holds": self.holds,
-            "margin_se": self.margin_se,
-            "gsem_not_worse_than_both": self.gsem_not_worse_than_both,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -368,30 +336,18 @@ def scenario_experiment(kind: str, base: MCPlan) -> ScenarioResult:
     """Run one confounding scenario and compare Spatial vs Spatial+.
 
     The scenario's strength settings (a2, b4) are imposed on the base
-    plan's configuration; estimators are taken from the base plan when it
-    already carries the Spatial / Spatial+ / gSEM trio, and replaced by the
-    GCV-smoothed trio otherwise.  Bias is judged against the achieved
-    spatially-conditional target ``beta_cond_achieved``.
+    plan's configuration, whose estimators must be the Spatial / Spatial+ /
+    gSEM trio (``default_scenario_plan``).  Bias is judged against the
+    achieved spatially-conditional target ``beta_cond_achieved``.
     """
     config = _with_strengths(base.config, kind)
-    kinds = {spec.kind for spec in base.estimators}
-    trio = {EstimatorKind.SPATIAL, EstimatorKind.SPATIAL_PLUS, EstimatorKind.GSEM}
-    if kinds == trio:
-        estimators = base.estimators
-    else:
-        max_freq = next(
-            (spec.max_freq for spec in base.estimators if spec.max_freq is not None),
-            DEFAULT_SCENARIO_MAX_FREQ,
-        )
-        estimators = _smoothed_trio(max_freq)
-    plan = MCPlan(config=config, estimators=estimators, R=base.R, master_seed=base.master_seed)
+    if {spec.kind for spec in base.estimators} != set(_TRIO):
+        names = [spec.name for spec in base.estimators]
+        raise ValueError(f"a scenario plan runs spatial, spatial-plus and gsem, got {names}")
+    plan = replace(base, config=config)
     summary = run_mc(plan)
 
-    by_kind = {spec.kind: spec.name for spec in plan.estimators}
-    cell = {
-        k: summary.cells[by_kind[k]]["beta_cond_achieved"]
-        for k in (EstimatorKind.SPATIAL, EstimatorKind.SPATIAL_PLUS, EstimatorKind.GSEM)
-    }
+    cell = {k: summary.cells[k.value]["beta_cond_achieved"] for k in _TRIO}
     bias = {k.value: c.mean_bias for k, c in cell.items()}
     mc_se = {k.value: c.mc_se_of_bias for k, c in cell.items()}
     abs_bias = {k.value: abs(c.mean_bias) for k, c in cell.items()}
@@ -474,37 +430,34 @@ def aic_bias_experiment(
 ) -> AicBiasResult:
     """Fit Spatial at every fixed lambda and tabulate mean AIC vs mean bias.
 
-    The grid must contain lambda = 0, the unpenalized reference row.
-    Replications where the unpenalized design is collinear are dropped (and
-    counted) for every lambda, keeping rows comparable.
+    The grid must contain lambda = 0, the unpenalized reference row, and
+    the plan must carry a Spatial estimator, whose ``max_freq`` sets the
+    basis.  Replications where the unpenalized design is collinear are
+    dropped (and counted) for every lambda, keeping rows comparable.
     """
     grid_lams = list(DEFAULT_LAMBDA_GRID if lambda_grid is None else map(float, lambda_grid))
     if 0.0 not in grid_lams:
         raise ValueError("lambda grid must include 0 (the unpenalized reference)")
-    spatial = [s for s in base.estimators if s.kind is EstimatorKind.SPATIAL]
-    max_freq = spatial[0].max_freq if spatial else DEFAULT_SCENARIO_MAX_FREQ
-    grid = make_grid(base.config.m)
-    b = fourier_basis(grid, max_freq)
+    spatial = next((s for s in base.estimators if s.kind is EstimatorKind.SPATIAL), None)
+    if spatial is None:
+        names = [spec.name for spec in base.estimators]
+        raise ValueError(f"the AIC experiment needs a spatial estimator, got {names}")
+    b = _bases(base)[spatial.max_freq]
     target = base.targets.beta_cond_achieved
 
-    beta_rows = []
-    aic_rows = []
-    n_failed = 0
-    for rep in range(base.R):
-        ds = generate_dataset(base.config, derive_seed(base.master_seed, rep))
-        obs = ds.observations()
+    def fit(obs):
         fixed, fixed_names = _fixed_design(obs)
         try:
-            sweep = sweep_lambda(obs.Y, fixed, b, grid_lams, fixed_names)
+            return sweep_lambda(obs.Y, fixed, b, grid_lams, fixed_names)
         except DegeneracyError:
-            n_failed += 1
-            continue
-        beta_rows.append(sweep.fixed_coefs[:, 1])
-        aic_rows.append(sweep.aic)
-    if not beta_rows:
+            return None
+
+    sweeps = [sweep for sweep in _replicate(base, fit) if sweep is not None]
+    n_failed = base.R - len(sweeps)
+    if not sweeps:
         raise DegeneracyError("every replication failed; no AIC/bias table to build")
-    betas = np.vstack(beta_rows)  # (R_ok, n_lambda)
-    aics = np.vstack(aic_rows)
+    betas = np.vstack([sweep.fixed_coefs[:, 1] for sweep in sweeps])  # (R_ok, n_lambda)
+    aics = np.vstack([sweep.aic for sweep in sweeps])
     r_ok = betas.shape[0]
     bias = betas.mean(axis=0) - target
     if r_ok > 1:

@@ -226,14 +226,24 @@ class TestScenarioAndAic:
         doc = json.loads((tmp_path / "aic.json").read_text())
         assert len(doc["rows"]) == 3
 
-    @pytest.mark.parametrize("command", ["scenario", "aic-bias"])
-    def test_max_freq_honoured_with_config(self, tmp_path, command):
-        # The default max_freq (10) is too high for an m=16 grid; --max-freq 5 fits.
+    @pytest.mark.parametrize(
+        "command,max_freq",
+        [
+            ("scenario", ["--max-freq", "5"]),
+            ("aic-bias", ["--max-freq", "5"]),
+            ("scenario", []),
+            ("aic-bias", []),
+        ],
+        ids=["scenario", "aic-bias", "scenario-default", "aic-bias-default"],
+    )
+    def test_max_freq_honoured_with_config(self, tmp_path, command, max_freq):
+        # max_freq 10 is too high for an m=16 grid; --max-freq 5 fits, and so
+        # does the default, which follows the grid side as in fit and mc.
         config_path, _ = write_config(tmp_path, m=16, spec_S2=SpectralSpec(3, 5, 0.0, 1.0))
         out = tmp_path / "run"
         extra = ["--kind", "strong-exposure-weak-outcome"] if command == "scenario" else []
         code = main([command, "--config", str(config_path), "--reps", "2", "--seed", "1",
-                     "--max-freq", "5", "--out", str(out)] + extra)
+                     "--out", str(out)] + max_freq + extra)
         assert code == 0
         manifest = json.loads((tmp_path / "run.manifest.json").read_text())
         assert manifest["config"]["m"] == 16

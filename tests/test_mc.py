@@ -1,5 +1,7 @@
 """Monte Carlo harness: determinism, accounting, summaries, experiments."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,16 @@ from spatialconfound import (
     SpectralSpec,
     aic_bias_experiment,
     aic_table_to_csv,
+    compute_estimands,
     default_aic_plan,
     default_scenario_plan,
     run_mc,
+    scenario_config,
     scenario_experiment,
     summary_to_csv,
     summary_to_json,
 )
-from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE, TARGET_NAMES
+from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE, SCENARIO_STRONG_OUTCOME, TARGET_NAMES
 
 
 def small_config(**overrides):
@@ -73,14 +77,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="unique"):
             small_plan(estimators=specs)
 
-    def test_distinct_labels_allowed_for_same_kind(self):
-        specs = (
-            EstimatorSpec(kind=EstimatorKind.SPATIAL, max_freq=3, label="spatial-3"),
-            EstimatorSpec(kind=EstimatorKind.SPATIAL, max_freq=4, label="spatial-4"),
-        )
-        plan = small_plan(estimators=specs)
-        summary = run_mc(plan)
-        assert set(summary.cells) == {"spatial-3", "spatial-4"}
+    def test_replaced_config_recomputes_targets(self):
+        plan = default_scenario_plan(SCENARIO_STRONG_EXPOSURE, r=2)
+        other = scenario_config(SCENARIO_STRONG_OUTCOME)
+        assert replace(plan, config=other).targets == compute_estimands(other)
+        assert replace(plan, config=other).targets != plan.targets
 
     def test_degenerate_config_raises_at_plan_build(self):
         with pytest.raises(EstimandUndefinedError):
@@ -197,6 +198,12 @@ class TestScenarioExperiment:
         with pytest.raises(ValueError):
             scenario_experiment("mystery", base)
 
+    def test_plan_other_than_trio_rejected(self):
+        base = default_scenario_plan(SCENARIO_STRONG_EXPOSURE, r=2, max_freq=6)
+        base = replace(base, estimators=base.estimators[:2])
+        with pytest.raises(ValueError, match="gsem"):
+            scenario_experiment(SCENARIO_STRONG_EXPOSURE, base)
+
 
 class TestAicBias:
     def test_table_shape_and_reference_row(self):
@@ -212,6 +219,22 @@ class TestAicBias:
         base = default_aic_plan(r=2)
         with pytest.raises(ValueError, match="0"):
             aic_bias_experiment(base, [1.0, 10.0])
+
+    def test_requires_spatial_estimator(self):
+        base = default_aic_plan(r=2, max_freq=6)
+        base = replace(base, estimators=(EstimatorSpec(kind=EstimatorKind.GSEM, max_freq=6),))
+        with pytest.raises(ValueError, match="spatial"):
+            aic_bias_experiment(base, [0.0, 1.0])
+
+    def test_rows_match_run_mc_at_fixed_lambda(self):
+        # Both experiments draw their datasets through the same loop, so a
+        # fixed-lambda row is the run_mc cell of Spatial at that lambda.
+        base = default_aic_plan(r=8, master_seed=4, max_freq=6)
+        row = aic_bias_experiment(base, [0.0, 1.0]).rows[0]
+        spec = EstimatorSpec(kind=EstimatorKind.SPATIAL, max_freq=6, smoothing=0.0)
+        cell = run_mc(replace(base, estimators=(spec,))).cells["spatial"]["beta_cond_achieved"]
+        assert row.mean_bias == cell.mean_bias
+        assert row.mean_aic == cell.mean_aic
 
     def test_linalg_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
