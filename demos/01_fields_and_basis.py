@@ -26,7 +26,7 @@ low = sample_grf(grid, SpectralSpec(k_min=1, k_max=2, decay=0.0, variance=1.0), 
 high = sample_grf(grid, SpectralSpec(k_min=6, k_max=10, decay=0.0, variance=1.0), seed=2)
 noise = sample_iid(grid, sd=1.0, seed=3)
 
-print(f"\nvariance calibration: low {low.values.var():.12f}, high {high.values.var():.12f}")
+print(f"\nvariance calibration: low {low.var():.12f}, high {high.var():.12f}")
 
 for name, f in (("low [1,2]", low), ("high [6,10]", high), ("iid", noise)):
     shells = field_dft_energy(f, grid)
@@ -36,7 +36,7 @@ for name, f in (("low [1,2]", low), ("high [6,10]", high), ("iid", noise)):
           f"(share {sum(shells[k] for k in top) / total:.3f})")
 
 # Disjoint bands are exactly orthogonal on the grid.
-inner = float(low.values @ high.values)
+inner = float(low @ high)
 print(f"\n<low, high> = {inner:.2e} (disjoint bands, exact orthogonality)")
 
 # The Fourier tensor basis: orthogonal columns, squared norm n/2.
@@ -51,6 +51,6 @@ print(f"penalty weights by label: " +
 # Restriction keeps the low-frequency block only.
 low_block = restrict_low_frequency(basis, cutoff=2)
 print(f"\nrestricted to labels <= 2: p={low_block.p}")
-proj = low_block.columns @ np.linalg.lstsq(low_block.columns, high.values, rcond=None)[0]
+proj = low_block.columns @ np.linalg.lstsq(low_block.columns, high, rcond=None)[0]
 print(f"projection of the [6,10]-band field on the cutoff-2 basis: "
-      f"|proj|/|field| = {np.linalg.norm(proj) / np.linalg.norm(high.values):.2e}")
+      f"|proj|/|field| = {np.linalg.norm(proj) / np.linalg.norm(high):.2e}")

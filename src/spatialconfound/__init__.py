@@ -45,7 +45,6 @@ from .estimators import (
     fit_spatial_plus_lowfreq,
 )
 from .fields import (
-    FieldSample,
     IidSpec,
     LocationGrid,
     SpectralSpec,
@@ -76,7 +75,6 @@ from .mc import (
     scenario_config,
     scenario_experiment,
     summary_to_csv,
-    summary_to_json,
 )
 from .oracle import EstimandSet, compute_estimands, population_covariance
 from .pls import (

@@ -87,12 +87,12 @@ def empty_basis(n: int) -> BasisSet:
     )
 
 
-def fourier_basis(grid: LocationGrid, max_freq: int, roughness_order: int = 1) -> BasisSet:
+def fourier_basis(grid: LocationGrid, max_freq: int) -> BasisSet:
     """Build the Fourier tensor basis up to frequency label ``max_freq``.
 
     Columns come in (cos, sin) pairs per frequency representative, ordered
     by (label, k1, k2).  The penalty weight of a column labeled f is
-    f**(2*roughness_order).
+    f**2.
 
     ``max_freq`` must satisfy 1 <= max_freq <= (m - 1)//2 so that all
     columns stay strictly below the grid Nyquist frequency and the exact
@@ -106,8 +106,6 @@ def fourier_basis(grid: LocationGrid, max_freq: int, roughness_order: int = 1) -
             f"max_freq must be in [1, {limit}] for an m={grid.m} grid "
             f"(aliasing guard), got {max_freq}"
         )
-    if roughness_order < 0:
-        raise ValueError("roughness_order must be nonnegative")
     pairs = frequency_pairs(1, int(max_freq))
     labels = np.abs(pairs).max(axis=1)
     phases = 2.0 * np.pi * (grid.coords @ pairs.T.astype(float))
@@ -115,7 +113,7 @@ def fourier_basis(grid: LocationGrid, max_freq: int, roughness_order: int = 1) -
     columns[:, 0::2] = np.cos(phases)
     columns[:, 1::2] = np.sin(phases)
     freq = np.repeat(labels, 2)
-    penalty = freq.astype(float) ** (2 * roughness_order)
+    penalty = freq.astype(float) ** 2
     return BasisSet(
         columns=_readonly(columns),
         freq=freq,

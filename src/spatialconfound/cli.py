@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -84,8 +83,10 @@ def _write_outputs(args, argv, config, write_csv, payload) -> int:
     return 0
 
 
-def _default_max_freq(m: int) -> int:
-    return min(10, (m - 1) // 2)
+def _max_freq(args, m: int) -> int:
+    """``--max-freq`` if given, else the largest basis size up to 10 that an
+    m-point grid side allows."""
+    return min(10, (m - 1) // 2) if args.max_freq is None else args.max_freq
 
 
 def _parse_lambdas(text: str):
@@ -114,8 +115,7 @@ def cmd_fit(args, argv) -> int:
     kind = EstimatorKind(args.estimator)
     basis = None
     if kind is not EstimatorKind.NONSPATIAL_OLS:
-        max_freq = args.max_freq or _default_max_freq(obs.grid.m)
-        basis = fourier_basis(obs.grid, max_freq)
+        basis = fourier_basis(obs.grid, _max_freq(args, obs.grid.m))
     smoothing = args.lam if args.lam is not None else (
         _parse_lambdas(args.lambda_grid) if args.lambda_grid else None
     )
@@ -161,7 +161,7 @@ def cmd_mc(args, argv) -> int:
             raise ConfigError(
                 f"unknown estimator {n!r}; valid names: {', '.join(ESTIMATOR_NAMES)}"
             )
-    max_freq = args.max_freq or _default_max_freq(config.m)
+    max_freq = _max_freq(args, config.m)
     if "spatial-plus-lowfreq" in names and args.cutoff is None:
         raise ConfigError("spatial-plus-lowfreq requires --cutoff")
     plan = MCPlan(
@@ -181,7 +181,7 @@ def _with_config(plan: MCPlan, args) -> MCPlan:
     basis size of its estimators; without ``--max-freq`` the size follows
     the config's grid side, as in ``fit`` and ``mc``."""
     config = plan.config if args.config is None else load_config(args.config)
-    max_freq = args.max_freq or _default_max_freq(config.m)
+    max_freq = _max_freq(args, config.m)
     estimators = tuple(replace(spec, max_freq=max_freq) for spec in plan.estimators)
     return replace(plan, config=config, estimators=estimators)
 
@@ -247,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-freq", type=int, default=None, dest="max_freq")
     p.add_argument("--cutoff", type=int, default=None)
     p.add_argument("--lam", type=float, default=None)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads for replications (default: all cores)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for replications (default: 1)")
     p.add_argument("--out", required=True, help="output path stem (.csv/.json appended)")
     p.set_defaults(func=cmd_mc)
 

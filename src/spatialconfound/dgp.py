@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -130,13 +130,13 @@ def generate_dataset(config: ScenarioConfig, seed: int) -> Dataset:
     stream is independent of the others and of evaluation order.
     """
     grid = make_grid(config.m)
-    s1 = sample_grf(grid, config.spec_S1, derive_seed(seed, "S1")).values
-    s2 = sample_grf(grid, config.spec_S2, derive_seed(seed, "S2")).values
-    c = sample_field(grid, config.spec_C, derive_seed(seed, "C")).values
-    e = sample_iid(grid, config.e_sd, derive_seed(seed, "E")).values
-    u = sample_iid(grid, config.u_sd, derive_seed(seed, "U")).values
-    nu = sample_iid(grid, config.nu_sd, derive_seed(seed, "nu")).values
-    eps = sample_iid(grid, config.sigma, derive_seed(seed, "eps")).values
+    s1 = sample_grf(grid, config.spec_S1, derive_seed(seed, "S1"))
+    s2 = sample_grf(grid, config.spec_S2, derive_seed(seed, "S2"))
+    c = sample_field(grid, config.spec_C, derive_seed(seed, "C"))
+    e = sample_iid(grid, config.e_sd, derive_seed(seed, "E"))
+    u = sample_iid(grid, config.u_sd, derive_seed(seed, "U"))
+    nu = sample_iid(grid, config.nu_sd, derive_seed(seed, "nu"))
+    eps = sample_iid(grid, config.sigma, derive_seed(seed, "eps"))
     a1, a2, a3 = config.loadings
     b0, b1, b2, b3, b4, b5 = config.beta
     s2plus = s2 + e
@@ -226,16 +226,13 @@ def read_observations_csv(path) -> Observations:
     )
 
 
+# A config document has one entry per ScenarioConfig field, under its name.
+_CONFIG_FIELDS = tuple(f.name for f in fields(ScenarioConfig))
+_SPEC_FIELDS = ("spec_S1", "spec_S2", "spec_C")
+
+
 def _spec_to_dict(spec: FieldSpec) -> dict:
-    if isinstance(spec, SpectralSpec):
-        return {
-            "kind": "grf",
-            "k_min": spec.k_min,
-            "k_max": spec.k_max,
-            "decay": spec.decay,
-            "variance": spec.variance,
-        }
-    return {"kind": "iid", "sd": spec.sd}
+    return {"kind": "grf" if isinstance(spec, SpectralSpec) else "iid", **asdict(spec)}
 
 
 def _spec_from_dict(d, field: str) -> FieldSpec:
@@ -261,55 +258,33 @@ def _spec_from_dict(d, field: str) -> FieldSpec:
 
 def config_to_dict(config: ScenarioConfig) -> dict:
     """JSON-ready dict mirroring the ScenarioConfig field names."""
-    return {
-        "beta": list(config.beta),
-        "loadings": list(config.loadings),
-        "nu_sd": config.nu_sd,
-        "sigma": config.sigma,
-        "spec_S1": _spec_to_dict(config.spec_S1),
-        "spec_S2": _spec_to_dict(config.spec_S2),
-        "spec_C": _spec_to_dict(config.spec_C),
-        "e_sd": config.e_sd,
-        "u_sd": config.u_sd,
-        "m": config.m,
-    }
+    doc = {}
+    for name in _CONFIG_FIELDS:
+        value = getattr(config, name)
+        if name in _SPEC_FIELDS:
+            value = _spec_to_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        doc[name] = value
+    return doc
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """Build a config from a parsed JSON document, naming any bad field."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    required = [
-        "beta",
-        "loadings",
-        "nu_sd",
-        "sigma",
-        "spec_S1",
-        "spec_S2",
-        "spec_C",
-        "e_sd",
-        "u_sd",
-        "m",
-    ]
-    for name in required:
+    for name in _CONFIG_FIELDS:
         if name not in doc:
             raise ConfigError(f"config is missing required field: {name}")
-    unknown = sorted(set(doc) - set(required))
+    unknown = sorted(set(doc) - set(_CONFIG_FIELDS))
     if unknown:
         raise ConfigError(f"config has unknown fields: {', '.join(unknown)}")
     try:
-        return ScenarioConfig(
-            beta=tuple(float(b) for b in doc["beta"]),
-            loadings=tuple(float(a) for a in doc["loadings"]),
-            nu_sd=float(doc["nu_sd"]),
-            sigma=float(doc["sigma"]),
-            spec_S1=_spec_from_dict(doc["spec_S1"], "spec_S1"),
-            spec_S2=_spec_from_dict(doc["spec_S2"], "spec_S2"),
-            spec_C=_spec_from_dict(doc["spec_C"], "spec_C"),
-            e_sd=float(doc["e_sd"]),
-            u_sd=float(doc["u_sd"]),
-            m=int(doc["m"]),
-        )
+        values = {name: doc[name] for name in _CONFIG_FIELDS}
+        for name in _SPEC_FIELDS:
+            values[name] = _spec_from_dict(doc[name], name)
+        values["m"] = int(doc["m"])
+        return ScenarioConfig(**values)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:

@@ -120,21 +120,13 @@ class IidSpec:
         if not np.isfinite(self.sd) or self.sd < 0:
             raise ValueError(f"sd must be a nonnegative real, got {self.sd!r}")
 
+    @property
+    def variance(self) -> float:
+        """Marginal variance, as ``SpectralSpec.variance`` is for a spatial field."""
+        return float(self.sd) ** 2
+
 
 FieldSpec = Union[SpectralSpec, IidSpec]
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """One realization of a field on a grid, tagged with how it was drawn.
-
-    Regenerating with the same (spec, grid, seed) reproduces ``values``
-    bit for bit.
-    """
-
-    values: np.ndarray
-    spec: FieldSpec
-    seed: int
 
 
 def frequency_pairs(k_min: int, k_max: int) -> np.ndarray:
@@ -159,8 +151,8 @@ def frequency_pairs(k_min: int, k_max: int) -> np.ndarray:
     return np.array([(k1, k2) for _, k1, k2 in pairs], dtype=int)
 
 
-def sample_grf(grid: LocationGrid, spec: SpectralSpec, seed: int) -> FieldSample:
-    """Sample a band-limited Gaussian random field on the grid.
+def sample_grf(grid: LocationGrid, spec: SpectralSpec, seed: int) -> np.ndarray:
+    """Sample a band-limited Gaussian random field on the grid, read-only.
 
     The field is sum over frequency pairs k in the band of
     a_k cos(2 pi k.s) + b_k sin(2 pi k.s) with a_k, b_k independent normals
@@ -188,19 +180,19 @@ def sample_grf(grid: LocationGrid, spec: SpectralSpec, seed: int) -> FieldSample
     v = values.var()
     if v > 0.0:
         values = values * np.sqrt(spec.variance / v)
-    return FieldSample(values=_readonly(values), spec=spec, seed=int(seed))
+    return _readonly(values)
 
 
-def sample_iid(grid: LocationGrid, sd: float, seed: int) -> FieldSample:
-    """Sample n independent N(0, sd^2) draws; sd must be nonnegative."""
+def sample_iid(grid: LocationGrid, sd: float, seed: int) -> np.ndarray:
+    """Sample n independent N(0, sd^2) draws, read-only; sd must be nonnegative."""
     if not np.isfinite(sd) or sd < 0:
         raise ValueError(f"sd must be a nonnegative real, got {sd!r}")
     rng = _generator(seed)
     values = rng.standard_normal(grid.n) * float(sd)
-    return FieldSample(values=_readonly(values), spec=IidSpec(sd=float(sd)), seed=int(seed))
+    return _readonly(values)
 
 
-def sample_field(grid: LocationGrid, spec: FieldSpec, seed: int) -> FieldSample:
+def sample_field(grid: LocationGrid, spec: FieldSpec, seed: int) -> np.ndarray:
     """Dispatch on the spec kind: spectral synthesis or iid draws."""
     if isinstance(spec, SpectralSpec):
         return sample_grf(grid, spec, seed)
@@ -209,13 +201,13 @@ def sample_field(grid: LocationGrid, spec: FieldSpec, seed: int) -> FieldSample:
     raise ValueError(f"unknown field spec {spec!r}")
 
 
-def field_dft_energy(field: FieldSample, grid: LocationGrid) -> dict[int, float]:
+def field_dft_energy(values, grid: LocationGrid) -> dict[int, float]:
     """Energy per max-norm frequency shell from the 2-D DFT of the field.
 
     Shells run 0 .. m//2.  Energies are normalized so their sum equals the
     field's sum of squares (Parseval).
     """
-    values = np.asarray(field.values, dtype=float)
+    values = np.asarray(values, dtype=float)
     if values.shape != (grid.n,):
         raise ValueError(
             f"field length {values.shape} does not match grid size ({grid.n},)"

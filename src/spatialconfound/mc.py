@@ -24,7 +24,6 @@ smoothing levels that improve AIC while worsening the coefficient.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -305,10 +304,11 @@ def default_scenario_plan(
 class ScenarioVerdict:
     """Outcome of one scenario: bias of each method vs the achieved target.
 
+    ``holds`` means the expected winner has the smaller |bias|.
     ``margin_se`` is (|bias of expected loser| - |bias of expected winner|)
-    divided by the combined MC standard error; positive means the expected
-    ordering held, above 2 means it held clearly.  The gSEM comparison is
-    reported, never asserted.
+    divided by the combined MC standard error; above 2 means the ordering
+    held clearly, and it is NaN when that error is not positive (one
+    replication).  The gSEM comparison is reported, never asserted.
     """
 
     kind: str
@@ -356,7 +356,8 @@ def scenario_experiment(kind: str, base: MCPlan) -> ScenarioResult:
     else:
         winner, loser = EstimatorKind.SPATIAL.value, EstimatorKind.SPATIAL_PLUS.value
     combined = math.sqrt(mc_se[winner] ** 2 + mc_se[loser] ** 2)
-    margin = (abs_bias[loser] - abs_bias[winner]) / combined if combined > 0 else math.inf
+    gap = abs_bias[loser] - abs_bias[winner]
+    margin = gap / combined if combined > 0 else math.nan
     gsem_ok = abs_bias[EstimatorKind.GSEM.value] <= max(
         abs_bias[EstimatorKind.SPATIAL.value], abs_bias[EstimatorKind.SPATIAL_PLUS.value]
     )
@@ -366,7 +367,7 @@ def scenario_experiment(kind: str, base: MCPlan) -> ScenarioResult:
         bias=bias,
         mc_se=mc_se,
         abs_bias=abs_bias,
-        holds=margin > 0,
+        holds=gap > 0,
         margin_se=margin,
         gsem_not_worse_than_both=gsem_ok,
     )
@@ -517,12 +518,6 @@ def summary_to_csv(summary: MCSummary, path) -> None:
                     f"{c.sd!r},{c.rmse!r},{c.coverage95!r},{c.mean_aic!r},"
                     f"{c.n_success},{c.n_failed}\n"
                 )
-
-
-def summary_to_json(summary: MCSummary, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def aic_table_to_csv(result: AicBiasResult, path) -> None:

@@ -32,7 +32,6 @@ import numpy as np
 
 from .dgp import ScenarioConfig
 from .errors import EstimandUndefinedError
-from .fields import IidSpec, SpectralSpec
 
 ORACLE_VARS = ("Y", "Z", "C", "S1", "S2", "E", "U")
 
@@ -57,14 +56,6 @@ class EstimandSet:
         }
 
 
-def _spec_variance(spec) -> float:
-    if isinstance(spec, SpectralSpec):
-        return float(spec.variance)
-    if isinstance(spec, IidSpec):
-        return float(spec.sd) ** 2
-    raise ValueError(f"unknown field spec {spec!r}")
-
-
 def population_covariance(config: ScenarioConfig) -> np.ndarray:
     """7x7 covariance of (Y, Z, C, S1, S2, E, U) implied by the config."""
     a1, a2, a3 = config.loadings
@@ -72,9 +63,9 @@ def population_covariance(config: ScenarioConfig) -> np.ndarray:
     # Sources, in order: S1, S2, C, E, U, nu, eps.
     variances = np.array(
         [
-            _spec_variance(config.spec_S1),
-            _spec_variance(config.spec_S2),
-            _spec_variance(config.spec_C),
+            config.spec_S1.variance,
+            config.spec_S2.variance,
+            config.spec_C.variance,
             config.e_sd**2,
             config.u_sd**2,
             config.nu_sd**2,

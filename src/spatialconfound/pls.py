@@ -68,7 +68,6 @@ class FitResult:
     edf: float
     gcv: float
     aic: float
-    sigma2_hat: float
     cov_fixed: np.ndarray
     fitted: np.ndarray
     residuals: np.ndarray
@@ -232,7 +231,6 @@ class _Solver:
             edf=sol.edf,
             gcv=gcv,
             aic=aic,
-            sigma2_hat=sigma2,
             cov_fixed=sigma2 * 0.5 * (s_inv + s_inv.T),
             fitted=fitted,
             residuals=self.y - fitted,

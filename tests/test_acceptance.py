@@ -354,11 +354,11 @@ def test_criterion_9_numerical_core():
         f = sample_grf(grid, SpectralSpec(3, 7, 0.5, 1.0), seed=seed)
         shells = field_dft_energy(f, grid)
         total = sum(shells.values())
-        spectral_ok &= abs(total - float(f.values @ f.values)) < 1e-10 * total
+        spectral_ok &= abs(total - float(f @ f)) < 1e-10 * total
         spectral_ok &= sum(e for k, e in shells.items() if not 3 <= k <= 7) < 1e-10 * total
         g = sample_iid(grid, 1.0, seed=seed)
         shells_g = field_dft_energy(g, grid)
-        ss = float(g.values @ g.values)
+        ss = float(g @ g)
         spectral_ok &= abs(sum(shells_g.values()) - ss) < 1e-10 * ss
 
     # (c) mc runs identical across thread counts.

@@ -69,8 +69,6 @@ class TestFourierBasis:
     def test_penalty_default_quadratic(self):
         b = fourier_basis(make_grid(16), 4)
         assert np.array_equal(b.penalty, b.freq.astype(float) ** 2)
-        q2 = fourier_basis(make_grid(16), 4, roughness_order=2)
-        assert np.array_equal(q2.penalty, q2.freq.astype(float) ** 4)
 
     def test_penalty_monotone_in_frequency(self):
         b = fourier_basis(make_grid(32), 9)
@@ -83,8 +81,8 @@ class TestFourierBasis:
         f = sample_grf(grid, SpectralSpec(1, 8, 0.3, 1.0), seed=21)
         # Least-squares residual of the field on [1 | columns].
         X = np.column_stack([np.ones(grid.n), b.columns])
-        resid = f.values - X @ np.linalg.lstsq(X, f.values, rcond=None)[0]
-        assert np.linalg.norm(resid) < 1e-9 * np.linalg.norm(f.values)
+        resid = f - X @ np.linalg.lstsq(X, f, rcond=None)[0]
+        assert np.linalg.norm(resid) < 1e-9 * np.linalg.norm(f)
 
 
 class TestRestrictLowFrequency:
@@ -115,16 +113,16 @@ class TestRestrictLowFrequency:
         grid = make_grid(32)
         b = restrict_low_frequency(fourier_basis(grid, 5), 2)
         f = sample_grf(grid, SpectralSpec(4, 5, 0.0, 1.0), seed=33)
-        proj = b.columns @ np.linalg.lstsq(b.columns, f.values, rcond=None)[0]
-        assert np.linalg.norm(proj) < 1e-10 * np.linalg.norm(f.values)
+        proj = b.columns @ np.linalg.lstsq(b.columns, f, rcond=None)[0]
+        assert np.linalg.norm(proj) < 1e-10 * np.linalg.norm(f)
 
     @pytest.mark.parametrize("low,high", [((1, 2), (3, 5)), ((1, 3), (4, 7)), ((2, 2), (5, 7))])
     def test_disjoint_bands_are_orthogonal(self, low, high):
         grid = make_grid(16)
         f_low = sample_grf(grid, SpectralSpec(*low, 0.0, 1.0), seed=1)
         f_high = sample_grf(grid, SpectralSpec(*high, 0.0, 1.0), seed=2)
-        inner = abs(float(f_low.values @ f_high.values))
-        scale = np.linalg.norm(f_low.values) * np.linalg.norm(f_high.values)
+        inner = abs(float(f_low @ f_high))
+        scale = np.linalg.norm(f_low) * np.linalg.norm(f_high)
         assert inner < 1e-10 * scale
 
 

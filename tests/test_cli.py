@@ -12,7 +12,7 @@ from spatialconfound import (
     config_to_dict,
     save_config,
 )
-from spatialconfound.cli import main
+from spatialconfound.cli import build_parser, main
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -247,6 +247,28 @@ class TestScenarioAndAic:
         assert code == 0
         manifest = json.loads((tmp_path / "run.manifest.json").read_text())
         assert manifest["config"]["m"] == 16
+
+
+@pytest.mark.parametrize("command", ["fit", "mc", "scenario", "aic-bias"])
+def test_max_freq_zero_rejected(tmp_path, capsys, command):
+    # 0 is an explicit (invalid) basis size, not "use the default".
+    config_path, config = write_config(tmp_path, m=16, spec_S2=SpectralSpec(3, 5, 0.0, 1.0))
+    out = str(tmp_path / "run")
+    if command == "fit":
+        data = str(tmp_path / "data.csv")
+        assert main(["simulate", "--config", str(config_path), "--out", data]) == 0
+        argv = ["fit", "--data", data, "--estimator", "spatial", "--lam", "1"]
+    else:
+        argv = [command, "--config", str(config_path), "--reps", "2", "--out", out]
+        if command == "scenario":
+            argv += ["--kind", "strong-exposure-weak-outcome"]
+    assert main(argv + ["--max-freq", "0"]) == 2
+    assert "max_freq" in capsys.readouterr().err
+
+
+def test_mc_threads_default_one():
+    args = build_parser().parse_args(["mc", "--config", "c.json", "--out", "x"])
+    assert args.threads == 1
 
 
 def test_version_flag(capsys):

@@ -18,6 +18,7 @@ from spatialconfound import (
     load_config,
     read_observations_csv,
     save_config,
+    scenario_config,
 )
 
 
@@ -209,6 +210,29 @@ class TestInterchange:
         doc["spec_C"] = {"kind": "mystery"}
         with pytest.raises(ConfigError, match="spec_C"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "config,digest",
+        [
+            (
+                scenario_config("strong-exposure-weak-outcome"),
+                "4c1e5fad7be50df2d24ed09807bbac9f5f5151c63b59bfd1511b36335d3a5108",
+            ),
+            (
+                ScenarioConfig(
+                    beta=(0, 2, 1, 1, 1, 0), loadings=(1, 1, 0.5), nu_sd=1, sigma=0.5,
+                    spec_S1=SpectralSpec(1, 2, 0.3, 1.5), spec_S2=SpectralSpec(3, 5),
+                    spec_C=SpectralSpec(1, 3, 0.5, 2.0), e_sd=0.7, u_sd=0.2, m=16,
+                ),
+                "e0b3ab22ea65557dac7f4947f540c1cef20006b94ee07893a305a92f8668374e",
+            ),
+        ],
+        ids=["strong-exposure", "all-spectral-m16"],
+    )
+    def test_hash_pinned(self, config, digest):
+        # Provenance records name configs by this hash: the document it is
+        # taken over must not drift.
+        assert config_hash(config) == digest
 
     def test_hash_stable_and_sensitive(self):
         a = base_config()

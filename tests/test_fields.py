@@ -84,13 +84,13 @@ class TestSampleGrf:
     def test_zero_variance_gives_zero_field(self):
         grid = make_grid(8)
         f = sample_grf(grid, SpectralSpec(1, 3, 0.5, 0.0), seed=7)
-        assert np.all(f.values == 0.0)
+        assert np.all(f == 0.0)
 
     def test_band_limitation_against_direct_dft(self):
         grid = make_grid(32)
         spec = SpectralSpec(3, 5, 0.0, 1.0)
         f = sample_grf(grid, spec, seed=123)
-        shells = shell_energy_reference(f.values, 32)
+        shells = shell_energy_reference(f, 32)
         total = sum(shells.values())
         outside = sum(e for k, e in shells.items() if not 3 <= k <= 5)
         assert outside < 1e-10 * total
@@ -100,16 +100,16 @@ class TestSampleGrf:
         spec = SpectralSpec(1, 4, 1.0, 2.0)
         a = sample_grf(grid, spec, seed=99)
         b = sample_grf(grid, spec, seed=99)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
         c = sample_grf(grid, spec, seed=100)
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_variance_calibration(self, seed):
         grid = make_grid(24)
         spec = SpectralSpec(1, 6, 0.7, 3.5)
         f = sample_grf(grid, spec, seed=seed)
-        assert f.values.var() == pytest.approx(3.5, rel=1e-9)
+        assert f.var() == pytest.approx(3.5, rel=1e-9)
 
     def test_aliasing_guard(self):
         grid = make_grid(16)
@@ -133,13 +133,13 @@ class TestSampleIid:
     def test_zero_sd(self):
         grid = make_grid(8)
         f = sample_iid(grid, 0.0, seed=3)
-        assert np.all(f.values == 0.0)
+        assert np.all(f == 0.0)
 
     def test_moments_at_n_10000(self):
         grid = make_grid(100)
         f = sample_iid(grid, 1.0, seed=2024)
-        assert abs(f.values.mean()) < 0.05
-        assert 0.9 < f.values.var() < 1.1
+        assert abs(f.mean()) < 0.05
+        assert 0.9 < f.var() < 1.1
 
     def test_negative_sd(self):
         grid = make_grid(8)
@@ -150,10 +150,30 @@ class TestSampleIid:
         grid = make_grid(8)
         f = sample_field(grid, IidSpec(2.0), seed=4)
         g = sample_iid(grid, 2.0, seed=4)
-        assert np.array_equal(f.values, g.values)
+        assert np.array_equal(f, g)
         s = sample_field(grid, SpectralSpec(1, 2, 0.0, 1.0), seed=4)
         t = sample_grf(grid, SpectralSpec(1, 2, 0.0, 1.0), seed=4)
-        assert np.array_equal(s.values, t.values)
+        assert np.array_equal(s, t)
+
+
+def test_samplers_return_read_only_arrays():
+    grid = make_grid(8)
+    draws = [
+        sample_grf(grid, SpectralSpec(1, 2, 0.0, 1.0), seed=1),
+        sample_iid(grid, 1.0, seed=1),
+        sample_field(grid, SpectralSpec(1, 2, 0.0, 1.0), seed=1),
+        sample_field(grid, IidSpec(1.0), seed=1),
+    ]
+    for values in draws:
+        assert isinstance(values, np.ndarray) and values.shape == (grid.n,)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+
+
+def test_iid_spec_variance():
+    assert IidSpec(1.5).variance == 2.25
+    assert IidSpec(0.0).variance == 0.0
 
 
 class TestFieldDftEnergy:
@@ -167,9 +187,7 @@ class TestFieldDftEnergy:
     def test_single_tone(self):
         grid = make_grid(16)
         values = np.cos(2 * np.pi * 3 * grid.coords[:, 0])
-        f = sample_iid(grid, 0.0, seed=0)
-        f = type(f)(values=values, spec=f.spec, seed=0)
-        shells = field_dft_energy(f, grid)
+        shells = field_dft_energy(values, grid)
         total = sum(shells.values())
         assert shells[3] == pytest.approx(total, rel=1e-12)
 
@@ -186,11 +204,11 @@ class TestFieldDftEnergy:
         grid = make_grid(20)
         f = sample_iid(grid, 1.3, seed=seed)
         shells = field_dft_energy(f, grid)
-        ss = float(f.values @ f.values)
+        ss = float(f @ f)
         assert sum(shells.values()) == pytest.approx(ss, rel=1e-10)
         g = sample_grf(grid, SpectralSpec(1, 7, 0.5, 2.0), seed=seed)
         shells_g = field_dft_energy(g, grid)
-        assert sum(shells_g.values()) == pytest.approx(float(g.values @ g.values), rel=1e-10)
+        assert sum(shells_g.values()) == pytest.approx(float(g @ g), rel=1e-10)
 
     def test_length_mismatch(self):
         f = sample_iid(make_grid(8), 1.0, seed=0)

@@ -23,7 +23,6 @@ from spatialconfound import (
     scenario_config,
     scenario_experiment,
     summary_to_csv,
-    summary_to_json,
 )
 from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE, SCENARIO_STRONG_OUTCOME, TARGET_NAMES
 
@@ -198,6 +197,16 @@ class TestScenarioExperiment:
         with pytest.raises(ValueError):
             scenario_experiment("mystery", base)
 
+    def test_single_replication_verdict_follows_ordering(self):
+        # At R=1 every MC-SE is NaN: the verdict must still follow |bias|,
+        # and the margin in MC-SEs is undefined.
+        base = default_scenario_plan(SCENARIO_STRONG_OUTCOME, r=1, master_seed=3)
+        verdict = scenario_experiment(SCENARIO_STRONG_OUTCOME, base).verdict
+        assert verdict.expected_winner == "spatial"
+        assert verdict.holds == (verdict.abs_bias["spatial"] < verdict.abs_bias["spatial-plus"])
+        assert not verdict.holds
+        assert np.isnan(verdict.margin_se)
+
     def test_plan_other_than_trio_rejected(self):
         base = default_scenario_plan(SCENARIO_STRONG_EXPOSURE, r=2, max_freq=6)
         base = replace(base, estimators=base.estimators[:2])
@@ -262,15 +271,11 @@ class TestSerialization:
     def test_summary_csv_and_json(self, tmp_path):
         summary = run_mc(small_plan(r=3))
         csv_path = tmp_path / "summary.csv"
-        json_path = tmp_path / "summary.json"
         summary_to_csv(summary, csv_path)
-        summary_to_json(summary, json_path)
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0].startswith("estimator,target,")
         assert len(lines) == 1 + 2 * len(TARGET_NAMES)
-        import json
-
-        doc = json.loads(json_path.read_text())
+        doc = summary.to_dict()
         assert doc["provenance"]["R"] == 3
         assert set(doc["cells"]) == {"nonspatial", "spatial"}
 
