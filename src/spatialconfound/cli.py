@@ -6,13 +6,15 @@ Exit codes: 0 success, 2 usage or config problems, 3 I/O failures,
 4 statistical degeneracy (collinear designs, fully spatial exposures,
 undefined estimands).  Every output file gets a ``<file>.manifest.json``
 sidecar recording the resolved config, seed, and argv needed to reproduce
-it byte for byte.
+it byte for byte.  JSON output is strict: an undefined value (NaN or an
+infinity, such as an MC-SE at one replication) is written as null.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -48,8 +50,17 @@ from .pls import DEFAULT_LAMBDA_GRID
 ESTIMATOR_NAMES = tuple(kind.value for kind in EstimatorKind)
 
 
+def _finite_or_null(obj):
+    """``obj`` with every NaN or infinite float replaced by None (JSON null)."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _dump_json(obj, fh) -> None:
-    json.dump(obj, fh, indent=2, sort_keys=True)
+    json.dump(_finite_or_null(obj), fh, indent=2, sort_keys=True, allow_nan=False)
     fh.write("\n")
 
 

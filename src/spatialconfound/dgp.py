@@ -68,6 +68,9 @@ class ScenarioConfig:
     m: int
 
     def __post_init__(self):
+        for name in ("beta", "loadings"):
+            if isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a list of numbers, not a string")
         beta = tuple(float(b) for b in self.beta)
         loadings = tuple(float(a) for a in self.loadings)
         if len(beta) != 6:
@@ -242,8 +245,8 @@ def _spec_from_dict(d, field: str) -> FieldSpec:
     try:
         if kind == "grf":
             return SpectralSpec(
-                k_min=int(d["k_min"]),
-                k_max=int(d["k_max"]),
+                k_min=d["k_min"],
+                k_max=d["k_max"],
                 decay=float(d.get("decay", 0.0)),
                 variance=float(d["variance"]),
             )
@@ -283,7 +286,6 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         values = {name: doc[name] for name in _CONFIG_FIELDS}
         for name in _SPEC_FIELDS:
             values[name] = _spec_from_dict(doc[name], name)
-        values["m"] = int(doc["m"])
         return ScenarioConfig(**values)
     except ConfigError:
         raise

@@ -15,12 +15,15 @@ Methods:
                         variance sigma2 of the lambda = 0 fit on
                         F = (1, Z, C) plus the basis
     Spatial             penalized fit of Y on (1, Z, C) + basis
-    SpatialPlus         stage 1 residualizes Z on (1, C) + basis, stage 2
-                        fits Y on (1, residual, C) + basis
-    GSEM                residualize Y, Z, C each on (1) + basis, then OLS
-                        of residuals on residuals
+    SpatialPlus         stage 1 residualizes Z on (1, C) + basis; stage 2
+                        is the Spatial fit with that residual in place of Z
+    GSEM                residualize Y, Z, C each on (1) + basis; then the
+                        NonSpatialOLS fit on those residuals
     SpatialPlusLowFreq  SpatialPlus on the basis restricted to labels
                         <= cutoff, unpenalized by default
+
+Every estimator but RSR ends in that one outcome regression, and every
+stage is one ``select_lambda_gcv`` call (a fixed lambda is a one-point grid).
 
 Two-stage standard errors come from the final stage only; no propagation
 of first-stage uncertainty is attempted, so coverage for those methods is
@@ -39,7 +42,7 @@ import numpy as np
 from .basis import BasisSet, empty_basis, restrict_low_frequency
 from .dgp import Observations
 from .errors import DegenerateResidualError
-from .pls import FitResult, _criteria, _Solver, fit_pls, select_lambda_gcv
+from .pls import FitResult, _Solver, select_lambda_gcv
 
 Smoothing = Union[None, float, Sequence[float]]
 
@@ -105,6 +108,12 @@ def _record(
     )
 
 
+def _outcome_record(kind: EstimatorKind, fit: FitResult, **parts) -> EstimateRecord:
+    """The record whose estimate, standard error and AIC are those of ``fit``."""
+    se = float(np.sqrt(fit.cov_fixed[1, 1]))
+    return _record(kind, fit.fixed_coefs[1], se, aic=fit.aic, **parts)
+
+
 def _fixed_design(obs: Observations) -> tuple[np.ndarray, list[str]]:
     n = obs.grid.n
     for name in ("Z", "C", "Y"):
@@ -140,27 +149,34 @@ def _exposure_residual_share(r_z: np.ndarray, z) -> float:
 
 
 def _fit_stage(y, F, b: BasisSet, smoothing: Smoothing, names) -> FitResult:
-    if smoothing is None:
-        return select_lambda_gcv(y, F, b, None, names)
+    """Fit ``y`` on ``F`` plus the basis: GCV on the default grid (None) or on
+    a given grid (a sequence), or one fixed lambda (a number), which is the
+    one-point grid."""
     if isinstance(smoothing, (int, float, np.floating, np.integer)) and not isinstance(
         smoothing, bool
     ):
-        return fit_pls(y, F, b, float(smoothing), names)
+        smoothing = [smoothing]
     return select_lambda_gcv(y, F, b, smoothing, names)
+
+
+def _outcome_fit(
+    y, z, c, b: BasisSet, smoothing: Smoothing, names=("intercept", "Z", "C")
+) -> FitResult:
+    """The outcome regression, ``y`` on (1, z, c) plus the basis; ``names``
+    label its fixed columns in a ``CollinearityError``."""
+    F = np.column_stack([np.ones(y.shape[0]), z, c])
+    return _fit_stage(y, F, b, smoothing, list(names))
 
 
 def fit_nonspatial(obs: Observations) -> EstimateRecord:
     """OLS of the outcome on (1, Z, C): the unconditional-target estimator."""
-    F, names = _fixed_design(obs)
-    fit = fit_pls(obs.Y, F, empty_basis(obs.grid.n), 0.0, names)
-    se = float(np.sqrt(fit.cov_fixed[1, 1]))
-    return _record(
+    F, _ = _fixed_design(obs)
+    fit = _outcome_fit(obs.Y, obs.Z, obs.C, empty_basis(obs.grid.n), 0.0)
+    return _outcome_record(
         EstimatorKind.NONSPATIAL_OLS,
-        fit.fixed_coefs[1],
-        se,
+        fit,
         lambdas={},
         edf={"outcome": fit.edf},
-        aic=fit.aic,
         diagnostics={"fixed_cond": _design_cond(F)},
     )
 
@@ -179,55 +195,29 @@ def fit_rsr(obs: Observations, b: BasisSet) -> EstimateRecord:
     """
     F, names = _fixed_design(obs)
     ols, joint = _Solver(obs.Y, F, b, names).solve([math.inf, 0.0])
-    sigma2, _, aic = _criteria(obs.grid.n, joint.rss, joint.edf)
     s_inv = ols.V @ ols.V.T  # (F'F)^-1
     return _record(
         EstimatorKind.RSR,
         ols.fixed_coefs[1],
-        float(np.sqrt(sigma2 * s_inv[1, 1])),
+        float(np.sqrt(joint.sigma2 * s_inv[1, 1])),
         lambdas={},
         edf={"outcome": joint.edf},
-        aic=aic,
+        aic=joint.aic,
         diagnostics={"fixed_cond": _design_cond(F)},
     )
 
 
 def fit_spatial(obs: Observations, b: BasisSet, smoothing: Smoothing = None) -> EstimateRecord:
     """Penalized outcome regression with the basis entered directly."""
-    F, names = _fixed_design(obs)
-    fit = _fit_stage(obs.Y, F, b, smoothing, names)
-    se = float(np.sqrt(fit.cov_fixed[1, 1]))
-    return _record(
+    F, _ = _fixed_design(obs)
+    fit = _outcome_fit(obs.Y, obs.Z, obs.C, b, smoothing)
+    return _outcome_record(
         EstimatorKind.SPATIAL,
-        fit.fixed_coefs[1],
-        se,
+        fit,
         lambdas={"outcome": fit.lam},
         edf={"outcome": fit.edf},
-        aic=fit.aic,
         diagnostics={"fixed_cond": _design_cond(F)},
     )
-
-
-def _spatial_plus_stages(
-    obs: Observations,
-    b: BasisSet,
-    smoothing: Smoothing,
-    include_c_in_stage1: bool,
-) -> tuple[FitResult, FitResult, float]:
-    n = obs.grid.n
-    ones = np.ones(n)
-    if include_c_in_stage1:
-        F1 = np.column_stack([ones, obs.C])
-        names1 = ["intercept", "C"]
-    else:
-        F1 = ones[:, None]
-        names1 = ["intercept"]
-    stage1 = _fit_stage(obs.Z, F1, b, smoothing, names1)
-    r_z = stage1.residuals
-    share = _exposure_residual_share(r_z, obs.Z)
-    F2 = np.column_stack([ones, r_z, obs.C])
-    stage2 = _fit_stage(obs.Y, F2, b, smoothing, ["intercept", "r_Z", "C"])
-    return stage1, stage2, share
 
 
 def fit_spatial_plus(
@@ -238,6 +228,9 @@ def fit_spatial_plus(
 ) -> EstimateRecord:
     """Two-stage estimator: residualize the exposure, then fit the outcome.
 
+    Stage 2 is the Spatial outcome regression with the stage-1 residual r_Z
+    in place of Z.
+
     ``smoothing`` applies to both stages: None lets each stage pick its own
     GCV smoothing on the default grid, a float fixes that value for both,
     and a sequence is used as the GCV grid of each stage independently.
@@ -246,15 +239,17 @@ def fit_spatial_plus(
     residual variance (a fully spatial exposure).
     """
     _fixed_design(obs)  # validates shapes, n > 3
-    stage1, stage2, share = _spatial_plus_stages(obs, b, smoothing, include_c_in_stage1)
-    se = float(np.sqrt(stage2.cov_fixed[1, 1]))
-    return _record(
+    ones = np.ones(obs.grid.n)
+    F1 = np.column_stack([ones, obs.C]) if include_c_in_stage1 else ones[:, None]
+    names1 = ["intercept", "C"] if include_c_in_stage1 else ["intercept"]
+    stage1 = _fit_stage(obs.Z, F1, b, smoothing, names1)
+    share = _exposure_residual_share(stage1.residuals, obs.Z)
+    stage2 = _outcome_fit(obs.Y, stage1.residuals, obs.C, b, smoothing, ("intercept", "r_Z", "C"))
+    return _outcome_record(
         EstimatorKind.SPATIAL_PLUS,
-        stage2.fixed_coefs[1],
-        se,
+        stage2,
         lambdas={"exposure": stage1.lam, "outcome": stage2.lam},
         edf={"exposure": stage1.edf, "outcome": stage2.edf},
-        aic=stage2.aic,
         diagnostics={"exposure_residual_share": share},
     )
 
@@ -263,30 +258,24 @@ def fit_gsem(obs: Observations, b: BasisSet, smoothing: Smoothing = None) -> Est
     """Residualize outcome, exposure and covariate on space, then OLS.
 
     Each variable is residualized on (intercept + basis) with its own
-    smoothing; the final stage regresses outcome residuals on exposure and
-    covariate residuals.
+    smoothing; the final stage is the non-spatial outcome regression (empty
+    basis, lambda = 0) of outcome residuals on exposure and covariate
+    residuals.
     """
-    F, _ = _fixed_design(obs)
-    n = obs.grid.n
-    ones = np.ones(n)[:, None]
-    fits = {}
-    resids = {}
-    for name, values in (("outcome", obs.Y), ("exposure", obs.Z), ("covariate", obs.C)):
-        fits[name] = _fit_stage(values, ones, b, smoothing, ["intercept"])
-        resids[name] = fits[name].residuals
-    share = _exposure_residual_share(resids["exposure"], obs.Z)
-    final_design = np.column_stack([np.ones(n), resids["exposure"], resids["covariate"]])
-    final = fit_pls(
-        resids["outcome"], final_design, empty_basis(n), 0.0, ["intercept", "r_Z", "r_C"]
-    )
-    se = float(np.sqrt(final.cov_fixed[1, 1]))
-    return _record(
+    _fixed_design(obs)  # validates shapes, n > 3
+    ones = np.ones(obs.grid.n)[:, None]
+    fits = {
+        name: _fit_stage(values, ones, b, smoothing, ["intercept"])
+        for name, values in (("outcome", obs.Y), ("exposure", obs.Z), ("covariate", obs.C))
+    }
+    r_y, r_z, r_c = (fit.residuals for fit in fits.values())
+    share = _exposure_residual_share(r_z, obs.Z)
+    final = _outcome_fit(r_y, r_z, r_c, empty_basis(obs.grid.n), 0.0, ("intercept", "r_Z", "r_C"))
+    return _outcome_record(
         EstimatorKind.GSEM,
-        final.fixed_coefs[1],
-        se,
-        lambdas={name: fits[name].lam for name in fits},
-        edf={**{name: fits[name].edf for name in fits}, "final_ols": final.edf},
-        aic=final.aic,
+        final,
+        lambdas={name: fit.lam for name, fit in fits.items()},
+        edf={**{name: fit.edf for name, fit in fits.items()}, "final_ols": final.edf},
         diagnostics={"exposure_residual_share": share},
     )
 

@@ -73,9 +73,9 @@ def make_grid(m: int) -> LocationGrid:
     Raises ``ValueError`` unless 2 <= m <= 512.
     """
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
-        raise ValueError(f"grid side must be an integer, got {m!r}")
+        raise ValueError(f"grid side m must be an integer, got {m!r}")
     if not (MIN_GRID_SIDE <= m <= MAX_GRID_SIDE):
-        raise ValueError(f"grid side must be in [{MIN_GRID_SIDE}, {MAX_GRID_SIDE}], got {m}")
+        raise ValueError(f"grid side m must be in [{MIN_GRID_SIDE}, {MAX_GRID_SIDE}], got {m}")
     axis = (np.arange(m) + 0.5) / m
     coords = np.column_stack([np.tile(axis, m), np.repeat(axis, m)])
     return LocationGrid(m=int(m), coords=_readonly(coords))
@@ -100,7 +100,7 @@ class SpectralSpec:
     def __post_init__(self):
         for name in ("k_min", "k_max"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 0:
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
         if self.k_min > self.k_max:
             raise ValueError(f"k_min={self.k_min} exceeds k_max={self.k_max}")

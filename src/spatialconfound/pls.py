@@ -22,8 +22,10 @@ S = F_perp'F_perp + W' delta W, which is never formed).  ``_Solver`` sets
 this up once per (y, F, B) and answers each smoothing value with an SVD of a
 q-column matrix: lam = 0 (delta = 0), finite lam, lam = +inf (1/D = 0, the
 basis pinned to zero) and p = 0 (F_perp = F) are all inputs to the same
-formulas.  ``fit_pls`` answers one lambda, ``sweep_lambda`` a grid, and
-``select_lambda_gcv`` the GCV minimizer of a grid.
+formulas, and it computes sigma2, GCV and AIC once per lambda.
+``sweep_lambda`` reports a grid, ``select_lambda_gcv`` fits the GCV
+minimizer of a grid, and ``fit_pls`` is ``select_lambda_gcv`` on the
+one-point grid.
 
 Conventions pinned here and relied on elsewhere:
 
@@ -69,8 +71,7 @@ class FitResult:
     gcv: float
     aic: float
     cov_fixed: np.ndarray
-    fitted: np.ndarray
-    residuals: np.ndarray
+    residuals: np.ndarray  # y - F a - B g
 
     @property
     def rss(self) -> float:
@@ -99,6 +100,9 @@ class _Solution(NamedTuple):
     basis_coefs: np.ndarray
     rss: float
     edf: float
+    sigma2: float
+    gcv: float
+    aic: float
     V: np.ndarray  # S^-1 = V V' for the Schur complement S
 
 
@@ -202,7 +206,7 @@ class _Solver:
             # At lam = +inf the augmented design has the singular values of F.
             _, _, _, s, vt = self._augmented(math.inf)
             self._require_full_rank(math.inf, s, vt)
-        q, p = self.F.shape[1], self.basis.p
+        (n, q), p = self.F.shape, self.basis.p
         out = []
         for lam in lams:
             rho, delta, u, s, vt = self._augmented(lam)
@@ -217,24 +221,9 @@ class _Solver:
             rss = float(r_perp @ r_perp) + self.rss_perp + float(self.d0 @ (delta * gap) ** 2)
             h = ((self.W @ V) ** 2).sum(axis=1)  # diag(W S^-1 W')
             edf = q + p - float((rho * (1.0 + inv_D * h)).sum())
-            out.append(_Solution(lam, a, inv_D * gap, rss, edf, V))
+            crit = _criteria(n, rss, edf)  # sigma2, gcv, aic
+            out.append(_Solution(lam, a, inv_D * gap, rss, edf, *crit, V))
         return out
-
-    def fit_result(self, sol: _Solution) -> FitResult:
-        fitted = self.F @ sol.fixed_coefs + self.basis.columns @ sol.basis_coefs
-        sigma2, gcv, aic = _criteria(self.y.shape[0], sol.rss, sol.edf)
-        s_inv = sol.V @ sol.V.T
-        return FitResult(
-            fixed_coefs=sol.fixed_coefs,
-            basis_coefs=sol.basis_coefs,
-            lam=sol.lam,
-            edf=sol.edf,
-            gcv=gcv,
-            aic=aic,
-            cov_fixed=sigma2 * 0.5 * (s_inv + s_inv.T),
-            fitted=fitted,
-            residuals=self.y - fitted,
-        )
 
 
 def fit_pls(
@@ -256,9 +245,7 @@ def fit_pls(
     """
     if not (isinstance(lam, (int, float, np.floating, np.integer)) and not isinstance(lam, bool)):
         raise ValueError(f"lambda must be a real number, got {lam!r}")
-    lams = _as_lambdas([lam])
-    solver = _Solver(y, fixed, basis, fixed_names)
-    return solver.fit_result(solver.solve(lams)[0])
+    return select_lambda_gcv(y, fixed, basis, [lam], fixed_names)
 
 
 def sweep_lambda(
@@ -276,14 +263,12 @@ def sweep_lambda(
     lams = _as_lambdas(lambdas)
     solver = _Solver(y, fixed, basis, fixed_names)
     sols = solver.solve(lams)
-    n = solver.y.shape[0]
-    crit = np.array([_criteria(n, sol.rss, sol.edf) for sol in sols])
     return LambdaSweep(
         lambdas=np.array(lams),
         rss=np.array([sol.rss for sol in sols]),
         edf=np.array([sol.edf for sol in sols]),
-        gcv=crit[:, 1],
-        aic=crit[:, 2],
+        gcv=np.array([sol.gcv for sol in sols]),
+        aic=np.array([sol.aic for sol in sols]),
         fixed_coefs=np.array([sol.fixed_coefs for sol in sols]),
     )
 
@@ -305,9 +290,18 @@ def select_lambda_gcv(
         raise ValueError("lambda grid values must be distinct")
     solver = _Solver(y, fixed, basis, fixed_names)
     sols = solver.solve(sorted(grid))
-    n = solver.y.shape[0]
-    gcv = [_criteria(n, sol.rss, sol.edf)[1] for sol in sols]
-    return solver.fit_result(sols[int(np.argmin(gcv))])  # first minimum = smallest lambda
+    best = sols[int(np.argmin([sol.gcv for sol in sols]))]  # first minimum = smallest lambda
+    s_inv = best.V @ best.V.T
+    return FitResult(
+        fixed_coefs=best.fixed_coefs,
+        basis_coefs=best.basis_coefs,
+        lam=best.lam,
+        edf=best.edf,
+        gcv=best.gcv,
+        aic=best.aic,
+        cov_fixed=best.sigma2 * 0.5 * (s_inv + s_inv.T),
+        residuals=solver.y - (solver.F @ best.fixed_coefs + basis.columns @ best.basis_coefs),
+    )
 
 
 def project_out(v, onto) -> np.ndarray:

@@ -226,6 +226,24 @@ class TestScenarioAndAic:
         doc = json.loads((tmp_path / "aic.json").read_text())
         assert len(doc["rows"]) == 3
 
+    def test_json_is_strict_with_undefined_values(self, tmp_path):
+        # At one replication every MC-SE is undefined; strict JSON has no NaN
+        # token, so those values are written as null.
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        runs = {
+            "scen": ["scenario", "--kind", "weak-exposure-strong-outcome"],
+            "aic": ["aic-bias", "--lambdas", "0,1,100"],
+        }
+        for name, argv in runs.items():
+            out = tmp_path / name
+            assert main(argv + ["--reps", "1", "--seed", "3", "--max-freq", "6",
+                                "--out", str(out)]) == 0
+            text = (tmp_path / f"{name}.json").read_text()
+            json.loads(text, parse_constant=reject)
+            assert "null" in text
+
     @pytest.mark.parametrize(
         "command,max_freq",
         [

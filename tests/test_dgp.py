@@ -212,6 +212,31 @@ class TestInterchange:
             config_from_dict(doc)
 
     @pytest.mark.parametrize(
+        "field,entry,value",
+        [
+            ("m", None, 32.7),
+            ("m", None, "32"),
+            ("m", None, True),
+            ("spec_S1", "k_max", 1.9),
+            ("spec_S1", "k_max", "2"),
+            ("spec_S1", "k_max", True),
+            ("beta", None, "012345"),
+            ("loadings", None, "123"),
+        ],
+    )
+    def test_no_silent_coercion(self, field, entry, value):
+        # Coerced, each value would load as a different config (32.7 as 32,
+        # "012345" as six betas): the loader refuses it and names the field.
+        doc = config_to_dict(base_config())
+        if entry is None:
+            doc[field] = value
+        else:
+            doc[field][entry] = value
+        names = rf"\b{field}\b" if entry is None else rf"'{field}'.*\b{entry}\b"
+        with pytest.raises(ConfigError, match=names):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
         "config,digest",
         [
             (

@@ -223,6 +223,16 @@ class TestGSEM:
         spatial = fit_spatial(obs, b, smoothing=0.0)
         assert gsem.beta1_hat == pytest.approx(spatial.beta1_hat, rel=1e-8)
 
+    @pytest.mark.parametrize("smoothing", [0.0, None], ids=["lam0", "gcv"])
+    def test_spatial_covariate_in_span_names_its_residual(self, smoothing):
+        # A band-limited C lies in the basis span, so its spatial residual is
+        # numerically zero and the final stage reports that residual column.
+        ds = generate_dataset(scenario(spec_C=SpectralSpec(1, 3), m=32), 1)
+        b = fourier_basis(ds.grid, 10)
+        with pytest.raises(CollinearityError) as err:
+            fit_gsem(ds.observations(), b, smoothing=smoothing)
+        assert err.value.columns == ("r_C",)
+
     def test_zero_basis_equals_nonspatial(self, obs_and_basis):
         obs, _ = obs_and_basis
         gsem = fit_gsem(obs, empty_basis(obs.grid.n), smoothing=0.0)

@@ -131,7 +131,9 @@ class TestLambdaLimits:
         y, F, b = random_problem(2)
         for lam in (0.0, 3.7, math.inf):
             fit = fit_pls(y, F, b, lam)
-            assert np.array_equal(fit.residuals, y - fit.fitted)
+            assert np.array_equal(
+                fit.residuals, y - (F @ fit.fixed_coefs + b.columns @ fit.basis_coefs)
+            )
 
     def test_negative_lambda_rejected(self):
         y, F, b = random_problem(3)
@@ -237,12 +239,15 @@ class TestDenseOracle:
 
 
 class TestSelectLambdaGcv:
-    def test_singleton_grid_zero(self):
+    @pytest.mark.parametrize("lam", [0.0, 3.7, math.inf])
+    def test_singleton_grid(self, lam):
+        # A fixed lambda is the one-point grid: the same fit, bit for bit.
         y, F, b = random_problem(9)
-        sel = select_lambda_gcv(y, F, b, [0.0])
-        ref = fit_pls(y, F, b, 0.0)
-        assert sel.lam == 0.0
-        assert sel.fixed_coefs == pytest.approx(ref.fixed_coefs, rel=1e-12)
+        sel = select_lambda_gcv(y, F, b, [lam])
+        ref = fit_pls(y, F, b, lam)
+        assert sel.lam == lam
+        for field in ("fixed_coefs", "cov_fixed", "edf", "aic", "residuals"):
+            assert np.array_equal(getattr(sel, field), getattr(ref, field))
 
     def test_noiseless_response_in_span_interpolated(self):
         y, F, b = random_problem(10, noise=0.0)
