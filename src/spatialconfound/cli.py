@@ -6,8 +6,10 @@ Exit codes: 0 success, 2 usage or config problems, 3 I/O failures,
 4 statistical degeneracy (collinear designs, fully spatial exposures,
 undefined estimands).  Every output file gets a ``<file>.manifest.json``
 sidecar recording the resolved config, seed, and argv needed to reproduce
-it byte for byte.  JSON output is strict: an undefined value (NaN or an
-infinity, such as an MC-SE at one replication) is written as null.
+it byte for byte.  JSON output is strict: a value that is not a finite
+number (an undefined NaN such as an MC-SE at one replication, or the
+infinite AIC of an exact fit) is written as null.  Smoothing values given
+on the command line must be finite, so no lambda is written as null.
 """
 
 from __future__ import annotations
@@ -100,10 +102,22 @@ def _max_freq(args, m: int) -> int:
     return min(10, (m - 1) // 2) if args.max_freq is None else args.max_freq
 
 
+def _lambda_value(text: str) -> float:
+    """One smoothing value from the command line, which must be finite: an
+    infinite lambda would be written to JSON as null, the undefined value."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"smoothing values must be finite, got {text!r}")
+    return value
+
+
 def _parse_lambdas(text: str):
     try:
-        values = [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
+        values = [_lambda_value(v) for v in text.split(",") if v.strip() != ""]
+    except argparse.ArgumentTypeError as exc:
         raise ConfigError(f"bad lambda list {text!r}: {exc}") from exc
     if not values:
         raise ConfigError("lambda list is empty")
@@ -235,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset CSV (x,y,Z,C,Y)")
     p.add_argument("--estimator", required=True, choices=ESTIMATOR_NAMES)
     p.add_argument("--max-freq", type=int, default=None, dest="max_freq")
-    p.add_argument("--lam", type=float, default=None,
+    p.add_argument("--lam", type=_lambda_value, default=None,
                    help="fixed smoothing value (default: GCV selection)")
     p.add_argument("--lambda-grid", default=None, dest="lambda_grid",
                    help="comma-separated GCV grid")
@@ -257,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-freq", type=int, default=None, dest="max_freq")
     p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--lam", type=float, default=None)
+    p.add_argument("--lam", type=_lambda_value, default=None)
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for replications (default: 1)")
     p.add_argument("--out", required=True, help="output path stem (.csv/.json appended)")

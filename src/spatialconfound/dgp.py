@@ -45,6 +45,13 @@ OBSERVED_COLUMNS = ("x", "y", "Z", "C", "Y")
 LATENT_COLUMNS = ("S1", "S2", "E", "U", "nu", "eps")
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float; a string or a bool is refused, not read as a number."""
+    if isinstance(value, (str, bool, np.bool_)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """All data-generating parameters for one scenario.
@@ -68,11 +75,8 @@ class ScenarioConfig:
     m: int
 
     def __post_init__(self):
-        for name in ("beta", "loadings"):
-            if isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a list of numbers, not a string")
-        beta = tuple(float(b) for b in self.beta)
-        loadings = tuple(float(a) for a in self.loadings)
+        beta = tuple(_real(b, "beta") for b in self.beta)
+        loadings = tuple(_real(a, "loadings") for a in self.loadings)
         if len(beta) != 6:
             raise ValueError(f"beta must have 6 entries (b0..b5), got {len(beta)}")
         if len(loadings) != 3:
@@ -84,7 +88,7 @@ class ScenarioConfig:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "loadings", loadings)
         for name in ("nu_sd", "sigma", "e_sd", "u_sd"):
-            v = float(getattr(self, name))
+            v = _real(getattr(self, name), name)
             if not np.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative real, got {v!r}")
             object.__setattr__(self, name, v)
@@ -247,11 +251,11 @@ def _spec_from_dict(d, field: str) -> FieldSpec:
             return SpectralSpec(
                 k_min=d["k_min"],
                 k_max=d["k_max"],
-                decay=float(d.get("decay", 0.0)),
-                variance=float(d["variance"]),
+                decay=_real(d.get("decay", 0.0), "decay"),
+                variance=_real(d["variance"], "variance"),
             )
         if kind == "iid":
-            return IidSpec(sd=float(d["sd"]))
+            return IidSpec(sd=_real(d["sd"], "sd"))
     except KeyError as exc:
         raise ConfigError(f"field '{field}' is missing entry {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:

@@ -22,8 +22,10 @@ Methods:
     SpatialPlusLowFreq  SpatialPlus on the basis restricted to labels
                         <= cutoff, unpenalized by default
 
-Every estimator but RSR ends in that one outcome regression, and every
-stage is one ``select_lambda_gcv`` call (a fixed lambda is a one-point grid).
+Every estimator but RSR ends in the same outcome regression, y on
+(1, z, c) plus a basis (``_outcome_design``): Spatial+ and GSEM only put
+residuals in place of Z, C or Y.  Every stage is one ``select_lambda_gcv``
+call (``_fit_stage``; a fixed lambda is a one-point grid).
 
 Two-stage standard errors come from the final stage only; no propagation
 of first-stage uncertainty is attempted, so coverage for those methods is
@@ -114,7 +116,7 @@ def _outcome_record(kind: EstimatorKind, fit: FitResult, **parts) -> EstimateRec
     return _record(kind, fit.fixed_coefs[1], se, aic=fit.aic, **parts)
 
 
-def _fixed_design(obs: Observations) -> tuple[np.ndarray, list[str]]:
+def _check_observations(obs: Observations) -> None:
     n = obs.grid.n
     for name in ("Z", "C", "Y"):
         v = getattr(obs, name)
@@ -122,8 +124,17 @@ def _fixed_design(obs: Observations) -> tuple[np.ndarray, list[str]]:
             raise ValueError(f"{name} has wrong length for the grid")
     if n <= 3:
         raise ValueError(f"need more than 3 observations, got {n}")
-    F = np.column_stack([np.ones(n), obs.Z, obs.C])
-    return F, ["intercept", "Z", "C"]
+
+
+def _outcome_design(z, c) -> np.ndarray:
+    """(1, z, c): the fixed columns of the outcome regression."""
+    return np.column_stack([np.ones(np.shape(z)[0]), z, c])
+
+
+def _fixed_design(obs: Observations) -> tuple[np.ndarray, list[str]]:
+    """The outcome design (1, Z, C) of checked observations, and its column names."""
+    _check_observations(obs)
+    return _outcome_design(obs.Z, obs.C), ["intercept", "Z", "C"]
 
 
 def _design_cond(M: np.ndarray) -> float:
@@ -159,19 +170,10 @@ def _fit_stage(y, F, b: BasisSet, smoothing: Smoothing, names) -> FitResult:
     return select_lambda_gcv(y, F, b, smoothing, names)
 
 
-def _outcome_fit(
-    y, z, c, b: BasisSet, smoothing: Smoothing, names=("intercept", "Z", "C")
-) -> FitResult:
-    """The outcome regression, ``y`` on (1, z, c) plus the basis; ``names``
-    label its fixed columns in a ``CollinearityError``."""
-    F = np.column_stack([np.ones(y.shape[0]), z, c])
-    return _fit_stage(y, F, b, smoothing, list(names))
-
-
 def fit_nonspatial(obs: Observations) -> EstimateRecord:
     """OLS of the outcome on (1, Z, C): the unconditional-target estimator."""
-    F, _ = _fixed_design(obs)
-    fit = _outcome_fit(obs.Y, obs.Z, obs.C, empty_basis(obs.grid.n), 0.0)
+    F, names = _fixed_design(obs)
+    fit = _fit_stage(obs.Y, F, empty_basis(obs.grid.n), 0.0, names)
     return _outcome_record(
         EstimatorKind.NONSPATIAL_OLS,
         fit,
@@ -209,8 +211,8 @@ def fit_rsr(obs: Observations, b: BasisSet) -> EstimateRecord:
 
 def fit_spatial(obs: Observations, b: BasisSet, smoothing: Smoothing = None) -> EstimateRecord:
     """Penalized outcome regression with the basis entered directly."""
-    F, _ = _fixed_design(obs)
-    fit = _outcome_fit(obs.Y, obs.Z, obs.C, b, smoothing)
+    F, names = _fixed_design(obs)
+    fit = _fit_stage(obs.Y, F, b, smoothing, names)
     return _outcome_record(
         EstimatorKind.SPATIAL,
         fit,
@@ -238,13 +240,14 @@ def fit_spatial_plus(
     Raises ``DegenerateResidualError`` when stage 1 leaves numerically zero
     residual variance (a fully spatial exposure).
     """
-    _fixed_design(obs)  # validates shapes, n > 3
+    _check_observations(obs)
     ones = np.ones(obs.grid.n)
     F1 = np.column_stack([ones, obs.C]) if include_c_in_stage1 else ones[:, None]
     names1 = ["intercept", "C"] if include_c_in_stage1 else ["intercept"]
     stage1 = _fit_stage(obs.Z, F1, b, smoothing, names1)
     share = _exposure_residual_share(stage1.residuals, obs.Z)
-    stage2 = _outcome_fit(obs.Y, stage1.residuals, obs.C, b, smoothing, ("intercept", "r_Z", "C"))
+    F2 = _outcome_design(stage1.residuals, obs.C)
+    stage2 = _fit_stage(obs.Y, F2, b, smoothing, ["intercept", "r_Z", "C"])
     return _outcome_record(
         EstimatorKind.SPATIAL_PLUS,
         stage2,
@@ -262,7 +265,7 @@ def fit_gsem(obs: Observations, b: BasisSet, smoothing: Smoothing = None) -> Est
     basis, lambda = 0) of outcome residuals on exposure and covariate
     residuals.
     """
-    _fixed_design(obs)  # validates shapes, n > 3
+    _check_observations(obs)
     ones = np.ones(obs.grid.n)[:, None]
     fits = {
         name: _fit_stage(values, ones, b, smoothing, ["intercept"])
@@ -270,7 +273,8 @@ def fit_gsem(obs: Observations, b: BasisSet, smoothing: Smoothing = None) -> Est
     }
     r_y, r_z, r_c = (fit.residuals for fit in fits.values())
     share = _exposure_residual_share(r_z, obs.Z)
-    final = _outcome_fit(r_y, r_z, r_c, empty_basis(obs.grid.n), 0.0, ("intercept", "r_Z", "r_C"))
+    F = _outcome_design(r_z, r_c)
+    final = _fit_stage(r_y, F, empty_basis(obs.grid.n), 0.0, ["intercept", "r_Z", "r_C"])
     return _outcome_record(
         EstimatorKind.GSEM,
         final,

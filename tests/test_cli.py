@@ -244,6 +244,23 @@ class TestScenarioAndAic:
             json.loads(text, parse_constant=reject)
             assert "null" in text
 
+    @pytest.mark.parametrize("lambdas", ["0,1,inf", "0,nan,1"])
+    def test_nonfinite_lambda_table_exit_2(self, tmp_path, capsys, lambdas):
+        # An infinite lambda would be written to JSON as null, the undefined
+        # value, and its row could not be matched to its lambda.
+        code = main(["aic-bias", "--reps", "1", "--seed", "3", "--max-freq", "6",
+                     "--lambdas", lambdas, "--out", str(tmp_path / "aic")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "aic.json").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "mc"])
+    def test_nonfinite_fixed_lambda_exit_2(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--lam", "inf"])
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command,max_freq",
         [

@@ -221,12 +221,20 @@ class TestInterchange:
             ("spec_S1", "k_max", "2"),
             ("spec_S1", "k_max", True),
             ("beta", None, "012345"),
+            ("beta", None, ["0.5", 2.0, 1.0, 1.0, 0.8, 0.3]),
+            ("beta", None, [0.5, 2.0, True, 1.0, 0.8, 0.3]),
             ("loadings", None, "123"),
+            ("sigma", None, "0.4"),
+            ("u_sd", None, True),
+            ("spec_S1", "variance", "2"),
+            ("spec_S1", "decay", True),
+            ("spec_C", "sd", "1"),
         ],
     )
     def test_no_silent_coercion(self, field, entry, value):
         # Coerced, each value would load as a different config (32.7 as 32,
-        # "012345" as six betas): the loader refuses it and names the field.
+        # "012345" as six betas) or hide a typo ("0.4" for 0.4, true for 1):
+        # the loader refuses it and names the field.
         doc = config_to_dict(base_config())
         if entry is None:
             doc[field] = value
