@@ -6,10 +6,8 @@ Exit codes: 0 success, 2 usage or config problems, 3 I/O failures,
 4 statistical degeneracy (collinear designs, fully spatial exposures,
 undefined estimands).  Every output file gets a ``<file>.manifest.json``
 sidecar recording the resolved config, seed, and argv needed to reproduce
-it byte for byte.  JSON output is strict: a value that is not a finite
-number (an undefined NaN such as an MC-SE at one replication, or the
-infinite AIC of an exact fit) is written as null.  Smoothing values given
-on the command line must be finite, so no lambda is written as null.
+it byte for byte.  JSON output is strict: a non-finite value (an MC-SE at
+one replication, say) is written as null, so smoothing values must be finite.
 """
 
 from __future__ import annotations
@@ -103,12 +101,8 @@ def _max_freq(args, m: int) -> int:
 
 
 def _lambda_value(text: str) -> float:
-    """One smoothing value from the command line, which must be finite: an
-    infinite lambda would be written to JSON as null, the undefined value."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    """A smoothing value; finite, since JSON would write an infinite one as null."""
+    value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"smoothing values must be finite, got {text!r}")
     return value
@@ -117,7 +111,7 @@ def _lambda_value(text: str) -> float:
 def _parse_lambdas(text: str):
     try:
         values = [_lambda_value(v) for v in text.split(",") if v.strip() != ""]
-    except argparse.ArgumentTypeError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"bad lambda list {text!r}: {exc}") from exc
     if not values:
         raise ConfigError("lambda list is empty")

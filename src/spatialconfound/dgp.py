@@ -46,9 +46,9 @@ LATENT_COLUMNS = ("S1", "S2", "E", "U", "nu", "eps")
 
 
 def _real(value, name: str) -> float:
-    """``value`` as a float; a string or a bool is refused, not read as a number."""
-    if isinstance(value, (str, bool, np.bool_)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+    """``value`` as a finite float; a string or a bool is refused, not read as a number."""
+    if isinstance(value, (str, bool, np.bool_)) or not np.isfinite(float(value)):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
     return float(value)
 
 
@@ -81,15 +81,11 @@ class ScenarioConfig:
             raise ValueError(f"beta must have 6 entries (b0..b5), got {len(beta)}")
         if len(loadings) != 3:
             raise ValueError(f"loadings must have 3 entries (a1, a2, a3), got {len(loadings)}")
-        if not all(np.isfinite(beta)):
-            raise ValueError("every beta must be finite")
-        if not all(np.isfinite(loadings)):
-            raise ValueError("every loading must be finite")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "loadings", loadings)
         for name in ("nu_sd", "sigma", "e_sd", "u_sd"):
             v = _real(getattr(self, name), name)
-            if not np.isfinite(v) or v < 0:
+            if v < 0:
                 raise ValueError(f"{name} must be a nonnegative real, got {v!r}")
             object.__setattr__(self, name, v)
         if not isinstance(self.spec_S1, SpectralSpec) or not isinstance(self.spec_S2, SpectralSpec):

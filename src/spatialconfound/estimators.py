@@ -22,10 +22,9 @@ Methods:
     SpatialPlusLowFreq  SpatialPlus on the basis restricted to labels
                         <= cutoff, unpenalized by default
 
-Every estimator but RSR ends in the same outcome regression, y on
-(1, z, c) plus a basis (``_outcome_design``): Spatial+ and GSEM only put
-residuals in place of Z, C or Y.  Every stage is one ``select_lambda_gcv``
-call (``_fit_stage``; a fixed lambda is a one-point grid).
+Every estimator but RSR ends in one outcome regression, y on (1, z, c)
+plus a basis, with residuals in place of Z, C or Y in SpatialPlus and GSEM;
+every stage is one ``select_lambda_gcv`` call (``_fit_stage``).
 
 Two-stage standard errors come from the final stage only; no propagation
 of first-stage uncertainty is attempted, so coverage for those methods is
@@ -116,7 +115,12 @@ def _outcome_record(kind: EstimatorKind, fit: FitResult, **parts) -> EstimateRec
     return _record(kind, fit.fixed_coefs[1], se, aic=fit.aic, **parts)
 
 
-def _check_observations(obs: Observations) -> None:
+def _outcome_design(z, c) -> np.ndarray:
+    """(1, z, c): the fixed columns of the outcome regression."""
+    return np.column_stack([np.ones(np.shape(z)[0]), z, c])
+
+
+def _fixed_design(obs: Observations) -> tuple[np.ndarray, list[str]]:
     n = obs.grid.n
     for name in ("Z", "C", "Y"):
         v = getattr(obs, name)
@@ -124,16 +128,6 @@ def _check_observations(obs: Observations) -> None:
             raise ValueError(f"{name} has wrong length for the grid")
     if n <= 3:
         raise ValueError(f"need more than 3 observations, got {n}")
-
-
-def _outcome_design(z, c) -> np.ndarray:
-    """(1, z, c): the fixed columns of the outcome regression."""
-    return np.column_stack([np.ones(np.shape(z)[0]), z, c])
-
-
-def _fixed_design(obs: Observations) -> tuple[np.ndarray, list[str]]:
-    """The outcome design (1, Z, C) of checked observations, and its column names."""
-    _check_observations(obs)
     return _outcome_design(obs.Z, obs.C), ["intercept", "Z", "C"]
 
 
@@ -160,9 +154,8 @@ def _exposure_residual_share(r_z: np.ndarray, z) -> float:
 
 
 def _fit_stage(y, F, b: BasisSet, smoothing: Smoothing, names) -> FitResult:
-    """Fit ``y`` on ``F`` plus the basis: GCV on the default grid (None) or on
-    a given grid (a sequence), or one fixed lambda (a number), which is the
-    one-point grid."""
+    """Fit ``y`` on ``F`` plus the basis by GCV on a grid (None: the default
+    grid); a fixed lambda is the one-point grid."""
     if isinstance(smoothing, (int, float, np.floating, np.integer)) and not isinstance(
         smoothing, bool
     ):
@@ -240,7 +233,7 @@ def fit_spatial_plus(
     Raises ``DegenerateResidualError`` when stage 1 leaves numerically zero
     residual variance (a fully spatial exposure).
     """
-    _check_observations(obs)
+    _fixed_design(obs)  # validates shapes, n > 3
     ones = np.ones(obs.grid.n)
     F1 = np.column_stack([ones, obs.C]) if include_c_in_stage1 else ones[:, None]
     names1 = ["intercept", "C"] if include_c_in_stage1 else ["intercept"]
@@ -265,7 +258,7 @@ def fit_gsem(obs: Observations, b: BasisSet, smoothing: Smoothing = None) -> Est
     basis, lambda = 0) of outcome residuals on exposure and covariate
     residuals.
     """
-    _check_observations(obs)
+    _fixed_design(obs)  # validates shapes, n > 3
     ones = np.ones(obs.grid.n)[:, None]
     fits = {
         name: _fit_stage(values, ones, b, smoothing, ["intercept"])

@@ -22,10 +22,9 @@ S = F_perp'F_perp + W' delta W, which is never formed).  ``_Solver`` sets
 this up once per (y, F, B) and answers each smoothing value with an SVD of a
 q-column matrix: lam = 0 (delta = 0), finite lam, lam = +inf (1/D = 0, the
 basis pinned to zero) and p = 0 (F_perp = F) are all inputs to the same
-formulas, and it computes sigma2, GCV and AIC once per lambda.
-``sweep_lambda`` reports a grid, ``select_lambda_gcv`` fits the GCV
-minimizer of a grid, and ``fit_pls`` is ``select_lambda_gcv`` on the
-one-point grid.
+formulas, with sigma2, GCV and AIC computed once per lambda.  ``sweep_lambda``
+reports a grid, ``select_lambda_gcv`` fits its GCV minimizer, and
+``fit_pls`` is ``select_lambda_gcv`` on a one-point grid.
 
 Conventions pinned here and relied on elsewhere:
 
@@ -221,8 +220,7 @@ class _Solver:
             rss = float(r_perp @ r_perp) + self.rss_perp + float(self.d0 @ (delta * gap) ** 2)
             h = ((self.W @ V) ** 2).sum(axis=1)  # diag(W S^-1 W')
             edf = q + p - float((rho * (1.0 + inv_D * h)).sum())
-            crit = _criteria(n, rss, edf)  # sigma2, gcv, aic
-            out.append(_Solution(lam, a, inv_D * gap, rss, edf, *crit, V))
+            out.append(_Solution(lam, a, inv_D * gap, rss, edf, *_criteria(n, rss, edf), V))
         return out
 
 
