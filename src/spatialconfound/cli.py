@@ -100,8 +100,8 @@ def _max_freq(args, m: int) -> int:
     return min(10, (m - 1) // 2) if args.max_freq is None else args.max_freq
 
 
-def _lambda_value(text: str) -> float:
-    """A smoothing value; finite, since JSON would write an infinite one as null."""
+def finite_float(text: str) -> float:
+    """A smoothing value: a float, and finite, since JSON writes infinity as null."""
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"smoothing values must be finite, got {text!r}")
@@ -110,7 +110,7 @@ def _lambda_value(text: str) -> float:
 
 def _parse_lambdas(text: str):
     try:
-        values = [_lambda_value(v) for v in text.split(",") if v.strip() != ""]
+        values = [finite_float(v) for v in text.split(",") if v.strip() != ""]
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"bad lambda list {text!r}: {exc}") from exc
     if not values:
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset CSV (x,y,Z,C,Y)")
     p.add_argument("--estimator", required=True, choices=ESTIMATOR_NAMES)
     p.add_argument("--max-freq", type=int, default=None, dest="max_freq")
-    p.add_argument("--lam", type=_lambda_value, default=None,
+    p.add_argument("--lam", type=finite_float, default=None,
                    help="fixed smoothing value (default: GCV selection)")
     p.add_argument("--lambda-grid", default=None, dest="lambda_grid",
                    help="comma-separated GCV grid")
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-freq", type=int, default=None, dest="max_freq")
     p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--lam", type=_lambda_value, default=None)
+    p.add_argument("--lam", type=finite_float, default=None)
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for replications (default: 1)")
     p.add_argument("--out", required=True, help="output path stem (.csv/.json appended)")
