@@ -210,10 +210,19 @@ def read_observations_csv(path) -> Observations:
         except ValueError as exc:
             missing = [c for c in OBSERVED_COLUMNS if c not in header]
             raise ValueError(f"dataset CSV is missing columns: {', '.join(missing)}") from exc
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            row = line.strip().split(",")
+            if len(row) < len(header):
+                raise ValueError(
+                    f"dataset CSV line {lineno} has {len(row)} fields for {len(header)} columns"
+                )
+            rows.append([float(row[j]) for j in idx])
     if not rows:
         raise ValueError("dataset CSV has no data rows")
-    data = np.array([[float(r[j]) for j in idx] for r in rows])
+    data = np.array(rows)
     n = data.shape[0]
     m = int(round(np.sqrt(n)))
     if m * m != n:

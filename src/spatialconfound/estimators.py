@@ -123,9 +123,11 @@ def _outcome_design(z, c) -> np.ndarray:
 def _fixed_design(obs: Observations) -> tuple[np.ndarray, list[str]]:
     n = obs.grid.n
     for name in ("Z", "C", "Y"):
-        v = getattr(obs, name)
-        if np.asarray(v).shape != (n,):
+        v = np.asarray(getattr(obs, name))
+        if v.shape != (n,):
             raise ValueError(f"{name} has wrong length for the grid")
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} has non-finite values (NaN or infinity)")
     if n <= 3:
         raise ValueError(f"need more than 3 observations, got {n}")
     return _outcome_design(obs.Z, obs.C), ["intercept", "Z", "C"]
@@ -189,15 +191,15 @@ def fit_rsr(obs: Observations, b: BasisSet) -> EstimateRecord:
     sqrt(sigma2 * [(F'F)^-1]_11).
     """
     F, names = _fixed_design(obs)
-    ols, joint = _Solver(obs.Y, F, b, names).solve([math.inf, 0.0])
-    s_inv = ols.V @ ols.V.T  # (F'F)^-1
+    sols = _Solver(obs.Y, F, b, names).solve([math.inf, 0.0])  # rows: OLS, joint
+    s_inv = sols.V[0] @ sols.V[0].T  # (F'F)^-1
     return _record(
         EstimatorKind.RSR,
-        ols.fixed_coefs[1],
-        float(np.sqrt(joint.sigma2 * s_inv[1, 1])),
+        sols.fixed_coefs[0, 1],
+        float(np.sqrt(sols.sigma2[1] * s_inv[1, 1])),
         lambdas={},
-        edf={"outcome": joint.edf},
-        aic=joint.aic,
+        edf={"outcome": float(sols.edf[1])},
+        aic=sols.aic[1],
         diagnostics={"fixed_cond": _design_cond(F)},
     )
 

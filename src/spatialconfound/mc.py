@@ -220,8 +220,11 @@ def run_mc(plan: MCPlan, n_jobs: int = 1) -> MCSummary:
     Estimator failures (collinearity, degenerate residuals, undefined
     estimands) are counted per estimator and never abort the run; any
     other exception is a bug and propagates.  The
-    summary is deterministic for a fixed plan regardless of ``n_jobs``.
+    summary is deterministic for a fixed plan regardless of ``n_jobs``,
+    which must be at least 1.
     """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
     bases = _bases(plan)
 
     def fit(obs):

@@ -19,12 +19,12 @@ and a is the least-squares solution on the q-column augmented design
 where F_perp = F - B (W / d0) and y_perp = y - B (b / d0) are residualized
 on the basis (its normal matrix is the Schur complement
 S = F_perp'F_perp + W' delta W, which is never formed).  ``_Solver`` sets
-this up once per (y, F, B) and answers each smoothing value with an SVD of a
-q-column matrix: lam = 0 (delta = 0), finite lam, lam = +inf (1/D = 0, the
-basis pinned to zero) and p = 0 (F_perp = F) are all inputs to the same
-formulas, with sigma2, GCV and AIC computed once per lambda.  ``sweep_lambda``
-reports a grid, ``select_lambda_gcv`` fits its GCV minimizer, and
-``fit_pls`` is ``select_lambda_gcv`` on a one-point grid.
+this up once per (y, F, B) and answers a whole lambda grid with one stacked
+SVD call, an SVD of a q-column matrix per lambda: lam = 0 (delta = 0),
+finite lam, lam = +inf (1/D = 0, the basis pinned to zero) and p = 0
+(F_perp = F) are all rows of the same array formulas, sigma2, GCV and AIC
+included.  ``sweep_lambda`` reports a grid, ``select_lambda_gcv`` fits its
+GCV minimizer, and ``fit_pls`` is ``select_lambda_gcv`` on a one-point grid.
 
 Conventions pinned here and relied on elsewhere:
 
@@ -93,28 +93,32 @@ class LambdaSweep:
     fixed_coefs: np.ndarray  # (len(lambdas), q)
 
 
-class _Solution(NamedTuple):
-    lam: float
-    fixed_coefs: np.ndarray
-    basis_coefs: np.ndarray
-    rss: float
-    edf: float
-    sigma2: float
-    gcv: float
-    aic: float
-    V: np.ndarray  # S^-1 = V V' for the Schur complement S
+class _Grid(NamedTuple):  # one row per lambda, in the order asked
+    fixed_coefs: np.ndarray  # (L, q)
+    basis_coefs: np.ndarray  # (L, p)
+    rss: np.ndarray
+    edf: np.ndarray
+    sigma2: np.ndarray
+    gcv: np.ndarray
+    aic: np.ndarray
+    V: np.ndarray  # (L, q, q): S^-1 = V V' for the Schur complement S
 
 
-def _criteria(n: int, rss: float, edf: float) -> tuple[float, float, float]:
-    denom = n - edf
-    if denom > 0:
-        sigma2 = rss / denom
-        gcv = n * rss / denom**2
-    else:
-        sigma2 = math.inf
-        gcv = math.inf
-    aic = n * math.log(rss / n) + 2.0 * edf if rss > 0 else -math.inf
-    return sigma2, gcv, aic
+# libm's pow and log, as Python floats use them: numpy's square and SIMD log
+# differ from them in the last bit for about one argument in a thousand, and
+# numpy's log also varies with the CPU's vector extensions.
+_pow = np.vectorize(math.pow, otypes=[float])
+_log = np.vectorize(math.log, otypes=[float])
+
+
+# Per-row products over a batch as stacked matmuls: each row then sums in the
+# order of the same product on its own, which einsum does not.
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return (A @ x[..., None])[..., 0]
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return (x[..., None, :] @ y[..., None])[..., 0, 0]
 
 
 def _as_lambdas(values) -> list[float]:
@@ -165,18 +169,6 @@ class _Solver:
             return list(self.fixed_names)
         return [f"fixed[{j}]" for j in range(self.F.shape[1])]
 
-    def _augmented(self, lam: float):
-        """Shrunk share rho of each basis column, delta, and the design's SVD."""
-        if math.isinf(lam):
-            rho = np.ones(self.basis.p)
-        else:
-            pen = lam * self.basis.penalty
-            rho = pen / (self.d0 + pen)
-        delta = rho / self.d0
-        M = np.vstack([self.R, np.sqrt(delta)[:, None] * self.W])
-        u, s, vt = np.linalg.svd(M, full_matrices=False)
-        return rho, delta, u, s, vt
-
     def _require_full_rank(self, lam: float, s: np.ndarray, vt: np.ndarray) -> None:
         if s[0] > 0 and s[-1] / s[0] >= RCOND_COLLINEAR:
             return
@@ -199,29 +191,41 @@ class _Solver:
             columns=cols,
         )
 
-    def solve(self, lams: Sequence[float]) -> list[_Solution]:
-        """Solutions in the order of ``lams``, each after the rank check it needs."""
-        if any(lam > 0 for lam in lams):
-            # At lam = +inf the augmented design has the singular values of F.
-            _, _, _, s, vt = self._augmented(math.inf)
-            self._require_full_rank(math.inf, s, vt)
-        (n, q), p = self.F.shape, self.basis.p
-        out = []
-        for lam in lams:
-            rho, delta, u, s, vt = self._augmented(lam)
-            if lam == 0.0:
-                self._require_full_rank(0.0, s, vt)
-            target = np.concatenate([self.c, np.sqrt(delta) * self.b])
-            a = vt.T @ ((u.T @ target) / s)
-            V = vt.T / s
-            inv_D = (1.0 - rho) / self.d0
-            gap = self.b - self.W @ a
-            r_perp = self.c - self.R @ a  # ||y_perp - F_perp a||^2 = ||r_perp||^2 + rss_perp
-            rss = float(r_perp @ r_perp) + self.rss_perp + float(self.d0 @ (delta * gap) ** 2)
-            h = ((self.W @ V) ** 2).sum(axis=1)  # diag(W S^-1 W')
-            edf = q + p - float((rho * (1.0 + inv_D * h)).sum())
-            out.append(_Solution(lam, a, inv_D * gap, rss, edf, *_criteria(n, rss, edf), V))
-        return out
+    def solve(self, lams: Sequence[float]) -> _Grid:
+        """Every lambda from one stacked SVD of the designs [R; sqrt(delta) W].
+
+        When some lambda is positive, lam = +inf (the singular values of F)
+        rides along as a last row, and its rank check precedes lam = 0's.
+        """
+        (n, q), p, L = self.F.shape, self.basis.p, len(lams)
+        lam = np.array(list(lams) + ([math.inf] if max(lams) > 0 else []))[:, None]
+        finite = np.isfinite(lam)
+        pen = np.where(finite, lam, 0.0) * self.basis.penalty
+        rho = np.where(finite, pen / (self.d0 + pen), 1.0)  # shrunk share of each column
+        delta = rho / self.d0
+        root = np.sqrt(delta)
+        R, c = self.R[None].repeat(len(lam), axis=0), self.c[None].repeat(len(lam), axis=0)
+        u, s, vt = np.linalg.svd(np.hstack([R, root[..., None] * self.W]), full_matrices=False)
+        if len(lam) > L:
+            self._require_full_rank(math.inf, s[-1], vt[-1])
+        if 0.0 in lams:
+            i = lams.index(0.0)
+            self._require_full_rank(0.0, s[i], vt[i])
+        v = np.swapaxes(vt, -1, -2)
+        V = v / s[..., None, :]
+        a = _matvec(v, _matvec(np.swapaxes(u, -1, -2), np.hstack([c, root * self.b])) / s)
+        inv_D = (1.0 - rho) / self.d0
+        gap = self.b - _matvec(self.W, a)
+        r_perp = self.c - _matvec(self.R, a)  # ||y_perp - F_perp a||^2 = ||r_perp||^2 + rss_perp
+        rss = _dot(r_perp, r_perp) + self.rss_perp + _dot((delta * gap) ** 2, self.d0)
+        h = ((self.W @ V) ** 2).sum(axis=-1)  # diag(W S^-1 W')
+        edf = q + p - (rho * (1.0 + inv_D * h)).sum(axis=-1)
+        fits, fitted = n - edf > 0, rss > 0
+        denom = np.where(fits, n - edf, 1.0)
+        sigma2 = np.where(fits, rss / denom, math.inf)
+        gcv = np.where(fits, n * rss / _pow(denom, 2.0), math.inf)
+        aic = np.where(fitted, n * _log(np.where(fitted, rss, n) / n) + 2.0 * edf, -math.inf)
+        return _Grid(*(x[:L] for x in (a, inv_D * gap, rss, edf, sigma2, gcv, aic, V)))
 
 
 def fit_pls(
@@ -255,20 +259,12 @@ def sweep_lambda(
 ) -> LambdaSweep:
     """Evaluate RSS, EDF, GCV, AIC and fixed coefficients on a lambda grid.
 
-    The basis products are formed once; each grid point then costs an SVD
-    of a (q + p) x q matrix.
+    The basis products are formed once, and one stacked SVD call of (q + p) x q
+    matrices covers the grid.
     """
     lams = _as_lambdas(lambdas)
-    solver = _Solver(y, fixed, basis, fixed_names)
-    sols = solver.solve(lams)
-    return LambdaSweep(
-        lambdas=np.array(lams),
-        rss=np.array([sol.rss for sol in sols]),
-        edf=np.array([sol.edf for sol in sols]),
-        gcv=np.array([sol.gcv for sol in sols]),
-        aic=np.array([sol.aic for sol in sols]),
-        fixed_coefs=np.array([sol.fixed_coefs for sol in sols]),
-    )
+    sols = _Solver(y, fixed, basis, fixed_names).solve(lams)
+    return LambdaSweep(np.array(lams), sols.rss, sols.edf, sols.gcv, sols.aic, sols.fixed_coefs)
 
 
 def select_lambda_gcv(
@@ -283,22 +279,22 @@ def select_lambda_gcv(
     Ties break toward the smallest lambda.  The default grid is
     {0} union 41 log-spaced points in [1e-4, 1e6].
     """
-    grid = _as_lambdas(DEFAULT_LAMBDA_GRID if lambda_grid is None else lambda_grid)
+    grid = sorted(_as_lambdas(DEFAULT_LAMBDA_GRID if lambda_grid is None else lambda_grid))
     if len(set(grid)) != len(grid):
         raise ValueError("lambda grid values must be distinct")
     solver = _Solver(y, fixed, basis, fixed_names)
-    sols = solver.solve(sorted(grid))
-    best = sols[int(np.argmin([sol.gcv for sol in sols]))]  # first minimum = smallest lambda
-    s_inv = best.V @ best.V.T
+    sols = solver.solve(grid)
+    i = int(np.argmin(sols.gcv))  # first minimum = smallest lambda
+    a, g, s_inv = sols.fixed_coefs[i], sols.basis_coefs[i], sols.V[i] @ sols.V[i].T
     return FitResult(
-        fixed_coefs=best.fixed_coefs,
-        basis_coefs=best.basis_coefs,
-        lam=best.lam,
-        edf=best.edf,
-        gcv=best.gcv,
-        aic=best.aic,
-        cov_fixed=best.sigma2 * 0.5 * (s_inv + s_inv.T),
-        residuals=solver.y - (solver.F @ best.fixed_coefs + basis.columns @ best.basis_coefs),
+        fixed_coefs=a,
+        basis_coefs=g,
+        lam=grid[i],
+        edf=float(sols.edf[i]),
+        gcv=float(sols.gcv[i]),
+        aic=float(sols.aic[i]),
+        cov_fixed=sols.sigma2[i] * 0.5 * (s_inv + s_inv.T),
+        residuals=solver.y - (solver.F @ a + basis.columns @ g),
     )
 
 

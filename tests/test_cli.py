@@ -163,6 +163,26 @@ class TestFit:
         assert code == 2
         assert "Y" in capsys.readouterr().err
 
+    def test_nonfinite_observation_exit_2(self, data_csv, capsys):
+        out, _ = data_csv
+        lines = out.read_text().splitlines()
+        lines[5] = ",".join(lines[5].split(",")[:4] + ["nan"])
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["fit", "--data", str(out), "--estimator", "spatial", "--max-freq", "5"])
+        assert code == 2
+        assert "Y has non-finite values" in capsys.readouterr().err
+
+    def test_short_row_exit_2_names_line(self, data_csv, capsys):
+        out, _ = data_csv
+        lines = out.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["fit", "--data", str(out), "--estimator", "nonspatial"])
+        assert code == 2
+        assert "line 4 has 4 fields for 5 columns" in capsys.readouterr().err
+
 
 class TestTargets:
     def test_no_confounding_targets_equal_beta1(self, tmp_path, capsys):
@@ -195,6 +215,13 @@ class TestMcCommand:
         assert doc["provenance"]["R"] == 2
         manifest = json.loads((tmp_path / "mc_out.manifest.json").read_text())
         assert manifest["subcommand"] == "mc"
+
+    def test_zero_threads_exit_2(self, tmp_path, capsys):
+        config_path, _ = write_config(tmp_path)
+        code = main(["mc", "--config", str(config_path), "--reps", "2", "--threads", "0",
+                     "--out", str(tmp_path / "mc")])
+        assert code == 2
+        assert "n_jobs must be at least 1" in capsys.readouterr().err
 
     def test_unknown_estimator_name_exit_2(self, tmp_path, capsys):
         config_path, _ = write_config(tmp_path)

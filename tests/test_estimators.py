@@ -9,11 +9,13 @@ import pytest
 from spatialconfound import (
     CollinearityError,
     DegenerateResidualError,
+    EstimatorKind,
     IidSpec,
     LocationGrid,
     Observations,
     ScenarioConfig,
     SpectralSpec,
+    fit_estimator,
     fit_gsem,
     fit_nonspatial,
     fit_rsr,
@@ -58,6 +60,17 @@ def obs_and_basis():
     ds = generate_dataset(scenario(), 42)
     b = fourier_basis(ds.grid, 5)
     return ds.observations(), b
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+@pytest.mark.parametrize("column", ["Z", "C", "Y"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_observation_rejected(obs_and_basis, kind, column, bad):
+    obs, b = obs_and_basis
+    values = np.array(getattr(obs, column))
+    values[7] = bad
+    with pytest.raises(ValueError, match=f"^{column} has non-finite values"):
+        fit_estimator(kind, replace(obs, **{column: values}), b, cutoff=2)
 
 
 class TestNonSpatial:

@@ -108,6 +108,11 @@ class TestRunMc:
         threaded = run_mc(plan, n_jobs=3)
         assert serial == threaded
 
+    @pytest.mark.parametrize("n_jobs", [0, -4])
+    def test_thread_count_below_one_rejected(self, n_jobs):
+        with pytest.raises(ValueError, match="n_jobs must be at least 1"):
+            run_mc(small_plan(r=2), n_jobs=n_jobs)
+
     def test_master_seed_changes_results(self):
         a = run_mc(small_plan(r=4, seed=1))
         b = run_mc(small_plan(r=4, seed=2))

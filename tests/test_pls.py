@@ -14,11 +14,15 @@ from spatialconfound import (
     fit_pls,
     fit_rsr,
     fourier_basis,
+    generate_dataset,
     make_grid,
     project_out,
+    scenario_config,
     select_lambda_gcv,
     sweep_lambda,
 )
+from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE
+from spatialconfound.pls import DEFAULT_LAMBDA_GRID
 
 
 def toy_basis(column, penalty):
@@ -198,10 +202,10 @@ class TestSweep:
         sweep = sweep_lambda(y, F, b, lams)
         for i, lam in enumerate(lams):
             fit = fit_pls(y, F, b, lam)
+            # FitResult.rss is summed over the n residuals, the sweep's is not.
             assert sweep.rss[i] == pytest.approx(fit.rss, rel=1e-8, abs=1e-10)
-            assert sweep.edf[i] == pytest.approx(fit.edf, rel=1e-8)
-            assert sweep.gcv[i] == pytest.approx(fit.gcv, rel=1e-8, abs=1e-10)
-            assert sweep.fixed_coefs[i] == pytest.approx(fit.fixed_coefs, rel=1e-7, abs=1e-9)
+            assert (sweep.edf[i], sweep.gcv[i], sweep.aic[i]) == (fit.edf, fit.gcv, fit.aic)
+            assert np.array_equal(sweep.fixed_coefs[i], fit.fixed_coefs)
 
     def test_intercept_only_fast_path(self):
         grid = make_grid(16)
@@ -213,6 +217,32 @@ class TestSweep:
             fit = fit_pls(y, np.ones((grid.n, 1)), b, lam)
             assert sweep.gcv[i] == pytest.approx(fit.gcv, rel=1e-8)
             assert sweep.edf[i] == pytest.approx(fit.edf, rel=1e-8)
+
+
+class TestGridIsPointwise:
+    """A grid is solved in one batch; each row is the one-point fit, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        obs = generate_dataset(scenario_config(SCENARIO_STRONG_EXPOSURE), 3).observations()
+        F = np.column_stack([np.ones(obs.grid.n), obs.Z, obs.C])
+        return obs.Y, F, fourier_basis(obs.grid, 10)
+
+    def test_default_grid_sweep_rows(self, problem):
+        y, F, b = problem
+        sweep = sweep_lambda(y, F, b, DEFAULT_LAMBDA_GRID)
+        for i, lam in enumerate(DEFAULT_LAMBDA_GRID):
+            fit = fit_pls(y, F, b, lam)
+            assert (sweep.edf[i], sweep.gcv[i], sweep.aic[i]) == (fit.edf, fit.gcv, fit.aic)
+            assert np.array_equal(sweep.fixed_coefs[i], fit.fixed_coefs)
+
+    def test_default_grid_choice_is_the_one_point_fit(self, problem):
+        y, F, b = problem
+        sel = select_lambda_gcv(y, F, b)
+        ref = fit_pls(y, F, b, sel.lam)
+        assert 0.0 < sel.lam < DEFAULT_LAMBDA_GRID[-1]
+        for field in ("fixed_coefs", "basis_coefs", "cov_fixed", "edf", "gcv", "aic", "residuals"):
+            assert np.array_equal(getattr(sel, field), getattr(ref, field)), field
 
 
 class TestDenseOracle:
@@ -292,6 +322,38 @@ class TestCollinearity:
         with pytest.raises(CollinearityError) as err:
             fit_pls(rng.normal(size=grid.n), F, b, 0.0, ["intercept", "Z"])
         assert "Z" in err.value.columns
+
+    @pytest.mark.parametrize(
+        "grid, what",
+        [
+            ([0.0], "joint design at lambda=0"),
+            ([0.0, 1.0], "fixed design"),
+            ([1.0], "fixed design"),
+        ],
+    )
+    def test_fixed_rank_checked_before_joint(self, grid, what):
+        # A collinear F is reported as such whenever the grid has a positive
+        # lambda, even next to lambda = 0; only at lambda = 0 alone is it joint.
+        b = fourier_basis(make_grid(8), 2)
+        rng = np.random.default_rng(22)
+        z = rng.normal(size=64)
+        F = np.column_stack([np.ones(64), z, z])
+        for call in (sweep_lambda, select_lambda_gcv):
+            with pytest.raises(CollinearityError) as err:
+                call(rng.normal(size=64), F, b, grid, ["intercept", "Z", "Zcopy"])
+            assert str(err.value).startswith(f"{what} is numerically collinear")
+            assert err.value.columns == ("Z", "Zcopy")
+
+    def test_fixed_in_basis_span_is_joint_at_lambda_zero(self):
+        b = fourier_basis(make_grid(8), 2)
+        F = np.column_stack([np.ones(64), b.columns[:, 0] + 0.5 * b.columns[:, 3]])
+        y = np.random.default_rng(23).normal(size=64)
+        for call in (sweep_lambda, select_lambda_gcv):
+            with pytest.raises(CollinearityError) as err:
+                call(y, F, b, [0.0, 1.0], ["intercept", "Z"])
+            assert str(err.value).startswith("joint design at lambda=0 is numerically collinear")
+            assert "Z" in err.value.columns
+        assert sweep_lambda(y, F, b, [1.0]).edf[0] > 2.0
 
     def test_positive_lambda_still_requires_full_rank_fixed(self):
         n = 16
