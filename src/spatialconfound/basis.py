@@ -15,7 +15,7 @@ belongs to the fixed-effects design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,14 +31,30 @@ class BasisSet:
     truncation level the basis was built (or restricted) to.
 
     The penalized solver in ``pls`` requires nonzero, mutually orthogonal
-    columns (a diagonal ``gram()``), as the Fourier basis has on its grid;
-    ``gram_diagonal`` checks this.
+    columns (a diagonal ``gram()``), as the Fourier basis has on its grid.
+    Building a basis checks this once, and ``d0`` keeps the diagonal: a
+    column of zero norm, or an off-diagonal entry above 1e-12 times the
+    largest diagonal entry, is a ``ValueError``.
     """
 
     columns: np.ndarray  # (n, p)
     freq: np.ndarray  # (p,) int
     penalty: np.ndarray  # (p,) float
     max_freq: int
+    d0: np.ndarray = field(init=False, repr=False)  # (p,) diagonal of B'B
+
+    def __post_init__(self):
+        gram = self.gram()
+        d0 = _readonly(np.diag(gram).copy())
+        np.fill_diagonal(gram, 0.0)  # in place: no p x p temporaries
+        off = max(gram.max(initial=0.0), -gram.min(initial=0.0))
+        if off > 1e-12 * d0.max(initial=0.0) or not np.all(d0 > 0):
+            raise ValueError(
+                "basis columns must be nonzero and mutually orthogonal (diagonal "
+                f"B'B); B'B has off-diagonal entries up to {off:.3g} and "
+                f"diagonal entries down to {d0.min():.3g}"
+            )
+        object.__setattr__(self, "d0", d0)
 
     @property
     def p(self) -> int:
@@ -49,32 +65,8 @@ class BasisSet:
         return self.columns.shape[0]
 
     def gram(self) -> np.ndarray:
-        """Cached B'B; safe because the instance is immutable."""
-        cached = getattr(self, "_gram", None)
-        if cached is None:
-            cached = self.columns.T @ self.columns
-            object.__setattr__(self, "_gram", cached)
-        return cached
-
-    def gram_diagonal(self) -> np.ndarray:
-        """Diagonal of ``gram()``, after checking once that it is diagonal.
-
-        Raises ``ValueError`` when a column has zero norm or an
-        off-diagonal entry exceeds 1e-12 times the largest diagonal entry.
-        """
-        cached = getattr(self, "_gram_diagonal", None)
-        if cached is None:
-            gram = self.gram()
-            cached = np.diag(gram).copy()
-            off = np.abs(gram - np.diag(cached)).max(initial=0.0)
-            if off > 1e-12 * cached.max(initial=0.0) or not np.all(cached > 0):
-                raise ValueError(
-                    "basis columns must be nonzero and mutually orthogonal (diagonal "
-                    f"B'B); B'B has off-diagonal entries up to {off:.3g} and "
-                    f"diagonal entries down to {cached.min():.3g}"
-                )
-            object.__setattr__(self, "_gram_diagonal", cached)
-        return cached
+        """B'B."""
+        return self.columns.T @ self.columns
 
 
 def empty_basis(n: int) -> BasisSet:

@@ -6,8 +6,10 @@ Exit codes: 0 success, 2 usage or config problems, 3 I/O failures,
 4 statistical degeneracy (collinear designs, fully spatial exposures,
 undefined estimands).  Every output file gets a ``<file>.manifest.json``
 sidecar recording the resolved config, seed, and argv needed to reproduce
-it byte for byte.  JSON output is strict: a non-finite value (an MC-SE at
-one replication, say) is written as null, so smoothing values must be finite.
+it byte for byte, with the numpy version and the BLAS thread variables
+(the last bits of a fit can depend on the BLAS thread count).  JSON output
+is strict: a non-finite value (an MC-SE at one replication, say) is written
+as null, so smoothing values must be finite.
 """
 
 from __future__ import annotations
@@ -15,10 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import replace
 from typing import Optional
+
+import numpy as np
 
 from . import __version__
 from .dgp import (
@@ -48,6 +53,7 @@ from .oracle import compute_estimands
 from .pls import DEFAULT_LAMBDA_GRID
 
 ESTIMATOR_NAMES = tuple(kind.value for kind in EstimatorKind)
+_THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _finite_or_null(obj):
@@ -75,6 +81,8 @@ def _write_manifest(out_path: str, subcommand: str, argv, config=None, config_pa
         "master_seed": master_seed,
         "outputs": list(outputs),
         "tool_version": __version__,
+        "numpy_version": np.__version__,
+        "thread_env": {name: os.environ.get(name) for name in _THREAD_ENV_VARS},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     with open(f"{out_path}.manifest.json", "w", encoding="utf-8") as fh:

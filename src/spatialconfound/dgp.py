@@ -16,7 +16,7 @@ spatial adjustment can achieve from the structural b1.
 
 Generated datasets retain every latent field so oracle checks and tests can
 regress on them; estimators only ever see the ``Observations`` view
-(Z, C, Y, grid).
+(Z, C, Y, grid), which checks its values once, when it is built.
 """
 
 from __future__ import annotations
@@ -97,12 +97,30 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class Observations:
-    """What an analyst sees: exposure, measured covariate, outcome, grid."""
+    """What an analyst sees: exposure, measured covariate, outcome, grid.
+
+    Checked once, when built: Z, C and Y each hold one finite value per
+    grid location, and there are more than 3 locations.  They are stored
+    as read-only float copies, so a checked instance cannot change later.
+    """
 
     Z: np.ndarray
     C: np.ndarray
     Y: np.ndarray
     grid: LocationGrid
+
+    def __post_init__(self):
+        n = self.grid.n
+        for name in ("Z", "C", "Y"):
+            v = np.array(getattr(self, name), dtype=float)
+            if v.shape != (n,):
+                raise ValueError(f"{name} has wrong length for the grid")
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} has non-finite values (NaN or infinity)")
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
+        if n <= 3:
+            raise ValueError(f"need more than 3 observations, got {n}")
 
 
 @dataclass(frozen=True)
@@ -219,7 +237,7 @@ def read_observations_csv(path) -> Observations:
                 raise ValueError(
                     f"dataset CSV line {lineno} has {len(row)} fields for {len(header)} columns"
                 )
-            rows.append([float(row[j]) for j in idx])
+            rows.append([_csv_number(row[j], lineno, c) for c, j in zip(OBSERVED_COLUMNS, idx)])
     if not rows:
         raise ValueError("dataset CSV has no data rows")
     data = np.array(rows)
@@ -230,12 +248,16 @@ def read_observations_csv(path) -> Observations:
     grid = make_grid(m)
     if not np.allclose(data[:, :2], grid.coords, atol=1e-9, rtol=0.0):
         raise ValueError("dataset locations are not a row-major cell-center grid")
-    return Observations(
-        Z=_readonly(data[:, 2]),
-        C=_readonly(data[:, 3]),
-        Y=_readonly(data[:, 4]),
-        grid=grid,
-    )
+    return Observations(Z=data[:, 2], C=data[:, 3], Y=data[:, 4], grid=grid)
+
+
+def _csv_number(text: str, lineno: int, column: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(
+            f"dataset CSV line {lineno} has a non-numeric {column} value {text!r}"
+        ) from None
 
 
 # A config document has one entry per ScenarioConfig field, under its name.

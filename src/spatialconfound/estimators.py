@@ -24,7 +24,8 @@ Methods:
 
 Every estimator but RSR ends in one outcome regression, y on (1, z, c)
 plus a basis, with residuals in place of Z, C or Y in SpatialPlus and GSEM;
-every stage is one ``select_lambda_gcv`` call (``_fit_stage``).
+every stage is one ``select_lambda_gcv`` call, a fixed lambda being the
+one-point grid.  The observations arrive checked (``Observations``).
 
 Two-stage standard errors come from the final stage only; no propagation
 of first-stage uncertainty is attempted, so coverage for those methods is
@@ -43,7 +44,7 @@ import numpy as np
 from .basis import BasisSet, empty_basis, restrict_low_frequency
 from .dgp import Observations
 from .errors import DegenerateResidualError
-from .pls import FitResult, _Solver, select_lambda_gcv
+from .pls import FitResult, select_lambda_gcv, sweep_lambda
 
 Smoothing = Union[None, float, Sequence[float]]
 
@@ -121,15 +122,7 @@ def _outcome_design(z, c) -> np.ndarray:
 
 
 def _fixed_design(obs: Observations) -> tuple[np.ndarray, list[str]]:
-    n = obs.grid.n
-    for name in ("Z", "C", "Y"):
-        v = np.asarray(getattr(obs, name))
-        if v.shape != (n,):
-            raise ValueError(f"{name} has wrong length for the grid")
-        if not np.isfinite(v).all():
-            raise ValueError(f"{name} has non-finite values (NaN or infinity)")
-    if n <= 3:
-        raise ValueError(f"need more than 3 observations, got {n}")
+    """The outcome design (1, Z, C) of the observations, with its column names."""
     return _outcome_design(obs.Z, obs.C), ["intercept", "Z", "C"]
 
 
@@ -155,20 +148,10 @@ def _exposure_residual_share(r_z: np.ndarray, z) -> float:
     return var_r / var_z
 
 
-def _fit_stage(y, F, b: BasisSet, smoothing: Smoothing, names) -> FitResult:
-    """Fit ``y`` on ``F`` plus the basis by GCV on a grid (None: the default
-    grid); a fixed lambda is the one-point grid."""
-    if isinstance(smoothing, (int, float, np.floating, np.integer)) and not isinstance(
-        smoothing, bool
-    ):
-        smoothing = [smoothing]
-    return select_lambda_gcv(y, F, b, smoothing, names)
-
-
 def fit_nonspatial(obs: Observations) -> EstimateRecord:
     """OLS of the outcome on (1, Z, C): the unconditional-target estimator."""
     F, names = _fixed_design(obs)
-    fit = _fit_stage(obs.Y, F, empty_basis(obs.grid.n), 0.0, names)
+    fit = select_lambda_gcv(obs.Y, F, empty_basis(obs.grid.n), 0.0, names)
     return _outcome_record(
         EstimatorKind.NONSPATIAL_OLS,
         fit,
@@ -191,15 +174,15 @@ def fit_rsr(obs: Observations, b: BasisSet) -> EstimateRecord:
     sqrt(sigma2 * [(F'F)^-1]_11).
     """
     F, names = _fixed_design(obs)
-    sols = _Solver(obs.Y, F, b, names).solve([math.inf, 0.0])  # rows: OLS, joint
-    s_inv = sols.V[0] @ sols.V[0].T  # (F'F)^-1
+    sweep = sweep_lambda(obs.Y, F, b, [math.inf, 0.0], names)  # rows: OLS, joint
+    s_inv = sweep.V[0] @ sweep.V[0].T  # (F'F)^-1
     return _record(
         EstimatorKind.RSR,
-        sols.fixed_coefs[0, 1],
-        float(np.sqrt(sols.sigma2[1] * s_inv[1, 1])),
+        sweep.fixed_coefs[0, 1],
+        float(np.sqrt(sweep.sigma2[1] * s_inv[1, 1])),
         lambdas={},
-        edf={"outcome": float(sols.edf[1])},
-        aic=sols.aic[1],
+        edf={"outcome": float(sweep.edf[1])},
+        aic=sweep.aic[1],
         diagnostics={"fixed_cond": _design_cond(F)},
     )
 
@@ -207,7 +190,7 @@ def fit_rsr(obs: Observations, b: BasisSet) -> EstimateRecord:
 def fit_spatial(obs: Observations, b: BasisSet, smoothing: Smoothing = None) -> EstimateRecord:
     """Penalized outcome regression with the basis entered directly."""
     F, names = _fixed_design(obs)
-    fit = _fit_stage(obs.Y, F, b, smoothing, names)
+    fit = select_lambda_gcv(obs.Y, F, b, smoothing, names)
     return _outcome_record(
         EstimatorKind.SPATIAL,
         fit,
@@ -235,14 +218,13 @@ def fit_spatial_plus(
     Raises ``DegenerateResidualError`` when stage 1 leaves numerically zero
     residual variance (a fully spatial exposure).
     """
-    _fixed_design(obs)  # validates shapes, n > 3
     ones = np.ones(obs.grid.n)
     F1 = np.column_stack([ones, obs.C]) if include_c_in_stage1 else ones[:, None]
     names1 = ["intercept", "C"] if include_c_in_stage1 else ["intercept"]
-    stage1 = _fit_stage(obs.Z, F1, b, smoothing, names1)
+    stage1 = select_lambda_gcv(obs.Z, F1, b, smoothing, names1)
     share = _exposure_residual_share(stage1.residuals, obs.Z)
     F2 = _outcome_design(stage1.residuals, obs.C)
-    stage2 = _fit_stage(obs.Y, F2, b, smoothing, ["intercept", "r_Z", "C"])
+    stage2 = select_lambda_gcv(obs.Y, F2, b, smoothing, ["intercept", "r_Z", "C"])
     return _outcome_record(
         EstimatorKind.SPATIAL_PLUS,
         stage2,
@@ -260,16 +242,15 @@ def fit_gsem(obs: Observations, b: BasisSet, smoothing: Smoothing = None) -> Est
     basis, lambda = 0) of outcome residuals on exposure and covariate
     residuals.
     """
-    _fixed_design(obs)  # validates shapes, n > 3
     ones = np.ones(obs.grid.n)[:, None]
     fits = {
-        name: _fit_stage(values, ones, b, smoothing, ["intercept"])
+        name: select_lambda_gcv(values, ones, b, smoothing, ["intercept"])
         for name, values in (("outcome", obs.Y), ("exposure", obs.Z), ("covariate", obs.C))
     }
     r_y, r_z, r_c = (fit.residuals for fit in fits.values())
     share = _exposure_residual_share(r_z, obs.Z)
     F = _outcome_design(r_z, r_c)
-    final = _fit_stage(r_y, F, empty_basis(obs.grid.n), 0.0, ["intercept", "r_Z", "r_C"])
+    final = select_lambda_gcv(r_y, F, empty_basis(obs.grid.n), 0.0, ["intercept", "r_Z", "r_C"])
     return _outcome_record(
         EstimatorKind.GSEM,
         final,

@@ -138,17 +138,13 @@ def frequency_pairs(k_min: int, k_max: int) -> np.ndarray:
     """
     if k_min > k_max:
         raise ValueError(f"k_min={k_min} exceeds k_max={k_max}")
-    pairs = []
-    for k1 in range(0, k_max + 1):
-        k2_lo = 0 if k1 == 0 else -k_max
-        for k2 in range(k2_lo, k_max + 1):
-            mag = max(abs(k1), abs(k2))
-            if k_min <= mag <= k_max:
-                pairs.append((mag, k1, k2))
-    pairs.sort()
-    if not pairs:
-        return np.zeros((0, 2), dtype=int)
-    return np.array([(k1, k2) for _, k1, k2 in pairs], dtype=int)
+    k1, k2 = np.meshgrid(np.arange(0, k_max + 1), np.arange(-k_max, k_max + 1), indexing="ij")
+    k1, k2 = k1.ravel(), k2.ravel()
+    mag = np.maximum(k1, np.abs(k2))
+    keep = ((k1 > 0) | (k2 >= 0)) & (k_min <= mag) & (mag <= k_max)
+    k1, k2, mag = k1[keep], k2[keep], mag[keep]
+    order = np.lexsort((k2, k1, mag))
+    return np.column_stack([k1[order], k2[order]]).astype(int)
 
 
 def sample_grf(grid: LocationGrid, spec: SpectralSpec, seed: int) -> np.ndarray:

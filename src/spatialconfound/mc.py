@@ -37,7 +37,7 @@ from .errors import DegeneracyError
 from .estimators import EstimatorKind, Smoothing, _fixed_design, fit_estimator
 from .fields import IidSpec, SpectralSpec, derive_seed, make_grid
 from .oracle import EstimandSet, compute_estimands
-from .pls import DEFAULT_LAMBDA_GRID, sweep_lambda
+from .pls import DEFAULT_LAMBDA_GRID, _distinct_lambdas, sweep_lambda
 
 TARGET_NAMES = ("beta_structural", "beta_uncond", "beta_cond_achieved", "beta_cond_S1")
 
@@ -434,12 +434,14 @@ def aic_bias_experiment(
 ) -> AicBiasResult:
     """Fit Spatial at every fixed lambda and tabulate mean AIC vs mean bias.
 
-    The grid must contain lambda = 0, the unpenalized reference row, and
-    the plan must carry a Spatial estimator, whose ``max_freq`` sets the
-    basis.  Replications where the unpenalized design is collinear are
-    dropped (and counted) for every lambda, keeping rows comparable.
+    The grid must hold distinct nonnegative values, lambda = 0 (the
+    unpenalized reference row) among them, and the plan must carry a
+    Spatial estimator, whose ``max_freq`` sets the basis; both are checked
+    before any dataset is drawn.  Replications where the unpenalized design
+    is collinear are dropped (and counted) for every lambda, keeping rows
+    comparable.
     """
-    grid_lams = list(DEFAULT_LAMBDA_GRID if lambda_grid is None else map(float, lambda_grid))
+    grid_lams = _distinct_lambdas(DEFAULT_LAMBDA_GRID if lambda_grid is None else lambda_grid)
     if 0.0 not in grid_lams:
         raise ValueError("lambda grid must include 0 (the unpenalized reference)")
     spatial = next((s for s in base.estimators if s.kind is EstimatorKind.SPATIAL), None)
@@ -449,19 +451,20 @@ def aic_bias_experiment(
     b = _bases(base)[spatial.max_freq]
     target = base.targets.beta_cond_achieved
 
-    def fit(obs):
+    def fit(obs):  # (exposure coefficients, AICs) per lambda
         fixed, fixed_names = _fixed_design(obs)
         try:
-            return sweep_lambda(obs.Y, fixed, b, grid_lams, fixed_names)
+            sweep = sweep_lambda(obs.Y, fixed, b, grid_lams, fixed_names)
         except DegeneracyError:
             return None
+        return sweep.fixed_coefs[:, 1], sweep.aic
 
-    sweeps = [sweep for sweep in _replicate(base, fit) if sweep is not None]
-    n_failed = base.R - len(sweeps)
-    if not sweeps:
+    fits = [f for f in _replicate(base, fit) if f is not None]
+    n_failed = base.R - len(fits)
+    if not fits:
         raise DegeneracyError("every replication failed; no AIC/bias table to build")
-    betas = np.vstack([sweep.fixed_coefs[:, 1] for sweep in sweeps])  # (R_ok, n_lambda)
-    aics = np.vstack([sweep.aic for sweep in sweeps])
+    betas = np.vstack([beta for beta, _ in fits])  # (R_ok, n_lambda)
+    aics = np.vstack([aic for _, aic in fits])
     r_ok = betas.shape[0]
     bias = betas.mean(axis=0) - target
     if r_ok > 1:

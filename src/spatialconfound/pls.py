@@ -6,8 +6,8 @@ Fits  y ~ fixed design + penalized basis,  minimizing
 
 The fixed block F (n x q) is never penalized.  The basis B (n x p) must have
 mutually orthogonal columns, B'B = diag(d0), as the Fourier basis has on its
-grid.  Then, with W = B'F, b = B'y and D = d0 + lam * penalty, the basis
-block has the closed form
+grid (``BasisSet`` checks this when built and keeps d0).  Then, with W = B'F,
+b = B'y and D = d0 + lam * penalty, the basis block has the closed form
 
     g = (b - W a) / D,
 
@@ -23,8 +23,9 @@ this up once per (y, F, B) and answers a whole lambda grid with one stacked
 SVD call, an SVD of a q-column matrix per lambda: lam = 0 (delta = 0),
 finite lam, lam = +inf (1/D = 0, the basis pinned to zero) and p = 0
 (F_perp = F) are all rows of the same array formulas, sigma2, GCV and AIC
-included.  ``sweep_lambda`` reports a grid, ``select_lambda_gcv`` fits its
-GCV minimizer, and ``fit_pls`` is ``select_lambda_gcv`` on a one-point grid.
+included.  Its one result is a ``LambdaSweep``.  ``sweep_lambda`` returns
+it, ``select_lambda_gcv`` fits its GCV minimizer (one real lambda is the
+one-point grid), and ``fit_pls`` is ``select_lambda_gcv`` at one lambda.
 
 Conventions pinned here and relied on elsewhere:
 
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -79,10 +80,12 @@ class FitResult:
 
 @dataclass(frozen=True)
 class LambdaSweep:
-    """Per-lambda summaries from a smoothing-grid sweep.
+    """The penalized fit at every lambda of a smoothing grid.
 
     Rows align with ``lambdas`` in the order given by the caller.  The
-    quantities are those ``fit_pls`` reports at the same lambda.
+    quantities are those ``fit_pls`` reports at the same lambda; ``V``
+    factors S^-1 = V V' for the Schur complement S, so that
+    cov_fixed = sigma2 * V V'.
     """
 
     lambdas: np.ndarray
@@ -90,18 +93,10 @@ class LambdaSweep:
     edf: np.ndarray
     gcv: np.ndarray
     aic: np.ndarray
-    fixed_coefs: np.ndarray  # (len(lambdas), q)
-
-
-class _Grid(NamedTuple):  # one row per lambda, in the order asked
     fixed_coefs: np.ndarray  # (L, q)
     basis_coefs: np.ndarray  # (L, p)
-    rss: np.ndarray
-    edf: np.ndarray
     sigma2: np.ndarray
-    gcv: np.ndarray
-    aic: np.ndarray
-    V: np.ndarray  # (L, q, q): S^-1 = V V' for the Schur complement S
+    V: np.ndarray  # (L, q, q)
 
 
 # libm's pow and log, as Python floats use them: numpy's square and SIMD log
@@ -121,13 +116,26 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., None])[..., 0, 0]
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.floating, np.integer)) and not isinstance(value, bool)
+
+
 def _as_lambdas(values) -> list[float]:
-    lams = [float(v) for v in values]
+    """A smoothing grid as floats; one real number (not a bool) is the
+    one-point grid."""
+    lams = [float(values)] if _is_real(values) else [float(v) for v in values]
     if not lams:
         raise ValueError("lambda grid must be nonempty")
     for v in lams:
         if math.isnan(v) or v < 0:
             raise ValueError(f"lambda values must be nonnegative, got {v}")
+    return lams
+
+
+def _distinct_lambdas(values) -> list[float]:
+    lams = _as_lambdas(values)
+    if len(set(lams)) != len(lams):
+        raise ValueError("lambda grid values must be distinct")
     return lams
 
 
@@ -152,7 +160,7 @@ class _Solver:
                 columns=tuple(self._names()),
             )
         B = basis.columns
-        self.d0 = basis.gram_diagonal()
+        self.d0 = basis.d0
         self.W = B.T @ F
         self.b = B.T @ y
         F_perp = F - B @ (self.W / self.d0[:, None])
@@ -191,7 +199,7 @@ class _Solver:
             columns=cols,
         )
 
-    def solve(self, lams: Sequence[float]) -> _Grid:
+    def solve(self, lams: Sequence[float]) -> LambdaSweep:
         """Every lambda from one stacked SVD of the designs [R; sqrt(delta) W].
 
         When some lambda is positive, lam = +inf (the singular values of F)
@@ -225,7 +233,8 @@ class _Solver:
         sigma2 = np.where(fits, rss / denom, math.inf)
         gcv = np.where(fits, n * rss / _pow(denom, 2.0), math.inf)
         aic = np.where(fitted, n * _log(np.where(fitted, rss, n) / n) + 2.0 * edf, -math.inf)
-        return _Grid(*(x[:L] for x in (a, inv_D * gap, rss, edf, sigma2, gcv, aic, V)))
+        rows = (rss, edf, gcv, aic, a, inv_D * gap, sigma2, V)
+        return LambdaSweep(np.array(lams), *(x[:L] for x in rows))
 
 
 def fit_pls(
@@ -242,12 +251,11 @@ def fit_pls(
     fixed design alone).
 
     Raises ``CollinearityError`` when the fixed design, or at lam = 0 the
-    joint design, has reciprocal condition number below 1e-10, and
-    ``ValueError`` when the basis columns are not mutually orthogonal.
+    joint design, has reciprocal condition number below 1e-10.
     """
-    if not (isinstance(lam, (int, float, np.floating, np.integer)) and not isinstance(lam, bool)):
+    if not _is_real(lam):
         raise ValueError(f"lambda must be a real number, got {lam!r}")
-    return select_lambda_gcv(y, fixed, basis, [lam], fixed_names)
+    return select_lambda_gcv(y, fixed, basis, lam, fixed_names)
 
 
 def sweep_lambda(
@@ -262,9 +270,7 @@ def sweep_lambda(
     The basis products are formed once, and one stacked SVD call of (q + p) x q
     matrices covers the grid.
     """
-    lams = _as_lambdas(lambdas)
-    sols = _Solver(y, fixed, basis, fixed_names).solve(lams)
-    return LambdaSweep(np.array(lams), sols.rss, sols.edf, sols.gcv, sols.aic, sols.fixed_coefs)
+    return _Solver(y, fixed, basis, fixed_names).solve(_as_lambdas(lambdas))
 
 
 def select_lambda_gcv(
@@ -276,24 +282,24 @@ def select_lambda_gcv(
 ) -> FitResult:
     """Fit every lambda in the grid and return the GCV minimizer.
 
-    Ties break toward the smallest lambda.  The default grid is
-    {0} union 41 log-spaced points in [1e-4, 1e6].
+    ``lambda_grid`` is a grid of distinct smoothing values, or one real
+    number, the one-point grid; None is the default grid,
+    {0} union 41 log-spaced points in [1e-4, 1e6].  Ties break toward the
+    smallest lambda.
     """
-    grid = sorted(_as_lambdas(DEFAULT_LAMBDA_GRID if lambda_grid is None else lambda_grid))
-    if len(set(grid)) != len(grid):
-        raise ValueError("lambda grid values must be distinct")
+    grid = sorted(_distinct_lambdas(DEFAULT_LAMBDA_GRID if lambda_grid is None else lambda_grid))
     solver = _Solver(y, fixed, basis, fixed_names)
-    sols = solver.solve(grid)
-    i = int(np.argmin(sols.gcv))  # first minimum = smallest lambda
-    a, g, s_inv = sols.fixed_coefs[i], sols.basis_coefs[i], sols.V[i] @ sols.V[i].T
+    sweep = solver.solve(grid)
+    i = int(np.argmin(sweep.gcv))  # first minimum = smallest lambda
+    a, g, s_inv = sweep.fixed_coefs[i], sweep.basis_coefs[i], sweep.V[i] @ sweep.V[i].T
     return FitResult(
         fixed_coefs=a,
         basis_coefs=g,
         lam=grid[i],
-        edf=float(sols.edf[i]),
-        gcv=float(sols.gcv[i]),
-        aic=float(sols.aic[i]),
-        cov_fixed=sols.sigma2[i] * 0.5 * (s_inv + s_inv.T),
+        edf=float(sweep.edf[i]),
+        gcv=float(sweep.gcv[i]),
+        aic=float(sweep.aic[i]),
+        cov_fixed=sweep.sigma2[i] * 0.5 * (s_inv + s_inv.T),
         residuals=solver.y - (solver.F @ a + basis.columns @ g),
     )
 

@@ -126,6 +126,15 @@ class TestRestrictLowFrequency:
         assert inner < 1e-10 * scale
 
 
+@pytest.mark.parametrize("cutoff", [None, 1, 3])
+def test_d0_is_the_gram_diagonal(cutoff):
+    b = fourier_basis(make_grid(16), 5)
+    if cutoff is not None:
+        b = restrict_low_frequency(b, cutoff)
+    assert np.array_equal(b.d0, np.diag(b.gram()))
+    assert not b.d0.flags.writeable
+
+
 def test_empty_basis():
     b = empty_basis(25)
     assert b.p == 0 and b.n == 25

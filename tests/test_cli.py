@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, manifests."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -50,6 +51,20 @@ class TestSimulate:
         assert manifest["master_seed"] == 5
         assert manifest["config"] == config_to_dict(config)
         assert str(out) in manifest["outputs"]
+
+    def test_manifest_records_numpy_and_thread_setup(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        config_path, _ = write_config(tmp_path)
+        out = tmp_path / "data.csv"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "data.csv.manifest.json").read_text())
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["thread_env"] == {
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "MKL_NUM_THREADS": None,
+        }
 
     def test_latent_flag_adds_columns(self, tmp_path):
         config_path, _ = write_config(tmp_path)
@@ -184,6 +199,19 @@ class TestFit:
         assert "line 4 has 4 fields for 5 columns" in capsys.readouterr().err
 
 
+    def test_non_numeric_field_exit_2_names_line_and_column(self, data_csv, capsys):
+        out, _ = data_csv
+        lines = out.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[3] = "abc"
+        lines[3] = ",".join(fields)
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["fit", "--data", str(out), "--estimator", "nonspatial"])
+        assert code == 2
+        assert "line 4 has a non-numeric C value 'abc'" in capsys.readouterr().err
+
+
 class TestTargets:
     def test_no_confounding_targets_equal_beta1(self, tmp_path, capsys):
         config_path, _ = write_config(tmp_path, loadings=(0.0, 0.0, 0.3))
@@ -279,6 +307,13 @@ class TestScenarioAndAic:
                      "--lambdas", lambdas, "--out", str(tmp_path / "aic")])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "aic.json").exists()
+
+    def test_repeated_lambda_table_exit_2(self, tmp_path, capsys):
+        code = main(["aic-bias", "--reps", "1", "--seed", "3", "--max-freq", "6",
+                     "--lambdas", "0,1,1", "--out", str(tmp_path / "aic")])
+        assert code == 2
+        assert "distinct" in capsys.readouterr().err
         assert not (tmp_path / "aic.json").exists()
 
     @pytest.mark.parametrize("command", ["fit", "mc"])

@@ -1,5 +1,8 @@
 """Data generation: structural identities, diagnostics, interchange."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,8 @@ from spatialconfound import (
     ConfigError,
     DegenerateExposureError,
     IidSpec,
+    LocationGrid,
+    Observations,
     ScenarioConfig,
     SpectralSpec,
     config_from_dict,
@@ -135,6 +140,51 @@ class TestConfigValidation:
             base_config(beta=(0, np.inf, 0, 0, 0, 0))
 
 
+class TestObservations:
+    @pytest.fixture(scope="class")
+    def obs(self):
+        config = base_config(m=8, spec_S2=SpectralSpec(3, 4, 0.0, 1.0))
+        return generate_dataset(config, 5).observations()
+
+    @staticmethod
+    def built(obs, column, values):
+        """The observations with ``column`` swapped, built directly and via replace."""
+        fields = {"Z": obs.Z, "C": obs.C, "Y": obs.Y, column: values}
+        yield lambda: Observations(grid=obs.grid, **fields)
+        yield lambda: replace(obs, **{column: values})
+
+    @pytest.mark.parametrize("column", ["Z", "C", "Y"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, obs, column, bad):
+        values = np.array(getattr(obs, column))
+        values[3] = bad
+        for build in self.built(obs, column, values):
+            with pytest.raises(ValueError, match=f"^{column} has non-finite values"):
+                build()
+
+    @pytest.mark.parametrize("column", ["Z", "C", "Y"])
+    def test_wrong_length_rejected(self, obs, column):
+        values = np.asarray(getattr(obs, column))
+        for bad in (values[:-1], np.append(values, 1.0), values[:, None]):
+            for build in self.built(obs, column, bad):
+                with pytest.raises(ValueError, match=f"^{column} has wrong length"):
+                    build()
+
+    def test_more_than_three_locations_required(self):
+        grid = LocationGrid(m=1, coords=np.array([[0.5, 0.5]]))
+        with pytest.raises(ValueError, match="more than 3"):
+            Observations(Z=[1.0], C=[2.0], Y=[3.0], grid=grid)
+
+    def test_stores_read_only_float_copies(self, obs):
+        z = np.arange(obs.grid.n)  # integers
+        checked = replace(obs, Z=z)
+        z[0] = 99
+        assert checked.Z.dtype == float and checked.Z[0] == 0.0
+        for column in ("Z", "C", "Y"):
+            with pytest.raises(ValueError):
+                getattr(checked, column)[0] = 1.0
+
+
 class TestInterchange:
     def test_csv_round_trip_observed(self, tmp_path):
         config = base_config(m=8, spec_S1=SpectralSpec(1, 2, 0.0, 1.0),
@@ -172,6 +222,13 @@ class TestInterchange:
         path = tmp_path / "bad.csv"
         path.write_text("x,y,Z,C\n0.25,0.25,1,2\n")
         with pytest.raises(ValueError, match="Y"):
+            read_observations_csv(path)
+
+    def test_csv_non_numeric_field_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        rows = ["x,y,Z,C,Y", "0.25,0.25,1,2,3", "0.75,0.25,1,abc,3"]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="line 3 has a non-numeric C value 'abc'"):
             read_observations_csv(path)
 
     def test_csv_not_a_grid(self, tmp_path):

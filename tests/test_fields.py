@@ -75,6 +75,20 @@ class TestFrequencyPairs:
             seen = {tuple(k) for k in got}
             assert all((-k1, -k2) not in seen for (k1, k2) in seen if (k1, k2) != (0, 0))
 
+    def test_order_matches_brute_force_enumeration(self):
+        # Field coefficients are drawn in pair order, so the order is pinned.
+        for k_max in range(0, 13):
+            for k_min in range(0, k_max + 1):
+                expected = sorted(
+                    (max(abs(k1), abs(k2)), k1, k2)
+                    for k1 in range(0, k_max + 1)
+                    for k2 in range(-k_max, k_max + 1)
+                    if (k1 > 0 or k2 >= 0) and k_min <= max(abs(k1), abs(k2)) <= k_max
+                )
+                got = frequency_pairs(k_min, k_max)
+                assert got.dtype == np.dtype(int)
+                assert got.tolist() == [[k1, k2] for _, k1, k2 in expected], (k_min, k_max)
+
     def test_bad_range(self):
         with pytest.raises(ValueError):
             frequency_pairs(3, 2)

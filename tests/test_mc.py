@@ -234,6 +234,17 @@ class TestAicBias:
         with pytest.raises(ValueError, match="0"):
             aic_bias_experiment(base, [1.0, 10.0])
 
+    @pytest.mark.parametrize(
+        "lams,match", [([0.0, 1.0, 1.0], "distinct"), ([0.0, -1.0], "nonnegative")]
+    )
+    def test_bad_grid_rejected_before_any_dataset(self, monkeypatch, lams, match):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a dataset was drawn")
+
+        monkeypatch.setattr(spatialconfound.mc, "generate_dataset", no_draws)
+        with pytest.raises(ValueError, match=match):
+            aic_bias_experiment(default_aic_plan(r=2, max_freq=6), lams)
+
     def test_requires_spatial_estimator(self):
         base = default_aic_plan(r=2, max_freq=6)
         base = replace(base, estimators=(EstimatorSpec(kind=EstimatorKind.GSEM, max_freq=6),))

@@ -9,10 +9,8 @@ import pytest
 from spatialconfound import (
     BasisSet,
     CollinearityError,
-    Observations,
     empty_basis,
     fit_pls,
-    fit_rsr,
     fourier_basis,
     generate_dataset,
     make_grid,
@@ -235,6 +233,11 @@ class TestGridIsPointwise:
             fit = fit_pls(y, F, b, lam)
             assert (sweep.edf[i], sweep.gcv[i], sweep.aic[i]) == (fit.edf, fit.gcv, fit.aic)
             assert np.array_equal(sweep.fixed_coefs[i], fit.fixed_coefs)
+            assert np.array_equal(sweep.basis_coefs[i], fit.basis_coefs)
+            one = sweep_lambda(y, F, b, lam)
+            assert (sweep.sigma2[i], sweep.V[i].tobytes()) == (one.sigma2[0], one.V[0].tobytes())
+            s_inv = sweep.V[i] @ sweep.V[i].T
+            assert np.array_equal(sweep.sigma2[i] * 0.5 * (s_inv + s_inv.T), fit.cov_fixed)
 
     def test_default_grid_choice_is_the_one_point_fit(self, problem):
         y, F, b = problem
@@ -269,15 +272,18 @@ class TestDenseOracle:
 
 
 class TestSelectLambdaGcv:
-    @pytest.mark.parametrize("lam", [0.0, 3.7, math.inf])
+    @pytest.mark.parametrize(
+        "lam", [0.0, 3.7, math.inf, 2, pytest.param(np.float64(3.7), id="float64")]
+    )
     def test_singleton_grid(self, lam):
-        # A fixed lambda is the one-point grid: the same fit, bit for bit.
+        # A fixed lambda, given alone or as a list, is the one-point grid:
+        # the same fit, bit for bit.
         y, F, b = random_problem(9)
-        sel = select_lambda_gcv(y, F, b, [lam])
         ref = fit_pls(y, F, b, lam)
-        assert sel.lam == lam
-        for field in ("fixed_coefs", "cov_fixed", "edf", "aic", "residuals"):
-            assert np.array_equal(getattr(sel, field), getattr(ref, field))
+        assert ref.lam == lam
+        for sel in (select_lambda_gcv(y, F, b, [lam]), select_lambda_gcv(y, F, b, lam)):
+            for name, value in vars(ref).items():
+                assert np.array_equal(getattr(sel, name), value), name
 
     def test_noiseless_response_in_span_interpolated(self):
         y, F, b = random_problem(10, noise=0.0)
@@ -373,23 +379,17 @@ class TestCollinearity:
 
 
 class TestNonOrthogonalBasis:
-    def test_rejected_by_every_entry_point(self):
-        y, F, b = random_problem(21)
-        obs = Observations(Z=F[:, 1], C=F[:, 2], Y=y, grid=make_grid(8))
+    def test_rejected_when_built(self):
+        # Orthogonality is checked once, when a basis is built, so no solver
+        # entry point can receive a basis that fails it.
+        _, _, b = random_problem(21)
         zeroed = b.columns.copy()
         zeroed[:, 0] = 0.0
-        for bad in (
-            replace(b, columns=b.columns + 0.1 * b.columns[:, :1]),
-            replace(b, columns=zeroed),
-        ):
-            for call in (
-                lambda: fit_pls(y, F, bad, 1.0),
-                lambda: sweep_lambda(y, F, bad, [0.0, 1.0]),
-                lambda: select_lambda_gcv(y, F, bad),
-                lambda: fit_rsr(obs, bad),
-            ):
-                with pytest.raises(ValueError, match="orthogonal"):
-                    call()
+        for columns in (b.columns + 0.1 * b.columns[:, :1], zeroed):
+            with pytest.raises(ValueError, match="orthogonal"):
+                replace(b, columns=columns)
+            with pytest.raises(ValueError, match="orthogonal"):
+                BasisSet(columns=columns, freq=b.freq, penalty=b.penalty, max_freq=b.max_freq)
 
 
 class TestProjectOut:
