@@ -18,14 +18,17 @@ and a is the least-squares solution on the q-column augmented design
 
 where F_perp = F - B (W / d0) and y_perp = y - B (b / d0) are residualized
 on the basis (its normal matrix is the Schur complement
-S = F_perp'F_perp + W' delta W, which is never formed).  ``_Solver`` sets
-this up once per (y, F, B) and answers a whole lambda grid with one stacked
-SVD call, an SVD of a q-column matrix per lambda: lam = 0 (delta = 0),
-finite lam, lam = +inf (1/D = 0, the basis pinned to zero) and p = 0
-(F_perp = F) are all rows of the same array formulas, sigma2, GCV and AIC
-included.  Its one result is a ``LambdaSweep``.  ``sweep_lambda`` returns
-it, ``select_lambda_gcv`` fits its GCV minimizer (one real lambda is the
-one-point grid), and ``fit_pls`` is ``select_lambda_gcv`` at one lambda.
+S = F_perp'F_perp + W' delta W, which is never formed).  ``_Solver`` forms
+B'[F y] and one R factor of [F_perp y_perp] once per (y, F, B): its leading
+block is R of F_perp, c = Q'y_perp sits above it in the last column, and the
+rest of that column is the part of y_perp outside col(F_perp).  A lambda
+grid is then one stacked SVD call, of [R; sqrt(delta) W] per lambda:
+lam = 0 (delta = 0), finite lam, lam = +inf (1/D = 0, the basis pinned to
+zero) and p = 0 (F_perp = F) are all rows of the same array formulas,
+sigma2, GCV and AIC included.  Its one result is a ``LambdaSweep``.
+``sweep_lambda`` returns it, ``select_lambda_gcv`` fits its GCV minimizer
+(one real lambda is the one-point grid), and ``fit_pls`` is
+``select_lambda_gcv`` at one lambda.
 
 Conventions pinned here and relied on elsewhere:
 
@@ -99,10 +102,9 @@ class LambdaSweep:
     V: np.ndarray  # (L, q, q)
 
 
-# libm's pow and log, as Python floats use them: numpy's square and SIMD log
-# differ from them in the last bit for about one argument in a thousand, and
-# numpy's log also varies with the CPU's vector extensions.
-_pow = np.vectorize(math.pow, otypes=[float])
+# libm's log, as Python floats use it: numpy's SIMD log differs from it in
+# the last bit for about one argument in a thousand, and varies with the
+# CPU's vector extensions.
 _log = np.vectorize(math.log, otypes=[float])
 
 
@@ -159,18 +161,15 @@ class _Solver:
                 f"fixed design has {F.shape[1]} columns for {F.shape[0]} rows",
                 columns=tuple(self._names()),
             )
-        B = basis.columns
+        B, q = basis.columns, F.shape[1]
         self.d0 = basis.d0
-        self.W = B.T @ F
-        self.b = B.T @ y
-        F_perp = F - B @ (self.W / self.d0[:, None])
-        y_perp = y - B @ (self.b / self.d0)
-        # F_perp = Q R: R has the singular values of F_perp, and each lambda
-        # then works on q + p rows instead of n + p.
-        Q, self.R = np.linalg.qr(F_perp)
-        self.c = Q.T @ y_perp
-        r = y_perp - Q @ self.c
-        self.rss_perp = float(r @ r)
+        X = np.column_stack([F, y])
+        WX = B.T @ X
+        # R of [F_perp y_perp]: each lambda then works on q + p rows, not n + p.
+        R = np.linalg.qr(X - B @ (WX / self.d0[:, None]), mode="r")
+        self.W, self.b = WX[:, :q], WX[:, q]
+        self.R, self.c = R[:q, :q], R[:q, q]
+        self.rss_perp = float(R[q:, q] @ R[q:, q])
 
     def _names(self) -> list[str]:
         if self.fixed_names is not None:
@@ -231,7 +230,7 @@ class _Solver:
         fits, fitted = n - edf > 0, rss > 0
         denom = np.where(fits, n - edf, 1.0)
         sigma2 = np.where(fits, rss / denom, math.inf)
-        gcv = np.where(fits, n * rss / _pow(denom, 2.0), math.inf)
+        gcv = np.where(fits, n * rss / (denom * denom), math.inf)
         aic = np.where(fitted, n * _log(np.where(fitted, rss, n) / n) + 2.0 * edf, -math.inf)
         rows = (rss, edf, gcv, aic, a, inv_D * gap, sigma2, V)
         return LambdaSweep(np.array(lams), *(x[:L] for x in rows))
