@@ -44,6 +44,12 @@ class BasisSet:
     d0: np.ndarray = field(init=False, repr=False)  # (p,) diagonal of B'B
 
     def __post_init__(self):
+        for name in ("freq", "penalty"):
+            shape = np.shape(getattr(self, name))
+            if shape != (self.p,):
+                raise ValueError(
+                    f"basis {name} must have one entry per column ({self.p}), got shape {shape}"
+                )
         gram = self.gram()
         d0 = _readonly(np.diag(gram).copy())
         np.fill_diagonal(gram, 0.0)  # in place: no p x p temporaries
@@ -114,16 +120,21 @@ def fourier_basis(grid: LocationGrid, max_freq: int) -> BasisSet:
     )
 
 
+def _check_cutoff(cutoff, max_freq: int) -> None:
+    """Raise ``ValueError`` unless ``cutoff`` is an integer in [1, max_freq]."""
+    if not isinstance(cutoff, (int, np.integer)) or isinstance(cutoff, bool):
+        raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
+    if not (1 <= cutoff <= max_freq):
+        raise ValueError(f"cutoff must be in [1, {max_freq}], got {cutoff}")
+
+
 def restrict_low_frequency(b: BasisSet, cutoff: int) -> BasisSet:
     """Keep exactly the columns with frequency label <= cutoff.
 
     Penalty entries are carried over unchanged.  Requires
     1 <= cutoff <= b.max_freq.
     """
-    if not isinstance(cutoff, (int, np.integer)) or isinstance(cutoff, bool):
-        raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
-    if not (1 <= cutoff <= b.max_freq):
-        raise ValueError(f"cutoff must be in [1, {b.max_freq}], got {cutoff}")
+    _check_cutoff(cutoff, b.max_freq)
     keep = b.freq <= cutoff
     return BasisSet(
         columns=_readonly(b.columns[:, keep]),

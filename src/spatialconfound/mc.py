@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .basis import BasisSet, fourier_basis
+from .basis import BasisSet, _check_cutoff, fourier_basis
 from .dgp import ScenarioConfig, config_hash, generate_dataset
 from .errors import DegeneracyError
 from .estimators import EstimatorKind, Smoothing, _fixed_design, fit_estimator
@@ -69,12 +69,29 @@ _TRIO = (EstimatorKind.SPATIAL, EstimatorKind.SPATIAL_PLUS, EstimatorKind.GSEM)
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """One estimator plus its basis / smoothing settings inside a plan."""
+    """One estimator plus its basis / smoothing settings inside a plan.
+
+    Checked when built, so that a bad plan fails before any dataset is
+    drawn: every kind but the non-spatial one needs ``max_freq``,
+    ``spatial-plus-lowfreq`` needs a ``cutoff`` in [1, max_freq], and a
+    ``smoothing`` other than None must be one nonnegative real or a grid of
+    distinct ones.  The values are stored as given.
+    """
 
     kind: EstimatorKind
     max_freq: Optional[int] = None
     smoothing: Smoothing = None
     cutoff: Optional[int] = None
+
+    def __post_init__(self):
+        if self.kind is not EstimatorKind.NONSPATIAL_OLS and self.max_freq is None:
+            raise ValueError(f"estimator {self.name!r} needs max_freq for its basis")
+        if self.kind is EstimatorKind.SPATIAL_PLUS_LOWFREQ:
+            if self.cutoff is None:
+                raise ValueError(f"estimator {self.name!r} needs a cutoff")
+            _check_cutoff(self.cutoff, self.max_freq)
+        if self.smoothing is not None:
+            _distinct_lambdas(self.smoothing)
 
     @property
     def name(self) -> str:
@@ -151,8 +168,6 @@ def _bases(plan: MCPlan) -> dict[int, BasisSet]:
     for spec in plan.estimators:
         if spec.kind is EstimatorKind.NONSPATIAL_OLS:
             continue
-        if spec.max_freq is None:
-            raise ValueError(f"estimator {spec.name!r} needs max_freq for its basis")
         if spec.max_freq not in bases:
             bases[spec.max_freq] = fourier_basis(grid, spec.max_freq)
     return bases

@@ -123,15 +123,20 @@ def _is_real(value) -> bool:
 
 
 def _as_lambdas(values) -> list[float]:
-    """A smoothing grid as floats; one real number (not a bool) is the
-    one-point grid."""
-    lams = [float(values)] if _is_real(values) else [float(v) for v in values]
+    """A smoothing grid as floats; one real number is the one-point grid.
+
+    A string or a bool, alone or in a grid, is refused, not read as a number.
+    """
+    bare = _is_real(values) or isinstance(values, (str, bool, np.bool_))
+    lams = [values] if bare else list(values)
     if not lams:
         raise ValueError("lambda grid must be nonempty")
     for v in lams:
+        if not _is_real(v):
+            raise ValueError(f"lambda values must be real numbers, got {v!r}")
         if math.isnan(v) or v < 0:
-            raise ValueError(f"lambda values must be nonnegative, got {v}")
-    return lams
+            raise ValueError(f"lambda values must be nonnegative, got {float(v)}")
+    return [float(v) for v in lams]
 
 
 def _distinct_lambdas(values) -> list[float]:

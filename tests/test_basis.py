@@ -1,5 +1,7 @@
 """Fourier tensor basis: counts, orthogonality, restriction, penalties."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,15 @@ def test_d0_is_the_gram_diagonal(cutoff):
         b = restrict_low_frequency(b, cutoff)
     assert np.array_equal(b.d0, np.diag(b.gram()))
     assert not b.d0.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["freq", "penalty"])
+def test_labels_need_one_entry_per_column(name):
+    # A short penalty used to fail only at fit time, as a broadcast error.
+    b = fourier_basis(make_grid(8), 3)
+    for short in (getattr(b, name)[:-1], getattr(b, name)[None]):
+        with pytest.raises(ValueError, match=name):
+            replace(b, **{name: short})
 
 
 def test_empty_basis():

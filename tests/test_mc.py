@@ -76,6 +76,33 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="unique"):
             small_plan(estimators=specs)
 
+    @pytest.mark.parametrize(
+        "settings, match",
+        [
+            ({"kind": EstimatorKind.SPATIAL, "max_freq": None}, "max_freq"),
+            ({"kind": EstimatorKind.SPATIAL_PLUS_LOWFREQ}, "cutoff"),
+            ({"kind": EstimatorKind.SPATIAL_PLUS_LOWFREQ, "cutoff": 0}, "cutoff"),
+            ({"kind": EstimatorKind.SPATIAL_PLUS_LOWFREQ, "cutoff": 5}, "cutoff"),
+            ({"kind": EstimatorKind.SPATIAL, "smoothing": [0.0, 1.0, 1.0]}, "distinct"),
+            ({"kind": EstimatorKind.SPATIAL, "smoothing": "12"}, "real numbers"),
+        ],
+        ids=["no-max-freq", "no-cutoff", "cutoff-0", "cutoff-above-max-freq",
+             "repeated-grid", "string-smoothing"],
+    )
+    def test_bad_settings_rejected_before_any_dataset(self, monkeypatch, settings, match):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a dataset was drawn")
+
+        monkeypatch.setattr(spatialconfound.mc, "generate_dataset", no_draws)
+        with pytest.raises(ValueError, match=match):
+            run_mc(small_plan(estimators=(EstimatorSpec(**{"max_freq": 4, **settings}),)))
+
+    def test_settings_stored_as_given(self):
+        spec = EstimatorSpec(
+            kind=EstimatorKind.SPATIAL_PLUS_LOWFREQ, max_freq=4, smoothing=(3, 1.5), cutoff=2
+        )
+        assert (spec.max_freq, spec.smoothing, spec.cutoff) == (4, (3, 1.5), 2)
+
     def test_replaced_config_recomputes_targets(self):
         plan = default_scenario_plan(SCENARIO_STRONG_EXPOSURE, r=2)
         other = scenario_config(SCENARIO_STRONG_OUTCOME)

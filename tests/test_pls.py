@@ -20,7 +20,7 @@ from spatialconfound import (
     sweep_lambda,
 )
 from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE
-from spatialconfound.pls import DEFAULT_LAMBDA_GRID
+from spatialconfound.pls import DEFAULT_LAMBDA_GRID, _Solver
 
 
 def toy_basis(column, penalty):
@@ -307,6 +307,18 @@ class TestSelectLambdaGcv:
         with pytest.raises(ValueError):
             select_lambda_gcv(y, F, b, [-1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "grid",
+        ["12", True, np.True_, [True, 2.0], [0.0, "1"]],
+        ids=["str", "bool", "np-bool", "bool-in-grid", "str-in-grid"],
+    )
+    def test_strings_and_bools_rejected(self, grid):
+        # Not read as a number: "12" used to be the grid [1.0, 2.0].
+        y, F, b = random_problem(12)
+        for call in (select_lambda_gcv, sweep_lambda):
+            with pytest.raises(ValueError, match="real numbers"):
+                call(y, F, b, grid)
+
 
 class TestCollinearity:
     def test_duplicate_fixed_column_named(self):
@@ -376,6 +388,31 @@ class TestCollinearity:
         wide = np.column_stack([np.eye(16), np.ones(16)])  # 17 fixed columns, no basis
         with pytest.raises(CollinearityError):
             fit_pls(np.ones(16), wide, empty_basis(16), 0.0)
+
+
+class TestExactFit:
+    """q = n and p = 0: the fixed design spans every response."""
+
+    def test_nothing_outside_the_fixed_span(self):
+        # The R factor of [F y] has no row below the F block, so the part of
+        # y outside col(F) is exactly zero, not an n-row round-off sum.
+        rng = np.random.default_rng(3)
+        y, F = rng.normal(size=6), rng.normal(size=(6, 6))
+        assert _Solver(y, F, empty_basis(6), None).rss_perp == 0.0
+        sweep = sweep_lambda(y, F, empty_basis(6), [0.0])
+        assert sweep.edf[0] == 6
+        assert sweep.sigma2[0] == math.inf and sweep.gcv[0] == math.inf
+        assert sweep.rss[0] < 1e-24 * (y @ y)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_interpolation_exact_in_floating_point(self, scale):
+        # A solve with no round-off leaves RSS = 0: sigma2 and GCV are inf
+        # and AIC is -inf, with no RuntimeWarning.
+        y = np.arange(1.0, 6.0)
+        sweep = sweep_lambda(y, scale * np.eye(5)[::-1], empty_basis(5), [0.0])
+        assert sweep.rss[0] == 0.0
+        assert (sweep.sigma2[0], sweep.gcv[0], sweep.aic[0]) == (math.inf, math.inf, -math.inf)
+        assert np.array_equal(sweep.fixed_coefs[0], y[::-1] / scale)
 
 
 class TestNonOrthogonalBasis:
