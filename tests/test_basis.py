@@ -139,7 +139,7 @@ def test_d0_is_the_gram_diagonal(cutoff):
 
 @pytest.mark.parametrize("name", ["freq", "penalty"])
 def test_labels_need_one_entry_per_column(name):
-    # A short penalty used to fail only at fit time, as a broadcast error.
+    # Checked when built, so a fit never meets it as a broadcast error.
     b = fourier_basis(make_grid(8), 3)
     for short in (getattr(b, name)[:-1], getattr(b, name)[None]):
         with pytest.raises(ValueError, match=name):

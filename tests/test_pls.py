@@ -313,7 +313,7 @@ class TestSelectLambdaGcv:
         ids=["str", "bool", "np-bool", "bool-in-grid", "str-in-grid"],
     )
     def test_strings_and_bools_rejected(self, grid):
-        # Not read as a number: "12" used to be the grid [1.0, 2.0].
+        # Neither is read as a number: "12" is not the grid [1.0, 2.0].
         y, F, b = random_problem(12)
         for call in (select_lambda_gcv, sweep_lambda):
             with pytest.raises(ValueError, match="real numbers"):
