@@ -39,9 +39,10 @@ for name, f in (("low [1,2]", low), ("high [6,10]", high), ("iid", noise)):
 inner = float(low @ high)
 print(f"\n<low, high> = {inner:.2e} (disjoint bands, exact orthogonality)")
 
-# The Fourier tensor basis: orthogonal columns, squared norm n/2.
+# The Fourier tensor basis: orthogonal columns, squared norm n/2.  The fits
+# reach it through FFTs; its n x p columns are evaluated here, on first read.
 basis = fourier_basis(grid, max_freq=10)
-gram = basis.gram()
+gram = basis.columns.T @ basis.columns
 off = gram - np.diag(np.diag(gram))
 print(f"\nbasis: p={basis.p} columns, labels 1..{basis.max_freq}")
 print(f"gram diagonal ~ n/2 = {grid.n / 2}; max off-diagonal {np.abs(off).max():.2e}")

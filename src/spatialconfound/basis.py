@@ -5,7 +5,9 @@ the two columns cos(2 pi k.s) and sin(2 pi k.s).  On a regular grid all
 columns are mutually orthogonal, orthogonal to the constant, and have
 squared norm n/2, which is what makes frequency-band arguments exact:
 disjoint bands span orthogonal subspaces, and a field synthesized inside a
-band lies exactly in the span of that band's columns.
+band lies exactly in the span of that band's columns.  On the grid the
+basis is kept as its frequency pairs, and its products are 2-D FFTs (see
+``BasisSet``).
 
 Penalty weights grow polynomially with the frequency label, so a single
 smoothing parameter shrinks high frequencies harder, in the spirit of a
@@ -16,40 +18,71 @@ belongs to the fixed-effects design.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
+from . import fields
 from .fields import LocationGrid, frequency_pairs, _readonly
 
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Evaluated spatial basis columns with per-column frequency labels.
+    """A spatial basis B (n x p) with per-column frequency labels.
 
     ``freq[j]`` is the max-norm of column j's frequency pair and
     ``penalty[j]`` its diagonal penalty weight.  ``max_freq`` records the
     truncation level the basis was built (or restricted) to.
 
     The penalized solver in ``pls`` requires nonzero, mutually orthogonal
-    columns (a diagonal ``gram()``), as the Fourier basis has on its grid.
-    Building a basis checks this once, and ``d0`` keeps the diagonal: a
-    column of zero norm, or an off-diagonal entry above 1e-12 times the
-    largest diagonal entry, is a ``ValueError``.
+    columns, B'B = diag(d0), and reaches B only through ``analyze`` (B'X)
+    and ``synthesize`` (B G).  A basis comes in one of two kinds:
+
+    - Spectral, built by ``fourier_basis`` or ``restrict_low_frequency``
+      without ``columns``: it is its ``grid`` and frequency ``pairs``,
+      column 2t being cos(2 pi k_t.s) and column 2t+1 sin(2 pi k_t.s).
+      ``analyze`` is one real 2-D FFT and ``synthesize`` one inverse FFT,
+      and d0 = n/2 holds on the grid analytically.  The n x p ``columns``
+      are evaluated only when read (by a test or a demo); ``gram()`` is
+      the exact (n/2) I.
+    - Dense, given explicit ``columns`` (a user basis, ``empty_basis``, or
+      ``replace(b, columns=...)`` of any basis, which drops ``grid`` and
+      ``pairs``): the products are matrix products, and building the basis
+      checks the orthogonality once and keeps d0, the diagonal of B'B.  A
+      column of zero norm, or an off-diagonal entry above 1e-12 times the
+      largest diagonal entry, is a ``ValueError``.
     """
 
-    columns: np.ndarray  # (n, p)
+    columns: Optional[np.ndarray] = field(repr=False)  # (n, p)
     freq: np.ndarray  # (p,) int
     penalty: np.ndarray  # (p,) float
     max_freq: int
+    grid: Optional[LocationGrid] = field(default=None, repr=False)
+    pairs: Optional[np.ndarray] = None  # (p/2, 2) frequency pairs of a spectral basis
     d0: np.ndarray = field(init=False, repr=False)  # (p,) diagonal of B'B
+    _cells: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
+        spectral = self.columns is None
+        if spectral:
+            if self.grid is None or self.pairs is None:
+                raise ValueError("a basis without columns needs its grid and frequency pairs")
+            _check_pairs(self.pairs, self.grid.m)
+            object.__setattr__(self, "_cells", fields.cell_order(self.grid))
+            object.__delattr__(self, "columns")  # evaluated on first read
+        else:
+            object.__setattr__(self, "grid", None)
+            object.__setattr__(self, "pairs", None)
+            object.__setattr__(self, "_cells", None)
         for name in ("freq", "penalty"):
             shape = np.shape(getattr(self, name))
             if shape != (self.p,):
                 raise ValueError(
                     f"basis {name} must have one entry per column ({self.p}), got shape {shape}"
                 )
+        if spectral:
+            object.__setattr__(self, "d0", _readonly(np.full(self.p, self.n / 2)))
+            return
         gram = self.gram()
         d0 = _readonly(np.diag(gram).copy())
         np.fill_diagonal(gram, 0.0)  # in place: no p x p temporaries
@@ -62,17 +95,73 @@ class BasisSet:
             )
         object.__setattr__(self, "d0", d0)
 
+    def __getattr__(self, name):
+        # Reached only for the columns of a spectral basis not yet read.
+        if name != "columns" or self.__dict__.get("pairs") is None:
+            raise AttributeError(name)
+        columns = _fourier_columns(self.grid, self.pairs)
+        object.__setattr__(self, "columns", columns)
+        return columns
+
     @property
     def p(self) -> int:
-        return self.columns.shape[1]
+        return self.columns.shape[1] if self.pairs is None else 2 * len(self.pairs)
 
     @property
     def n(self) -> int:
-        return self.columns.shape[0]
+        return self.columns.shape[0] if self.pairs is None else self.grid.n
+
+    def analyze(self, X) -> np.ndarray:
+        """B'X for X of shape (n,) or (n, c)."""
+        X = np.asarray(X, dtype=float)
+        if self.pairs is None:
+            return self.columns.T @ X
+        out = np.empty((self.p,) + X.shape[1:])
+        out[0::2], out[1::2] = fields.analyze(self.grid.m, self._cells, self.pairs, X)
+        return out
+
+    def synthesize(self, G) -> np.ndarray:
+        """B G for G of shape (p,) or (p, c)."""
+        G = np.asarray(G, dtype=float)
+        if self.pairs is None:
+            return self.columns @ G
+        return fields.synthesize(self.grid.m, self._cells, self.pairs, G[0::2], G[1::2])
 
     def gram(self) -> np.ndarray:
-        """B'B."""
+        """B'B; for a spectral basis the exact diag(d0), with no round-off."""
+        if self.pairs is not None:
+            return np.diag(self.d0)
         return self.columns.T @ self.columns
+
+
+def _check_pairs(pairs, m: int) -> None:
+    """Raise ``ValueError`` unless ``pairs`` are distinct integer pairs with
+    k1 > 0, or k1 = 0 < k2, and max-norm at most (m - 1)//2: the pairs whose
+    cos and sin columns have B'B = (n/2) I on the m x m grid."""
+    pairs = np.asarray(pairs)
+    ok = pairs.ndim == 2 and pairs.shape[1:] == (2,) and len(pairs) > 0
+    ok = ok and np.issubdtype(pairs.dtype, np.integer)
+    if ok:
+        k1, k2 = pairs[:, 0], pairs[:, 1]
+        ok = (
+            np.all((k1 > 0) | ((k1 == 0) & (k2 > 0)))
+            and np.abs(pairs).max() <= (m - 1) // 2
+            and len(np.unique(pairs, axis=0)) == len(pairs)
+        )
+    if not ok:
+        raise ValueError(
+            "frequency pairs must be distinct integer representatives (k1 > 0, or "
+            f"k1 = 0 < k2) with max-norm at most {(m - 1) // 2} for an m={m} grid"
+        )
+
+
+def _fourier_columns(grid: LocationGrid, pairs: np.ndarray) -> np.ndarray:
+    """The n x p matrix [cos(2 pi k.s), sin(2 pi k.s)] per pair, read-only."""
+    phases = 2.0 * np.pi * (grid.coords @ pairs.T.astype(float))
+    columns = np.empty((grid.n, 2 * len(pairs)))
+    columns[:, 0::2] = np.cos(phases)
+    columns[:, 1::2] = np.sin(phases)
+    return _readonly(columns)
 
 
 def empty_basis(n: int) -> BasisSet:
@@ -86,15 +175,16 @@ def empty_basis(n: int) -> BasisSet:
 
 
 def fourier_basis(grid: LocationGrid, max_freq: int) -> BasisSet:
-    """Build the Fourier tensor basis up to frequency label ``max_freq``.
+    """The spectral Fourier tensor basis up to frequency label ``max_freq``.
 
     Columns come in (cos, sin) pairs per frequency representative, ordered
     by (label, k1, k2).  The penalty weight of a column labeled f is
-    f**2.
+    f**2.  No n x p array is built: see ``BasisSet``.
 
     ``max_freq`` must satisfy 1 <= max_freq <= (m - 1)//2 so that all
     columns stay strictly below the grid Nyquist frequency and the exact
-    orthogonality relations hold.
+    orthogonality relations hold.  The grid's coordinates must be its m x m
+    cell centres, in any row order.
     """
     if not isinstance(max_freq, (int, np.integer)) or isinstance(max_freq, bool):
         raise ValueError(f"max_freq must be an integer, got {max_freq!r}")
@@ -105,18 +195,14 @@ def fourier_basis(grid: LocationGrid, max_freq: int) -> BasisSet:
             f"(aliasing guard), got {max_freq}"
         )
     pairs = frequency_pairs(1, int(max_freq))
-    labels = np.abs(pairs).max(axis=1)
-    phases = 2.0 * np.pi * (grid.coords @ pairs.T.astype(float))
-    columns = np.empty((grid.n, 2 * len(pairs)))
-    columns[:, 0::2] = np.cos(phases)
-    columns[:, 1::2] = np.sin(phases)
-    freq = np.repeat(labels, 2)
-    penalty = freq.astype(float) ** 2
+    freq = np.repeat(np.abs(pairs).max(axis=1), 2)
     return BasisSet(
-        columns=_readonly(columns),
+        columns=None,
         freq=freq,
-        penalty=penalty,
+        penalty=freq.astype(float) ** 2,
         max_freq=int(max_freq),
+        grid=grid,
+        pairs=pairs,
     )
 
 
@@ -136,11 +222,17 @@ def restrict_low_frequency(b: BasisSet, cutoff: int) -> BasisSet:
     """
     _check_cutoff(cutoff, b.max_freq)
     keep = b.freq <= cutoff
+    if b.pairs is None:
+        columns, pairs = _readonly(b.columns[:, keep]), None
+    else:
+        columns, pairs = None, b.pairs[keep[0::2]]
     return BasisSet(
-        columns=_readonly(b.columns[:, keep]),
+        columns=columns,
         freq=b.freq[keep].copy(),
         penalty=b.penalty[keep].copy(),
         max_freq=int(cutoff),
+        grid=b.grid,
+        pairs=pairs,
     )
 
 

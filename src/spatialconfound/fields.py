@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -147,6 +147,86 @@ def frequency_pairs(k_min: int, k_max: int) -> np.ndarray:
     return np.column_stack([k1[order], k2[order]]).astype(int)
 
 
+def cell_order(grid: LocationGrid) -> Optional[np.ndarray]:
+    """Each row's cell index j*m + i, or None when the rows are in cell order.
+
+    The cell of a row is read from its coordinates, rint(coords*m - 0.5) =
+    (i, j), so a grid whose rows are a permutation of the cell centres
+    works with the FFTs below.  Raises ``ValueError`` for coordinates that
+    are not the m x m cell centres in some row order.
+    """
+    m, coords = grid.m, np.asarray(grid.coords, dtype=float)
+    if coords.shape != (m * m, 2):
+        raise ValueError(f"grid coordinates have shape {coords.shape}, not ({m * m}, 2)")
+    scaled = coords * m - 0.5
+    ij = np.rint(scaled)
+    if not (np.all(np.abs(scaled - ij) <= 1e-6) and np.all((0 <= ij) & (ij < m))):
+        raise ValueError(f"grid coordinates are not the cell centres of an m={m} grid")
+    cells = (ij[:, 1] * m + ij[:, 0]).astype(np.intp)
+    if np.array_equal(cells, np.arange(m * m)):
+        return None
+    if np.bincount(cells, minlength=m * m).max() > 1:
+        raise ValueError(f"grid coordinates repeat a cell of the m={m} grid")
+    return cells
+
+
+def _in_cell_order(values: np.ndarray, cells) -> np.ndarray:
+    if cells is None:
+        return values
+    ordered = np.empty_like(values)
+    ordered[cells] = values
+    return ordered
+
+
+# The values of a grid in cell order are an (m, m) array indexed [j, i], the
+# layout the 2-D FFTs below work on.  With s = ((i + 0.5)/m, (j + 0.5)/m),
+#     exp(-2 pi i k.s) = exp(-2 pi i (k2 j + k1 i)/m) * exp(-i pi (k1 + k2)/m),
+# so pair k reads DFT bin [k2 mod m, k1] times a half-cell phase.
+def _half_cell_phase(pairs: np.ndarray, m: int, ndim: int) -> np.ndarray:
+    phase = np.exp(1j * np.pi * (pairs[:, 0] + pairs[:, 1]) / m)
+    return phase.reshape((-1,) + (1,) * (ndim - 1))
+
+
+def synthesize(m: int, cells, pairs: np.ndarray, coef_cos, coef_sin) -> np.ndarray:
+    """sum_k coef_cos[k] cos(2 pi k.s) + coef_sin[k] sin(2 pi k.s) at each row.
+
+    ``pairs`` (P, 2) need k1 in [0, m/2]; the coefficients are (P,) or
+    (P, c), giving an (n,) or (n, c) result; ``cells`` is ``cell_order`` of
+    the grid.  Each pair's complex coefficient is added into its DFT bin
+    (pairs (k1, m/2) and (k1, -m/2) share one), and the field is the real
+    part of the unnormalized inverse 2-D DFT of those bins: an inverse FFT
+    over k2 on the columns k1 <= max k1 only, then a real inverse FFT over
+    k1, which counts bins 0 < k1 < m/2 twice and so gets them halved.
+    """
+    coef_cos, coef_sin = np.asarray(coef_cos, dtype=float), np.asarray(coef_sin, dtype=float)
+    rest = coef_cos.shape[1:]
+    spectrum = np.zeros((m, int(pairs[:, 0].max()) + 1) + rest, dtype=complex)
+    np.add.at(
+        spectrum,
+        (pairs[:, 1] % m, pairs[:, 0]),
+        (coef_cos - 1j * coef_sin) * _half_cell_phase(pairs, m, coef_cos.ndim),
+    )
+    spectrum[:, 1 : (m + 1) // 2] *= 0.5
+    columns = np.fft.ifft(spectrum, axis=0, norm="forward")
+    values = np.fft.irfft(columns, n=m, axis=1, norm="forward").reshape((m * m,) + rest)
+    return values if cells is None else values[cells]
+
+
+def analyze(m: int, cells, pairs: np.ndarray, values) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_s v(s) cos(2 pi k.s), sum_s v(s) sin(2 pi k.s)) for each pair k.
+
+    ``values`` is (n,) or (n, c) in the grid's row order, giving two (P,)
+    or (P, c) arrays; ``pairs`` need k1 in [0, m/2], and ``cells`` is
+    ``cell_order`` of the grid.  A real FFT over i, then an FFT over j on
+    the columns k1 <= max k1 only: the 2-D DFT at the bins the pairs read.
+    """
+    values = _in_cell_order(np.asarray(values, dtype=float), cells)
+    rows = np.fft.rfft(values.reshape((m, m) + values.shape[1:]), axis=1)
+    spectrum = np.fft.fft(rows[:, : int(pairs[:, 0].max()) + 1], axis=0)
+    at = spectrum[pairs[:, 1] % m, pairs[:, 0]] * _half_cell_phase(-pairs, m, values.ndim)
+    return at.real, -at.imag
+
+
 def sample_grf(grid: LocationGrid, spec: SpectralSpec, seed: int) -> np.ndarray:
     """Sample a band-limited Gaussian random field on the grid, read-only.
 
@@ -154,9 +234,11 @@ def sample_grf(grid: LocationGrid, spec: SpectralSpec, seed: int) -> np.ndarray:
     a_k cos(2 pi k.s) + b_k sin(2 pi k.s) with a_k, b_k independent normals
     damped by max(|k|, 1)^(-decay), then rescaled so the empirical grid
     variance equals ``spec.variance`` exactly (skipped if the pre-rescale
-    variance is zero).
+    variance is zero).  The sum is synthesized as the real part of one
+    inverse 2-D FFT (see ``synthesize``).
 
-    Raises ``AliasingError`` when k_max exceeds m/2.
+    Raises ``AliasingError`` when k_max exceeds m/2, and ``ValueError``
+    when the grid's coordinates are not its m x m cell centres.
     """
     if not isinstance(spec, SpectralSpec):
         raise ValueError(f"expected SpectralSpec, got {type(spec).__name__}")
@@ -167,12 +249,8 @@ def sample_grf(grid: LocationGrid, spec: SpectralSpec, seed: int) -> np.ndarray:
     pairs = frequency_pairs(spec.k_min, spec.k_max)
     rng = _generator(seed)
     coefs = rng.standard_normal((len(pairs), 2))
-    if len(pairs):
-        damp = np.maximum(np.abs(pairs).max(axis=1), 1) ** (-float(spec.decay))
-        phases = 2.0 * np.pi * (grid.coords @ pairs.T.astype(float))
-        values = np.cos(phases) @ (coefs[:, 0] * damp) + np.sin(phases) @ (coefs[:, 1] * damp)
-    else:
-        values = np.zeros(grid.n)
+    damp = np.maximum(np.abs(pairs).max(axis=1), 1) ** (-float(spec.decay))
+    values = synthesize(grid.m, cell_order(grid), pairs, coefs[:, 0] * damp, coefs[:, 1] * damp)
     v = values.var()
     if v > 0.0:
         values = values * np.sqrt(spec.variance / v)
@@ -209,7 +287,7 @@ def field_dft_energy(values, grid: LocationGrid) -> dict[int, float]:
             f"field length {values.shape} does not match grid size ({grid.n},)"
         )
     m = grid.m
-    spectrum = np.fft.fft2(values.reshape(m, m))
+    spectrum = np.fft.fft2(_in_cell_order(values, cell_order(grid)).reshape(m, m))
     power = (spectrum * spectrum.conj()).real / values.size
     f = np.rint(np.fft.fftfreq(m) * m).astype(int)
     shell = np.maximum(np.abs(f)[:, None], np.abs(f)[None, :])

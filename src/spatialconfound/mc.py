@@ -478,15 +478,17 @@ def aic_bias_experiment(
     n_failed = base.R - len(fits)
     if not fits:
         raise DegeneracyError("every replication failed; no AIC/bias table to build")
-    betas = np.vstack([beta for beta, _ in fits])  # (R_ok, n_lambda)
-    aics = np.vstack([aic for _, aic in fits])
-    r_ok = betas.shape[0]
-    bias = betas.mean(axis=0) - target
+    # (n_lambda, R_ok), reduced along rows: each row then sums in the order
+    # of run_mc's cell at that lambda.
+    betas = np.column_stack([beta for beta, _ in fits])
+    aics = np.column_stack([aic for _, aic in fits])
+    r_ok = betas.shape[1]
+    bias = betas.mean(axis=1) - target
     if r_ok > 1:
-        mc_se = betas.std(axis=0, ddof=1) / np.sqrt(r_ok)
+        mc_se = betas.std(axis=1, ddof=1) / np.sqrt(r_ok)
     else:
         mc_se = np.full(len(grid_lams), np.nan)
-    mean_aic = aics.mean(axis=0)
+    mean_aic = aics.mean(axis=1)
     rows = tuple(
         AicBiasRow(
             lam=float(grid_lams[i]),

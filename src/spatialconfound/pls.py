@@ -6,7 +6,8 @@ Fits  y ~ fixed design + penalized basis,  minimizing
 
 The fixed block F (n x q) is never penalized.  The basis B (n x p) must have
 mutually orthogonal columns, B'B = diag(d0), as the Fourier basis has on its
-grid (``BasisSet`` checks this when built and keeps d0).  Then, with W = B'F,
+grid (``BasisSet`` keeps d0: n/2 for the Fourier basis, checked when built
+for a dense one).  Then, with W = B'F,
 b = B'y and D = d0 + lam * penalty, the basis block has the closed form
 
     g = (b - W a) / D,
@@ -18,13 +19,18 @@ and a is the least-squares solution on the q-column augmented design
 
 where F_perp = F - B (W / d0) and y_perp = y - B (b / d0) are residualized
 on the basis (its normal matrix is the Schur complement
-S = F_perp'F_perp + W' delta W, which is never formed).  ``_Solver`` forms
-B'[F y] and one R factor of [F_perp y_perp] once per (y, F, B): its leading
+S = F_perp'F_perp + W' delta W, which is never formed).  ``_Solver`` sets up
+once per (y, F, B): with X = [F y], it forms B'X with
+``basis.analyze`` (for the Fourier basis one real 2-D FFT), the
+back-projection B (B'X / d0) with ``basis.synthesize`` (one inverse FFT),
+and one R factor of X - B (B'X / d0) = [F_perp y_perp].  R's leading
 block is R of F_perp, c = Q'y_perp sits above it in the last column, and the
-rest of that column is the part of y_perp outside col(F_perp).  A lambda
-grid is then one stacked SVD call, of [R; sqrt(delta) W] per lambda:
-lam = 0 (delta = 0), finite lam, lam = +inf (1/D = 0, the basis pinned to
-zero) and p = 0 (F_perp = F) are all rows of the same array formulas,
+rest of that column is the part of y_perp outside col(F_perp).
+``select_lambda_gcv``'s residuals take one more ``basis.synthesize``.  The
+FFTs do not run in BLAS, so their sums do not change with its thread count.
+A lambda grid is then one stacked SVD call, of [R; sqrt(delta) W] per
+lambda: lam = 0 (delta = 0), finite lam, lam = +inf (1/D = 0, the basis
+pinned to zero) and p = 0 (F_perp = F) are all rows of the same array formulas,
 sigma2, GCV and AIC included.  Its one result is a ``LambdaSweep``.
 ``sweep_lambda`` returns it, ``select_lambda_gcv`` fits its GCV minimizer
 (one real lambda is the one-point grid), and ``fit_pls`` is
@@ -166,12 +172,12 @@ class _Solver:
                 f"fixed design has {F.shape[1]} columns for {F.shape[0]} rows",
                 columns=tuple(self._names()),
             )
-        B, q = basis.columns, F.shape[1]
+        q = F.shape[1]
         self.d0 = basis.d0
         X = np.column_stack([F, y])
-        WX = B.T @ X
+        WX = basis.analyze(X)
         # R of [F_perp y_perp]: each lambda then works on q + p rows, not n + p.
-        R = np.linalg.qr(X - B @ (WX / self.d0[:, None]), mode="r")
+        R = np.linalg.qr(X - basis.synthesize(WX / self.d0[:, None]), mode="r")
         self.W, self.b = WX[:, :q], WX[:, q]
         self.R, self.c = R[:q, :q], R[:q, q]
         self.rss_perp = float(R[q:, q] @ R[q:, q])
@@ -303,9 +309,14 @@ def select_lambda_gcv(
         edf=float(sweep.edf[i]),
         gcv=float(sweep.gcv[i]),
         aic=float(sweep.aic[i]),
-        cov_fixed=sweep.sigma2[i] * 0.5 * (s_inv + s_inv.T),
-        residuals=solver.y - (solver.F @ a + basis.columns @ g),
+        cov_fixed=_scale(sweep.sigma2[i] * 0.5, s_inv + s_inv.T),
+        residuals=solver.y - (solver.F @ a + basis.synthesize(g)),
     )
+
+
+def _scale(sigma2: float, m: np.ndarray) -> np.ndarray:
+    """sigma2 * m, taking inf * 0 as 0: an exact fit's S^-1 may hold zeros."""
+    return np.multiply(sigma2, m, out=np.zeros_like(m), where=m != 0)
 
 
 def project_out(v, onto) -> np.ndarray:

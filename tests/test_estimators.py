@@ -344,3 +344,14 @@ class TestPermutationInvariance:
             a = fit(obs, **kwargs)
             c = fit(obs_perm, **kw_perm)
             assert c.beta1_hat == pytest.approx(a.beta1_hat, rel=1e-8), fit.__name__
+
+
+class TestLargeGrid:
+    def test_spatial_plus_at_m256_builds_no_dense_basis(self):
+        # n = 65536, p = 440: the n x p basis alone would take 220 MiB.
+        config = replace(random_config(np.random.default_rng(256), m=256), e_sd=1.0)
+        obs = generate_dataset(config, 256).observations()
+        b = fourier_basis(obs.grid, 10)
+        rec = fit_spatial_plus(obs, b)
+        assert np.isfinite(rec.beta1_hat) and rec.se > 0
+        assert "columns" not in vars(b)

@@ -115,6 +115,23 @@ class TestPlanValidation:
 
 
 class TestRunMc:
+    def test_no_dense_basis_on_any_experiment_path(self, monkeypatch):
+        # Every estimator reaches the Fourier basis through its FFT products.
+        def refuse(*args):
+            raise AssertionError("the dense Fourier columns were built")
+
+        monkeypatch.setattr(spatialconfound.basis, "_fourier_columns", refuse)
+        every_kind = tuple(
+            EstimatorSpec(kind=k, max_freq=None if k is EstimatorKind.NONSPATIAL_OLS else 4,
+                          cutoff=2 if k is EstimatorKind.SPATIAL_PLUS_LOWFREQ else None)
+            for k in EstimatorKind
+        )
+        summary = run_mc(small_plan(r=2, estimators=every_kind))
+        assert all(c["beta_structural"].n_success == 2 for c in summary.cells.values())
+        kind = SCENARIO_STRONG_EXPOSURE
+        scenario_experiment(kind, default_scenario_plan(kind, r=2, max_freq=6))
+        aic_bias_experiment(default_aic_plan(r=2, max_freq=6), [0.0, 1.0])
+
     def test_single_replication_flags_sd_undefined(self):
         summary = run_mc(small_plan(r=1))
         cell = summary.cells["nonspatial"]["beta_structural"]
@@ -287,6 +304,20 @@ class TestAicBias:
         cell = run_mc(replace(base, estimators=(spec,))).cells["spatial"]["beta_cond_achieved"]
         assert row.mean_bias == cell.mean_bias
         assert row.mean_aic == cell.mean_aic
+
+    @pytest.mark.parametrize("master_seed,r", [(5, 3), (6, 13), (9, 8)])
+    def test_every_row_is_its_run_mc_cell_bit_for_bit(self, master_seed, r):
+        # The table's means and standard errors sum in the order of run_mc's
+        # cells, so no row differs from its cell in the last bits.
+        lams = [0.0, 1.0, 10.0]
+        base = default_aic_plan(r=r, master_seed=master_seed, max_freq=6)
+        rows = aic_bias_experiment(base, lams).rows
+        for row, lam in zip(rows, lams):
+            spec = EstimatorSpec(kind=EstimatorKind.SPATIAL, max_freq=6, smoothing=lam)
+            cell = run_mc(replace(base, estimators=(spec,))).cells["spatial"]["beta_cond_achieved"]
+            assert (row.mean_aic, row.mean_bias, row.mc_se_of_bias) == (
+                cell.mean_aic, cell.mean_bias, cell.mc_se_of_bias
+            )
 
     def test_linalg_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -134,7 +134,7 @@ class TestLambdaLimits:
         for lam in (0.0, 3.7, math.inf):
             fit = fit_pls(y, F, b, lam)
             assert np.array_equal(
-                fit.residuals, y - (F @ fit.fixed_coefs + b.columns @ fit.basis_coefs)
+                fit.residuals, y - (F @ fit.fixed_coefs + b.synthesize(fit.basis_coefs))
             )
 
     def test_negative_lambda_rejected(self):
@@ -403,6 +403,12 @@ class TestExactFit:
         assert sweep.edf[0] == 6
         assert sweep.sigma2[0] == math.inf and sweep.gcv[0] == math.inf
         assert sweep.rss[0] < 1e-24 * (y @ y)
+
+    def test_infinite_sigma2_times_zero_is_zero(self):
+        # sigma2 = inf scales S^-1 into cov_fixed; its exact zeros stay 0,
+        # not NaN with a RuntimeWarning.
+        fit = fit_pls(np.arange(1.0, 6.0), 2.0 * np.eye(5), empty_basis(5), 0.0)
+        assert np.array_equal(fit.cov_fixed, np.where(np.eye(5) > 0, math.inf, 0.0))
 
     @pytest.mark.parametrize("scale", [1.0, 2.0])
     def test_interpolation_exact_in_floating_point(self, scale):

@@ -1,0 +1,139 @@
+"""The FFT products of a spectral basis and ``sample_grf`` against the dense
+cos/sin formulas they replace."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from spatialconfound import (
+    BasisSet,
+    LocationGrid,
+    SpectralSpec,
+    field_dft_energy,
+    fourier_basis,
+    frequency_pairs,
+    make_grid,
+    restrict_low_frequency,
+    sample_grf,
+)
+
+SIDES = [4, 5, 8, 16, 31, 32, 64]
+TOL = 1e-12
+
+
+def rel_err(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+def dense_twin(b):
+    """The same basis given explicit columns, so its products are matrix products."""
+    twin = replace(b, columns=b.columns)
+    assert twin.pairs is None and np.array_equal(twin.columns, b.columns)
+    return twin
+
+
+def permuted(grid, seed):
+    perm = np.random.default_rng(seed).permutation(grid.n)
+    return LocationGrid(m=grid.m, coords=grid.coords[perm])
+
+
+def dense_grf(grid, spec, seed):
+    """``sample_grf`` by the dense cos/sin sum over the band's pairs."""
+    pairs = frequency_pairs(spec.k_min, spec.k_max)
+    coefs = np.random.Generator(np.random.Philox(seed)).standard_normal((len(pairs), 2))
+    damp = np.maximum(np.abs(pairs).max(axis=1), 1) ** (-float(spec.decay))
+    phases = 2.0 * np.pi * (grid.coords @ pairs.T.astype(float))
+    values = np.cos(phases) @ (coefs[:, 0] * damp) + np.sin(phases) @ (coefs[:, 1] * damp)
+    v = values.var()
+    return values * np.sqrt(spec.variance / v) if v > 0 else values
+
+
+def check_products(b, seed):
+    rng = np.random.default_rng(seed)
+    twin = dense_twin(b)
+    X, G = rng.normal(size=(b.n, 3)), rng.normal(size=(b.p, 4))
+    assert rel_err(b.analyze(X), twin.analyze(X)) <= TOL
+    assert rel_err(b.analyze(X[:, 0]), twin.analyze(X[:, 0])) <= TOL
+    assert rel_err(b.synthesize(G), twin.synthesize(G)) <= TOL
+    assert rel_err(b.synthesize(G[:, 0]), twin.synthesize(G[:, 0])) <= TOL
+    assert b.analyze(X).shape == (b.p, 3) and b.synthesize(G[:, 0]).shape == (b.n,)
+
+
+@pytest.mark.parametrize("m", SIDES)
+def test_products_match_dense(m):
+    check_products(fourier_basis(make_grid(m), min(10, (m - 1) // 2)), seed=m)
+
+
+@pytest.mark.parametrize("m", [16, 31])
+def test_restricted_products_match_dense(m):
+    b = restrict_low_frequency(fourier_basis(make_grid(m), 7), 3)
+    assert b.pairs is not None and 2 * len(b.pairs) == b.p
+    check_products(b, seed=m + 1)
+
+
+@pytest.mark.parametrize("m", [5, 16])
+def test_permuted_grid_products_match_dense(m):
+    # Rows in any order: the FFT places each row by its coordinates.
+    check_products(fourier_basis(permuted(make_grid(m), m), (m - 1) // 2), seed=m + 2)
+
+
+@pytest.mark.parametrize(
+    "m,band",
+    [(4, (1, 2)), (8, (3, 4)), (16, (6, 8)), (31, (1, 15)), (32, (0, 3)), (64, (6, 10)), (5, (0, 2))],
+)
+def test_sample_grf_matches_dense(m, band):
+    # Bands reaching m/2 put two pairs in one DFT bin; k_min = 0 adds a constant.
+    spec = SpectralSpec(*band, decay=0.7, variance=2.0)
+    for grid in (make_grid(m), permuted(make_grid(m), 3)):
+        got = sample_grf(grid, spec, seed=m)
+        assert rel_err(got, dense_grf(grid, spec, seed=m)) <= TOL
+
+
+def test_shell_energies_read_each_row_at_its_cell():
+    grid = make_grid(16)
+    perm = np.random.default_rng(5).permutation(grid.n)
+    f = sample_grf(grid, SpectralSpec(2, 3), seed=6)
+    moved = LocationGrid(m=16, coords=grid.coords[perm])
+    got, ref = field_dft_energy(f[perm], moved), field_dft_energy(f, grid)
+    assert got == pytest.approx(ref, rel=1e-12, abs=1e-12 * sum(ref.values()))
+
+
+def test_fourier_basis_builds_no_dense_columns():
+    b = fourier_basis(make_grid(32), 10)
+    assert "columns" not in vars(b)
+    assert np.array_equal(b.d0, np.full(b.p, 512.0))
+    b.synthesize(b.analyze(np.ones(b.n)))
+    assert "columns" not in vars(b)
+    assert b.columns.shape == (b.n, b.p) and "columns" in vars(b)  # built on first read
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        make_grid(4).coords + 0.01,  # off the cell centres
+        np.vstack([make_grid(4).coords[:-1], make_grid(4).coords[:1]]),  # a cell twice
+        make_grid(4).coords[:-1],  # a cell missing
+        np.full((16, 2), np.nan),
+    ],
+    ids=["shifted", "repeated", "short", "nan"],
+)
+def test_grid_that_is_not_the_cell_centres_refused(coords):
+    grid = LocationGrid(m=4, coords=coords)
+    with pytest.raises(ValueError, match="grid coordinates"):
+        fourier_basis(grid, 1)
+    with pytest.raises(ValueError, match="grid coordinates"):
+        sample_grf(grid, SpectralSpec(1, 2), seed=0)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[[1, 0], [1, 0]], [[0, -1]], [[0, 0]], [[4, 0]], [[1.0, 0.0]], np.zeros((0, 2), dtype=int)],
+    ids=["repeated", "not-a-representative", "constant", "nyquist", "float", "empty"],
+)
+def test_spectral_basis_needs_orthogonal_pairs(pairs):
+    # d0 = n/2 is taken on trust, so the pairs must give B'B = (n/2) I.
+    with pytest.raises(ValueError, match="frequency pairs"):
+        BasisSet(columns=None, freq=np.ones(2 * len(pairs), dtype=int),
+                 penalty=np.ones(2 * len(pairs)), max_freq=1, grid=make_grid(8),
+                 pairs=np.asarray(pairs))
