@@ -349,7 +349,7 @@ class TestPermutationInvariance:
 class TestLargeGrid:
     def test_spatial_plus_at_m256_builds_no_dense_basis(self):
         # n = 65536, p = 440: the n x p basis alone would take 220 MiB.
-        config = replace(random_config(np.random.default_rng(256), m=256), e_sd=1.0)
+        config = random_config(np.random.default_rng(256), m=256)
         obs = generate_dataset(config, 256).observations()
         b = fourier_basis(obs.grid, 10)
         rec = fit_spatial_plus(obs, b)
