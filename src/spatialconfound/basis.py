@@ -26,7 +26,7 @@ from . import fields
 from .fields import LocationGrid, frequency_pairs, _readonly
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisSet:
     """A spatial basis B (n x p) with per-column frequency labels.
 

@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
+from typing import Optional
 
 import numpy as np
 
+from .basis import BasisSet, empty_basis
 from .errors import ConfigError, DegenerateExposureError
 from .fields import (
     FieldSpec,
@@ -40,6 +42,7 @@ from .fields import (
     sample_iid,
     _readonly,
 )
+from .pls import Moments, basis_moments
 
 OBSERVED_COLUMNS = ("x", "y", "Z", "C", "Y")
 LATENT_COLUMNS = ("S1", "S2", "E", "U", "nu", "eps")
@@ -95,19 +98,22 @@ class ScenarioConfig:
         make_grid(self.m)  # validates the range
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observations:
     """What an analyst sees: exposure, measured covariate, outcome, grid.
 
     Checked once, when built: Z, C and Y each hold one finite value per
     grid location, and there are more than 3 locations.  They are stored
     as read-only float copies, so a checked instance cannot change later.
+    That is what lets it keep, per basis, the moments every estimator
+    starts from (``moments``).
     """
 
     Z: np.ndarray
     C: np.ndarray
     Y: np.ndarray
     grid: LocationGrid
+    _moments: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.grid.n
@@ -121,9 +127,25 @@ class Observations:
             object.__setattr__(self, name, v)
         if n <= 3:
             raise ValueError(f"need more than 3 observations, got {n}")
+        object.__setattr__(self, "_moments", {})
+
+    def moments(self, b: Optional[BasisSet] = None) -> Moments:
+        """The moments of X = [1, Z, C, Y] on basis ``b`` (None: no basis).
+
+        Computed on the first call for ``b``, the basis object itself, and
+        kept: the estimators fitted on one basis share one pass over the n
+        rows.  Threads sharing an instance may each compute them once; the
+        results are the same numbers.
+        """
+        m = self._moments.get(b)
+        if m is None:
+            X = np.column_stack([np.ones(self.grid.n), self.Z, self.C, self.Y])
+            m = basis_moments(X, empty_basis(self.grid.n) if b is None else b)
+            self._moments[b] = m
+        return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """One simulated dataset with latent fields retained for oracles."""
 

@@ -24,8 +24,14 @@ Methods:
 
 Every estimator but RSR ends in one outcome regression, y on (1, z, c)
 plus a basis, with residuals in place of Z, C or Y in SpatialPlus and GSEM;
-every stage is one ``select_lambda_gcv`` call, a fixed lambda being the
-one-point grid.  The observations arrive checked (``Observations``).
+every stage is one ``select_moments`` call, a fixed lambda being the
+one-point grid.  The observations arrive checked (``Observations``), and
+every stage starts from their moments on the basis, X = [1, Z, C, Y]:
+B'X and the R factor of X less its basis part, formed once per basis and
+replication (``Observations.moments``).  A stage's design and response are
+columns X T - B G, a stage-1 residual being Z less its fitted fixed and
+basis parts, so a stage is a few small matrix products and a QR of at most
+4 + p rows (``Moments``), and no estimator forms an n-length residual.
 
 Two-stage standard errors come from the final stage only; no propagation
 of first-stage uncertainty is attempted, so coverage for those methods is
@@ -41,10 +47,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .basis import BasisSet, empty_basis, restrict_low_frequency
+from .basis import BasisSet
 from .dgp import Observations
 from .errors import DegenerateResidualError
-from .pls import FitResult, select_lambda_gcv, sweep_lambda
+from .pls import Moments, StageFit, select_moments, sweep_moments
 
 Smoothing = Union[None, float, Sequence[float]]
 
@@ -53,6 +59,10 @@ Z_CRIT_95 = 1.96
 # Stage-1 residual variance below this share of var(Z) means that, to
 # working precision, the exposure is a function of the conditioning set.
 RESIDUAL_DEGENERACY_SHARE = 1e-12
+
+# The columns of X = [1, Z, C, Y], the observations' moments, as unit vectors.
+_ONE, _Z, _C, _Y = np.eye(4)
+OUTCOME_NAMES = ("intercept", "Z", "C")
 
 
 class EstimatorKind(enum.Enum):
@@ -110,35 +120,36 @@ def _record(
     )
 
 
-def _outcome_record(kind: EstimatorKind, fit: FitResult, **parts) -> EstimateRecord:
+def _outcome_record(kind: EstimatorKind, fit: StageFit, **parts) -> EstimateRecord:
     """The record whose estimate, standard error and AIC are those of ``fit``."""
     se = float(np.sqrt(fit.cov_fixed[1, 1]))
     return _record(kind, fit.fixed_coefs[1], se, aic=fit.aic, **parts)
 
 
-def _outcome_design(z, c) -> np.ndarray:
-    """(1, z, c): the fixed columns of the outcome regression."""
-    return np.column_stack([np.ones(np.shape(z)[0]), z, c])
-
-
-def _fixed_design(obs: Observations) -> tuple[np.ndarray, list[str]]:
-    """The outcome design (1, Z, C) of the observations, with its column names."""
-    return _outcome_design(obs.Z, obs.C), ["intercept", "Z", "C"]
-
-
-def _design_cond(M: np.ndarray) -> float:
-    s = np.linalg.svd(M, compute_uv=False)
+def _design_cond(m: Moments) -> float:
+    """Condition number of the outcome design (1, Z, C), from its frame."""
+    s = np.linalg.svd(m.frame(np.column_stack([_ONE, _Z, _C])), compute_uv=False)
     return float(s[0] / s[-1]) if s[-1] > 0 else math.inf
 
 
-def _exposure_residual_share(r_z: np.ndarray, z) -> float:
-    """var(r_z) / var(Z), after checking that the residuals are not zero.
+def _residual(fixed: np.ndarray, response: np.ndarray, fit: StageFit) -> np.ndarray:
+    """t with X t = response - fixed a: a stage's residual is X t - B g."""
+    return response - fixed @ fit.fixed_coefs
 
+
+def _exposure_residual_share(m: Moments, t: np.ndarray, g: np.ndarray, z) -> float:
+    """var(r_z) / var(Z) for r_z = X t - B g, after checking that the
+    residuals are not zero.
+
+    |r_z|^2 and 1'r_z come from the coordinates of [1, r_z] (``Moments.frame``).
     Raises ``DegenerateResidualError`` when spatial adjustment leaves the
     exposure residuals numerically zero.
     """
+    frame = m.frame(np.column_stack([_ONE, t]), np.column_stack([np.zeros_like(g), g]))
+    one, r = frame[:, 0], frame[:, 1]
+    n = m.n
     var_z = float(np.asarray(z).var())
-    var_r = float(r_z.var())
+    var_r = float(r @ r) / n - (float(one @ r) / n) ** 2
     if var_z == 0.0 or var_r < RESIDUAL_DEGENERACY_SHARE * var_z:
         raise DegenerateResidualError(
             "exposure residuals are numerically zero after spatial adjustment: "
@@ -150,14 +161,14 @@ def _exposure_residual_share(r_z: np.ndarray, z) -> float:
 
 def fit_nonspatial(obs: Observations) -> EstimateRecord:
     """OLS of the outcome on (1, Z, C): the unconditional-target estimator."""
-    F, names = _fixed_design(obs)
-    fit = select_lambda_gcv(obs.Y, F, empty_basis(obs.grid.n), 0.0, names)
+    m = obs.moments()
+    fit = select_moments(m, 0.0, OUTCOME_NAMES)
     return _outcome_record(
         EstimatorKind.NONSPATIAL_OLS,
         fit,
         lambdas={},
         edf={"outcome": fit.edf},
-        diagnostics={"fixed_cond": _design_cond(F)},
+        diagnostics={"fixed_cond": _design_cond(m)},
     )
 
 
@@ -173,8 +184,8 @@ def fit_rsr(obs: Observations, b: BasisSet) -> EstimateRecord:
     edf = q + p, sigma2, AIC); the standard error is
     sqrt(sigma2 * [(F'F)^-1]_11).
     """
-    F, names = _fixed_design(obs)
-    sweep = sweep_lambda(obs.Y, F, b, [math.inf, 0.0], names)  # rows: OLS, joint
+    m = obs.moments(b)
+    sweep = sweep_moments(m, [math.inf, 0.0], OUTCOME_NAMES)  # rows: OLS, joint
     s_inv = sweep.V[0] @ sweep.V[0].T  # (F'F)^-1
     return _record(
         EstimatorKind.RSR,
@@ -183,20 +194,41 @@ def fit_rsr(obs: Observations, b: BasisSet) -> EstimateRecord:
         lambdas={},
         edf={"outcome": float(sweep.edf[1])},
         aic=sweep.aic[1],
-        diagnostics={"fixed_cond": _design_cond(F)},
+        diagnostics={"fixed_cond": _design_cond(m)},
     )
 
 
 def fit_spatial(obs: Observations, b: BasisSet, smoothing: Smoothing = None) -> EstimateRecord:
     """Penalized outcome regression with the basis entered directly."""
-    F, names = _fixed_design(obs)
-    fit = select_lambda_gcv(obs.Y, F, b, smoothing, names)
+    m = obs.moments(b)
+    fit = select_moments(m, smoothing, OUTCOME_NAMES)
     return _outcome_record(
         EstimatorKind.SPATIAL,
         fit,
         lambdas={"outcome": fit.lam},
         edf={"outcome": fit.edf},
-        diagnostics={"fixed_cond": _design_cond(F)},
+        diagnostics={"fixed_cond": _design_cond(m)},
+    )
+
+
+def _spatial_plus(
+    m: Moments, z, smoothing: Smoothing, include_c_in_stage1: bool
+) -> EstimateRecord:
+    """Spatial+ from the moments of [1, Z, C, Y] on its basis."""
+    fixed1 = np.column_stack([_ONE, _C] if include_c_in_stage1 else [_ONE])
+    names1 = ["intercept", "C"] if include_c_in_stage1 else ["intercept"]
+    stage1 = select_moments(m.columns(np.column_stack([fixed1, _Z])), smoothing, names1)
+    t, g = _residual(fixed1, _Z, stage1), stage1.basis_coefs
+    share = _exposure_residual_share(m, t, g, z)
+    zero = np.zeros_like(g)
+    m2 = m.columns(np.column_stack([_ONE, t, _C, _Y]), np.column_stack([zero, g, zero, zero]))
+    stage2 = select_moments(m2, smoothing, ["intercept", "r_Z", "C"])
+    return _outcome_record(
+        EstimatorKind.SPATIAL_PLUS,
+        stage2,
+        lambdas={"exposure": stage1.lam, "outcome": stage2.lam},
+        edf={"exposure": stage1.edf, "outcome": stage2.edf},
+        diagnostics={"exposure_residual_share": share},
     )
 
 
@@ -218,20 +250,7 @@ def fit_spatial_plus(
     Raises ``DegenerateResidualError`` when stage 1 leaves numerically zero
     residual variance (a fully spatial exposure).
     """
-    ones = np.ones(obs.grid.n)
-    F1 = np.column_stack([ones, obs.C]) if include_c_in_stage1 else ones[:, None]
-    names1 = ["intercept", "C"] if include_c_in_stage1 else ["intercept"]
-    stage1 = select_lambda_gcv(obs.Z, F1, b, smoothing, names1)
-    share = _exposure_residual_share(stage1.residuals, obs.Z)
-    F2 = _outcome_design(stage1.residuals, obs.C)
-    stage2 = select_lambda_gcv(obs.Y, F2, b, smoothing, ["intercept", "r_Z", "C"])
-    return _outcome_record(
-        EstimatorKind.SPATIAL_PLUS,
-        stage2,
-        lambdas={"exposure": stage1.lam, "outcome": stage2.lam},
-        edf={"exposure": stage1.edf, "outcome": stage2.edf},
-        diagnostics={"exposure_residual_share": share},
-    )
+    return _spatial_plus(obs.moments(b), obs.Z, smoothing, include_c_in_stage1)
 
 
 def fit_gsem(obs: Observations, b: BasisSet, smoothing: Smoothing = None) -> EstimateRecord:
@@ -242,15 +261,23 @@ def fit_gsem(obs: Observations, b: BasisSet, smoothing: Smoothing = None) -> Est
     basis, lambda = 0) of outcome residuals on exposure and covariate
     residuals.
     """
-    ones = np.ones(obs.grid.n)[:, None]
+    m = obs.moments(b)
+    ones = _ONE[:, None]
+    columns = {"outcome": _Y, "exposure": _Z, "covariate": _C}
     fits = {
-        name: select_lambda_gcv(values, ones, b, smoothing, ["intercept"])
-        for name, values in (("outcome", obs.Y), ("exposure", obs.Z), ("covariate", obs.C))
+        name: select_moments(m.columns(np.column_stack([ones, col])), smoothing, ["intercept"])
+        for name, col in columns.items()
     }
-    r_y, r_z, r_c = (fit.residuals for fit in fits.values())
-    share = _exposure_residual_share(r_z, obs.Z)
-    F = _outcome_design(r_z, r_c)
-    final = select_lambda_gcv(r_y, F, empty_basis(obs.grid.n), 0.0, ["intercept", "r_Z", "r_C"])
+    # Each residual is X t - B g.
+    t = {name: _residual(ones, columns[name], fit) for name, fit in fits.items()}
+    g = {name: fit.basis_coefs for name, fit in fits.items()}
+    share = _exposure_residual_share(m, t["exposure"], g["exposure"], obs.Z)
+    final_columns = ("exposure", "covariate", "outcome")  # r_Z, r_C, then the response r_Y
+    final_m = m.without_basis(
+        np.column_stack([_ONE] + [t[k] for k in final_columns]),
+        np.column_stack([np.zeros(b.p)] + [g[k] for k in final_columns]),
+    )
+    final = select_moments(final_m, 0.0, ["intercept", "r_Z", "r_C"])
     return _outcome_record(
         EstimatorKind.GSEM,
         final,
@@ -272,10 +299,11 @@ def fit_spatial_plus_lowfreq(
     Keeps only basis columns with frequency label <= cutoff and runs both
     stages unpenalized by default (pass a different ``smoothing`` to
     override).  Targets the coefficient conditional on C and the
-    low-frequency confounder only.
+    low-frequency confounder only.  The moments on the restricted basis
+    come from those on ``b``.
     """
-    restricted = restrict_low_frequency(b, cutoff)
-    rec = fit_spatial_plus(obs, restricted, smoothing, include_c_in_stage1)
+    m = obs.moments(b).restrict(cutoff)
+    rec = _spatial_plus(m, obs.Z, smoothing, include_c_in_stage1)
     return replace(
         rec,
         kind=EstimatorKind.SPATIAL_PLUS_LOWFREQ,

@@ -50,7 +50,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocationGrid:
     """m x m grid of cell-center locations in the unit square.
 

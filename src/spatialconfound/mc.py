@@ -34,7 +34,7 @@ import numpy as np
 from .basis import BasisSet, _check_cutoff, fourier_basis
 from .dgp import ScenarioConfig, config_hash, generate_dataset
 from .errors import DegeneracyError
-from .estimators import EstimatorKind, Smoothing, _fixed_design, fit_estimator
+from .estimators import OUTCOME_NAMES, EstimatorKind, Smoothing, fit_estimator
 from .fields import IidSpec, SpectralSpec, derive_seed, make_grid
 from .oracle import EstimandSet, compute_estimands
 from .pls import DEFAULT_LAMBDA_GRID, _distinct_lambdas, sweep_lambda
@@ -467,9 +467,9 @@ def aic_bias_experiment(
     target = base.targets.beta_cond_achieved
 
     def fit(obs):  # (exposure coefficients, AICs) per lambda
-        fixed, fixed_names = _fixed_design(obs)
+        fixed = np.column_stack([np.ones(obs.grid.n), obs.Z, obs.C])
         try:
-            sweep = sweep_lambda(obs.Y, fixed, b, grid_lams, fixed_names)
+            sweep = sweep_lambda(obs.Y, fixed, b, grid_lams, OUTCOME_NAMES)
         except DegeneracyError:
             return None
         return sweep.fixed_coefs[:, 1], sweep.aic

@@ -19,21 +19,28 @@ and a is the least-squares solution on the q-column augmented design
 
 where F_perp = F - B (W / d0) and y_perp = y - B (b / d0) are residualized
 on the basis (its normal matrix is the Schur complement
-S = F_perp'F_perp + W' delta W, which is never formed).  ``_Solver`` sets up
-once per (y, F, B): with X = [F y], it forms B'X with
-``basis.analyze`` (for the Fourier basis one real 2-D FFT), the
-back-projection B (B'X / d0) with ``basis.synthesize`` (one inverse FFT),
-and one R factor of X - B (B'X / d0) = [F_perp y_perp].  R's leading
+S = F_perp'F_perp + W' delta W, which is never formed).
+
+A fit therefore needs only the ``Moments`` of X = [F y] on the basis: B'X,
+and the R factor of X_perp = X - B (B'X / d0).  ``basis_moments`` forms them
+with one ``basis.analyze`` (for the Fourier basis one real 2-D FFT), one
+``basis.synthesize`` (one inverse FFT) and one n-row QR; the FFTs do not run
+in BLAS, so their sums do not change with its thread count.  R's leading
 block is R of F_perp, c = Q'y_perp sits above it in the last column, and the
-rest of that column is the part of y_perp outside col(F_perp).
-``select_lambda_gcv``'s residuals take one more ``basis.synthesize``.  The
-FFTs do not run in BLAS, so their sums do not change with its thread count.
+rest of that column is the part of y_perp outside col(F_perp).  The moments
+of any columns X T - B G follow from those of X without another n-row pass
+(``Moments.columns``, ``Moments.without_basis``, ``Moments.restrict``): that
+is how the two-stage estimators fit a stage on the residuals of another.
+
 A lambda grid is then one stacked SVD call, of [R; sqrt(delta) W] per
 lambda: lam = 0 (delta = 0), finite lam, lam = +inf (1/D = 0, the basis
 pinned to zero) and p = 0 (F_perp = F) are all rows of the same array formulas,
 sigma2, GCV and AIC included.  Its one result is a ``LambdaSweep``.
-``sweep_lambda`` returns it, ``select_lambda_gcv`` fits its GCV minimizer
-(one real lambda is the one-point grid), and ``fit_pls`` is
+``sweep_moments`` returns it and ``select_moments`` fits its GCV minimizer
+(one real lambda is the one-point grid), as a ``StageFit``.  The array API
+builds the moments of [F y] and calls them: ``sweep_lambda``,
+``select_lambda_gcv``, which alone forms the n residuals (one more
+``basis.synthesize``) of its ``FitResult``, and ``fit_pls``, which is
 ``select_lambda_gcv`` at one lambda.
 
 Conventions pinned here and relied on elsewhere:
@@ -61,7 +68,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import BasisSet, column_names
+from .basis import BasisSet, column_names, empty_basis, restrict_low_frequency
 from .errors import CollinearityError
 
 RCOND_COLLINEAR = 1e-10
@@ -69,9 +76,9 @@ RCOND_COLLINEAR = 1e-10
 DEFAULT_LAMBDA_GRID = tuple([0.0] + list(np.logspace(-4.0, 6.0, 41)))
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Output of one penalized fit."""
+@dataclass(frozen=True, eq=False)
+class StageFit:
+    """The penalized fit at the GCV choice of a smoothing grid."""
 
     fixed_coefs: np.ndarray
     basis_coefs: np.ndarray
@@ -80,6 +87,12 @@ class FitResult:
     gcv: float
     aic: float
     cov_fixed: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class FitResult(StageFit):
+    """A ``StageFit`` of the arrays (y, F), with its n residuals."""
+
     residuals: np.ndarray  # y - F a - B g
 
     @property
@@ -87,7 +100,7 @@ class FitResult:
         return float(self.residuals @ self.residuals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LambdaSweep:
     """The penalized fit at every lambda of a smoothing grid.
 
@@ -152,47 +165,103 @@ def _distinct_lambdas(values) -> list[float]:
     return lams
 
 
+@dataclass(frozen=True, eq=False)
+class Moments:
+    """What every penalized fit on ``basis`` needs of the columns X (n x k).
+
+    ``WX`` is B'X and ``R`` the R factor of X_perp = X - B (WX / d0), the
+    part of X orthogonal to the basis.  A column v = X t - B g, for any
+    t (k,) and basis coefficients g (p,), then has
+
+        B'v = WX t - d0 g    and    v_perp = X_perp t,
+
+    and v = Q (R t) + B h with h = WX t / d0 - g and Q'B = 0, Q'Q = I: the
+    rows [R t; sqrt(d0) h] hold v's inner products.  So the moments of any
+    columns X T - B G follow from (WX, R) alone.  B'1 is column 0 of WX when
+    X starts with the constant; it is zero only for the Fourier basis on its
+    grid, so nothing here assumes it.
+    """
+
+    basis: BasisSet
+    WX: np.ndarray  # (p, k)
+    R: np.ndarray  # (min(n, k), k), upper triangular
+
+    @property
+    def n(self) -> int:
+        return self.basis.n
+
+    def columns(self, T, G=None) -> "Moments":
+        """The moments of X T - B G (T: k x c, G: p x c, default 0) on the basis."""
+        W = self.WX @ T
+        if G is not None:
+            W = W - self.basis.d0[:, None] * G
+        return Moments(self.basis, W, np.linalg.qr(self.R @ T, mode="r"))
+
+    def frame(self, T, G=None) -> np.ndarray:
+        """[R T; sqrt(d0) H], H = WX T / d0 - G: X T - B G in orthonormal
+        coordinates, so its Gram matrix is frame' frame."""
+        d0 = self.basis.d0[:, None]
+        H = self.WX @ T / d0
+        if G is not None:
+            H = H - G
+        return np.vstack([self.R @ T, np.sqrt(d0) * H])
+
+    def without_basis(self, T, G=None) -> "Moments":
+        """The moments of X T - B G on the empty basis."""
+        R = np.linalg.qr(self.frame(T, G), mode="r")
+        return Moments(empty_basis(self.n), np.zeros((0, R.shape[1])), R)
+
+    def restrict(self, cutoff: int) -> "Moments":
+        """The moments of X on ``restrict_low_frequency(basis, cutoff)``.
+
+        X less its part on the kept columns is X_perp plus its part on the
+        dropped ones, B_drop (WX_drop / d0_drop), orthogonal to X_perp.
+        """
+        sub = restrict_low_frequency(self.basis, cutoff)
+        keep = self.basis.freq <= cutoff
+        drop = self.WX[~keep] / np.sqrt(self.basis.d0[~keep])[:, None]
+        R = np.linalg.qr(np.vstack([self.R, drop]), mode="r")
+        return Moments(sub, self.WX[keep], R)
+
+
+def basis_moments(X, basis: BasisSet) -> Moments:
+    """The moments of X (n x k) on ``basis``: one ``analyze``, one
+    ``synthesize`` and one n x k QR, or the QR alone on an empty basis."""
+    X = np.asarray(X, dtype=float)
+    if basis.n != X.shape[0]:
+        raise ValueError("basis rows do not match the response length")
+    if basis.p == 0:
+        return Moments(basis, np.zeros((0, X.shape[1])), np.linalg.qr(X, mode="r"))
+    WX = basis.analyze(X)
+    # R of X_perp: each lambda then works on k + p rows, not n + p.
+    R = np.linalg.qr(X - basis.synthesize(WX / basis.d0[:, None]), mode="r")
+    return Moments(basis, WX, R)
+
+
+def _fixed_labels(fixed_names: Optional[Sequence[str]], q: int) -> list[str]:
+    if fixed_names is not None:
+        return list(fixed_names)
+    return [f"fixed[{j}]" for j in range(q)]
+
+
 class _Solver:
-    """The penalized least-squares problem for one (y, F, B), any lambda."""
+    """The penalized least-squares problem of one stage, any lambda, from
+    the moments of [F y] on its basis."""
 
-    def __init__(self, y, fixed, basis: BasisSet, fixed_names: Optional[Sequence[str]]):
-        y = np.asarray(y, dtype=float).ravel()
-        F = np.asarray(fixed, dtype=float)
-        if F.ndim == 1:
-            F = F[:, None]
-        if F.shape[0] != y.shape[0]:
-            raise ValueError(f"fixed design has {F.shape[0]} rows for {y.shape[0]} responses")
-        if basis.n != y.shape[0]:
-            raise ValueError("basis rows do not match the response length")
-        if fixed_names is not None and len(fixed_names) != F.shape[1]:
-            raise ValueError("fixed_names length does not match the fixed design")
-        self.y, self.F, self.basis, self.fixed_names = y, F, basis, fixed_names
-        if F.shape[1] > F.shape[0]:
-            raise CollinearityError(
-                f"fixed design has {F.shape[1]} columns for {F.shape[0]} rows",
-                columns=tuple(self._names()),
-            )
-        q = F.shape[1]
-        self.d0 = basis.d0
-        X = np.column_stack([F, y])
-        WX = basis.analyze(X)
-        # R of [F_perp y_perp]: each lambda then works on q + p rows, not n + p.
-        R = np.linalg.qr(X - basis.synthesize(WX / self.d0[:, None]), mode="r")
-        self.W, self.b = WX[:, :q], WX[:, q]
-        self.R, self.c = R[:q, :q], R[:q, q]
-        self.rss_perp = float(R[q:, q] @ R[q:, q])
-
-    def _names(self) -> list[str]:
-        if self.fixed_names is not None:
-            return list(self.fixed_names)
-        return [f"fixed[{j}]" for j in range(self.F.shape[1])]
+    def __init__(self, m: Moments, fixed_names: Optional[Sequence[str]]):
+        q = m.WX.shape[1] - 1
+        self.n, self.q, self.basis, self.fixed_names = m.n, q, m.basis, fixed_names
+        self.d0 = m.basis.d0
+        self.W, self.b = m.WX[:, :q], m.WX[:, q]
+        self.R, self.c = m.R[:q, :q], m.R[:q, q]
+        self.rss_perp = float(m.R[q:, q] @ m.R[q:, q])
 
     def _require_full_rank(self, lam: float, s: np.ndarray, vt: np.ndarray) -> None:
         if s[0] > 0 and s[-1] / s[0] >= RCOND_COLLINEAR:
             return
         rcond = s[-1] / s[0] if s[0] > 0 else 0.0
         null = vt[-1]
-        names = self._names()
+        names = _fixed_labels(self.fixed_names, self.q)
         if lam == 0.0:
             # [F, B] [v; -W v / d0] = F_perp v: the joint null vector.
             what = "joint design at lambda=0"
@@ -215,7 +284,7 @@ class _Solver:
         When some lambda is positive, lam = +inf (the singular values of F)
         rides along as a last row, and its rank check precedes lam = 0's.
         """
-        (n, q), p, L = self.F.shape, self.basis.p, len(lams)
+        n, q, p, L = self.n, self.q, self.basis.p, len(lams)
         lam = np.array(list(lams) + ([math.inf] if max(lams) > 0 else []))[:, None]
         finite = np.isfinite(lam)
         pen = np.where(finite, lam, 0.0) * self.basis.penalty
@@ -245,6 +314,58 @@ class _Solver:
         aic = np.where(fitted, n * _log(np.where(fitted, rss, n) / n) + 2.0 * edf, -math.inf)
         rows = (rss, edf, gcv, aic, a, inv_D * gap, sigma2, V)
         return LambdaSweep(np.array(lams), *(x[:L] for x in rows))
+
+
+def sweep_moments(
+    m: Moments, lambdas: Sequence[float], fixed_names: Optional[Sequence[str]] = None
+) -> LambdaSweep:
+    """``sweep_lambda`` on the moments of [F y]: no n-row pass."""
+    return _Solver(m, fixed_names).solve(_as_lambdas(lambdas))
+
+
+def select_moments(
+    m: Moments,
+    lambda_grid: Optional[Sequence[float]] = None,
+    fixed_names: Optional[Sequence[str]] = None,
+) -> StageFit:
+    """``select_lambda_gcv`` on the moments of [F y], without residuals."""
+    grid = _gcv_grid(lambda_grid)
+    sweep = _Solver(m, fixed_names).solve(grid)
+    i = int(np.argmin(sweep.gcv))  # first minimum = smallest lambda
+    s_inv = sweep.V[i] @ sweep.V[i].T
+    return StageFit(
+        fixed_coefs=sweep.fixed_coefs[i],
+        basis_coefs=sweep.basis_coefs[i],
+        lam=grid[i],
+        edf=float(sweep.edf[i]),
+        gcv=float(sweep.gcv[i]),
+        aic=float(sweep.aic[i]),
+        cov_fixed=_scale(sweep.sigma2[i] * 0.5, s_inv + s_inv.T),
+    )
+
+
+def _gcv_grid(lambda_grid) -> list[float]:
+    return sorted(_distinct_lambdas(DEFAULT_LAMBDA_GRID if lambda_grid is None else lambda_grid))
+
+
+def _array_moments(y, fixed, basis: BasisSet, fixed_names) -> tuple[np.ndarray, np.ndarray, Moments]:
+    """(y, F, the moments of [F y]), after checking the arrays."""
+    y = np.asarray(y, dtype=float).ravel()
+    F = np.asarray(fixed, dtype=float)
+    if F.ndim == 1:
+        F = F[:, None]
+    if F.shape[0] != y.shape[0]:
+        raise ValueError(f"fixed design has {F.shape[0]} rows for {y.shape[0]} responses")
+    if basis.n != y.shape[0]:
+        raise ValueError("basis rows do not match the response length")
+    if fixed_names is not None and len(fixed_names) != F.shape[1]:
+        raise ValueError("fixed_names length does not match the fixed design")
+    if F.shape[1] > F.shape[0]:
+        raise CollinearityError(
+            f"fixed design has {F.shape[1]} columns for {F.shape[0]} rows",
+            columns=tuple(_fixed_labels(fixed_names, F.shape[1])),
+        )
+    return y, F, basis_moments(np.column_stack([F, y]), basis)
 
 
 def fit_pls(
@@ -280,7 +401,7 @@ def sweep_lambda(
     The basis products are formed once, and one stacked SVD call of (q + p) x q
     matrices covers the grid.
     """
-    return _Solver(y, fixed, basis, fixed_names).solve(_as_lambdas(lambdas))
+    return sweep_moments(_array_moments(y, fixed, basis, fixed_names)[2], lambdas, fixed_names)
 
 
 def select_lambda_gcv(
@@ -297,21 +418,11 @@ def select_lambda_gcv(
     {0} union 41 log-spaced points in [1e-4, 1e6].  Ties break toward the
     smallest lambda.
     """
-    grid = sorted(_distinct_lambdas(DEFAULT_LAMBDA_GRID if lambda_grid is None else lambda_grid))
-    solver = _Solver(y, fixed, basis, fixed_names)
-    sweep = solver.solve(grid)
-    i = int(np.argmin(sweep.gcv))  # first minimum = smallest lambda
-    a, g, s_inv = sweep.fixed_coefs[i], sweep.basis_coefs[i], sweep.V[i] @ sweep.V[i].T
-    return FitResult(
-        fixed_coefs=a,
-        basis_coefs=g,
-        lam=grid[i],
-        edf=float(sweep.edf[i]),
-        gcv=float(sweep.gcv[i]),
-        aic=float(sweep.aic[i]),
-        cov_fixed=_scale(sweep.sigma2[i] * 0.5, s_inv + s_inv.T),
-        residuals=solver.y - (solver.F @ a + basis.synthesize(g)),
-    )
+    grid = _gcv_grid(lambda_grid)
+    y, F, m = _array_moments(y, fixed, basis, fixed_names)
+    fit = select_moments(m, grid, fixed_names)
+    residuals = y - (F @ fit.fixed_coefs + basis.synthesize(fit.basis_coefs))
+    return FitResult(**vars(fit), residuals=residuals)
 
 
 def _scale(sigma2: float, m: np.ndarray) -> np.ndarray:

@@ -1,8 +1,17 @@
-"""Shared test utilities: latent-column regressions and random configs."""
+"""Shared test utilities: latent-column regressions, random configs, and
+n-row reference fits of the two-stage estimators."""
 
 import numpy as np
 
-from spatialconfound import IidSpec, ScenarioConfig, SpectralSpec
+from spatialconfound import (
+    DegenerateResidualError,
+    IidSpec,
+    ScenarioConfig,
+    SpectralSpec,
+    empty_basis,
+    restrict_low_frequency,
+    select_lambda_gcv,
+)
 
 
 def ols_coef_and_se(X, y, index):
@@ -57,3 +66,56 @@ def random_config(rng, m=64, allow_spatial_c=True):
         u_sd=u(0.0, 1.0),
         m=m,
     )
+
+
+# ---------------------------------------------------------------------------
+# Two-stage estimators on explicit residuals
+# ---------------------------------------------------------------------------
+#
+# Each stage is ``select_lambda_gcv`` on arrays, and the next stage gets the
+# n residuals it returns.  The results are dicts with the estimate, its
+# standard error, and each stage's edf and lambda, keyed as the estimators
+# key their records.
+
+
+def _exposure_share_check(r_z, z):
+    if r_z.var() < 1e-12 * z.var():
+        raise DegenerateResidualError("exposure residuals are numerically zero")
+
+
+def _result(final, stages):
+    return {
+        "beta": float(final.fixed_coefs[1]),
+        "se": float(np.sqrt(final.cov_fixed[1, 1])),
+        "edf": {name: fit.edf for name, fit in stages.items()},
+        "lambdas": {name: fit.lam for name, fit in stages.items()},
+    }
+
+
+def reference_spatial_plus(obs, b, smoothing=None):
+    ones = np.ones(obs.grid.n)
+    stage1 = select_lambda_gcv(obs.Z, np.column_stack([ones, obs.C]), b, smoothing,
+                               ["intercept", "C"])
+    _exposure_share_check(stage1.residuals, obs.Z)
+    F2 = np.column_stack([ones, stage1.residuals, obs.C])
+    stage2 = select_lambda_gcv(obs.Y, F2, b, smoothing, ["intercept", "r_Z", "C"])
+    return _result(stage2, {"exposure": stage1, "outcome": stage2})
+
+
+def reference_spatial_plus_lowfreq(obs, b, cutoff, smoothing=0.0):
+    return reference_spatial_plus(obs, restrict_low_frequency(b, cutoff), smoothing)
+
+
+def reference_gsem(obs, b, smoothing=None):
+    ones = np.ones(obs.grid.n)[:, None]
+    fits = {
+        name: select_lambda_gcv(values, ones, b, smoothing, ["intercept"])
+        for name, values in (("outcome", obs.Y), ("exposure", obs.Z), ("covariate", obs.C))
+    }
+    r_y, r_z, r_c = (fit.residuals for fit in fits.values())
+    _exposure_share_check(r_z, obs.Z)
+    F = np.column_stack([ones, r_z, r_c])
+    final = select_lambda_gcv(r_y, F, empty_basis(obs.grid.n), 0.0, ["intercept", "r_Z", "r_C"])
+    result = _result(final, fits)
+    result["edf"]["final_ols"] = final.edf
+    return result

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spatialconfound import (
+    BasisSet,
     CollinearityError,
     DegenerateResidualError,
     EstimatorKind,
@@ -28,7 +29,12 @@ from spatialconfound import (
     empty_basis,
 )
 
-from support import random_config
+from support import (
+    random_config,
+    reference_gsem,
+    reference_spatial_plus,
+    reference_spatial_plus_lowfreq,
+)
 
 
 def scenario(**overrides):
@@ -344,6 +350,104 @@ class TestPermutationInvariance:
             a = fit(obs, **kwargs)
             c = fit(obs_perm, **kw_perm)
             assert c.beta1_hat == pytest.approx(a.beta1_hat, rel=1e-8), fit.__name__
+
+
+def user_basis(grid, p=12, seed=0):
+    """A dense orthogonal basis that is not Fourier: B'1 != 0, uneven norms,
+    labels 1..p/4 in fours."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(grid.n, p)) + 0.3)
+    freq = np.repeat(np.arange(1, p // 4 + 1), 4)
+    return BasisSet(
+        columns=q * rng.uniform(0.5, 3.0, size=p),
+        freq=freq,
+        penalty=freq.astype(float) ** 2,
+        max_freq=int(freq.max()),
+    )
+
+
+def _basis(kind, grid):
+    b = fourier_basis(grid, 4)
+    if kind == "spectral":
+        return b
+    return replace(b, columns=b.columns) if kind == "dense-twin" else user_basis(grid)
+
+
+def _outcome(fit):
+    """The fit's numbers, or the type and columns of its degeneracy error."""
+    try:
+        return fit()
+    except (CollinearityError, DegenerateResidualError) as err:
+        return type(err), getattr(err, "columns", None)
+
+
+def _as_reference(rec):
+    return {"beta": rec.beta1_hat, "se": rec.se, "edf": rec.edf, "lambdas": rec.lambdas}
+
+
+TWO_STAGE = {
+    "spatial-plus": (fit_spatial_plus, reference_spatial_plus),
+    "gsem": (fit_gsem, reference_gsem),
+    "spatial-plus-lowfreq": (
+        lambda obs, b, smoothing: fit_spatial_plus_lowfreq(obs, b, 2, smoothing),
+        lambda obs, b, smoothing: reference_spatial_plus_lowfreq(obs, b, 2, smoothing),
+    ),
+}
+
+
+def _observations(case, b, seed):
+    """Simulated data, or data whose exposure or covariate lies in span(1, C, B)."""
+    obs = generate_dataset(scenario(m=12), seed).observations()
+    if case == "simulated":
+        return obs
+    rng = np.random.default_rng(seed)
+    spatial = b.synthesize(rng.normal(size=b.p))
+    if case == "fully-spatial-exposure":
+        return Observations(Z=spatial + 0.5 * obs.C + 1.0, C=obs.C, Y=obs.Y, grid=obs.grid)
+    return Observations(Z=obs.Z, C=spatial, Y=obs.Y, grid=obs.grid)  # C in the span
+
+
+class TestGeneralBases:
+    """The estimators' fits from moments against stages fitted on n-row
+    residuals (``support``), on the Fourier basis, its dense twin, and a
+    dense orthogonal basis with B'1 != 0."""
+
+    def test_user_basis_is_not_orthogonal_to_the_constant(self):
+        b = user_basis(make_grid(12))
+        assert np.abs(b.analyze(np.ones(b.n))).max() > 0.1
+
+    @pytest.mark.parametrize("smoothing", [None, 0.0, 3.7], ids=["gcv", "lam0", "lam3.7"])
+    @pytest.mark.parametrize("kind", list(TWO_STAGE))
+    @pytest.mark.parametrize("basis", ["spectral", "dense-twin", "user"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_n_row_reference(self, basis, kind, smoothing, seed):
+        b = _basis(basis, make_grid(12))
+        obs = _observations("simulated", b, seed)
+        fit, reference = TWO_STAGE[kind]
+        got = _as_reference(fit(obs, b, smoothing=smoothing))
+        want = reference(obs, b, smoothing=smoothing)
+        assert got["lambdas"] == want["lambdas"]
+        assert got["edf"].keys() == want["edf"].keys()
+        for stage, edf in want["edf"].items():
+            assert got["edf"][stage] == pytest.approx(edf, rel=1e-12, abs=0)
+        assert got["beta"] == pytest.approx(want["beta"], rel=1e-12, abs=0)
+        assert got["se"] == pytest.approx(want["se"], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("smoothing", [None, 0.0, 3.7], ids=["gcv", "lam0", "lam3.7"])
+    @pytest.mark.parametrize("kind", list(TWO_STAGE))
+    @pytest.mark.parametrize("basis", ["spectral", "dense-twin", "user"])
+    @pytest.mark.parametrize("case", ["fully-spatial-exposure", "covariate-in-span"])
+    def test_degenerate_data_same_error(self, case, basis, kind, smoothing):
+        b = _basis(basis, make_grid(12))
+        obs = _observations(case, b, 0)
+        fit, reference = TWO_STAGE[kind]
+        got = _outcome(lambda: _as_reference(fit(obs, b, smoothing=smoothing)))
+        want = _outcome(lambda: reference(obs, b, smoothing=smoothing))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got["lambdas"] == want["lambdas"]
+            assert got["beta"] == pytest.approx(want["beta"], rel=1e-9)
 
 
 class TestLargeGrid:

@@ -132,6 +132,45 @@ class TestRunMc:
         scenario_experiment(kind, default_scenario_plan(kind, r=2, max_freq=6))
         aic_bias_experiment(default_aic_plan(r=2, max_freq=6), [0.0, 1.0])
 
+    @staticmethod
+    def _count_basis_passes(monkeypatch):
+        counts = {"analyze": 0, "synthesize": 0}
+        basis_cls = spatialconfound.basis.BasisSet
+        for name in counts:
+            method = getattr(basis_cls, name)
+
+            def counted(self, *args, _method=method, _name=name):
+                counts[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(basis_cls, name, counted)
+        return counts
+
+    def test_one_basis_pass_per_replication(self, monkeypatch):
+        # Spatial, Spatial+ and gSEM share the moments of [1, Z, C, Y]: one
+        # B'X and one back-projection per replication, whatever the stages.
+        counts = self._count_basis_passes(monkeypatch)
+        run_mc(default_scenario_plan(SCENARIO_STRONG_EXPOSURE, r=1))
+        assert counts == {"analyze": 1, "synthesize": 1}
+
+    def test_one_basis_pass_per_replication_every_kind(self, monkeypatch):
+        # Spatial+-lowfreq restricts the moments on the full basis, and the
+        # non-spatial fit takes none.
+        counts = self._count_basis_passes(monkeypatch)
+        every_kind = tuple(
+            EstimatorSpec(
+                kind=k, max_freq=4, cutoff=2 if k is EstimatorKind.SPATIAL_PLUS_LOWFREQ else None
+            )
+            for k in EstimatorKind
+        )
+        run_mc(small_plan(r=1, estimators=every_kind))
+        assert counts == {"analyze": 1, "synthesize": 1}
+
+    def test_one_basis_pass_per_aic_replication(self, monkeypatch):
+        counts = self._count_basis_passes(monkeypatch)
+        aic_bias_experiment(default_aic_plan(r=1), [0.0, 1.0])
+        assert counts == {"analyze": 1, "synthesize": 1}
+
     def test_single_replication_flags_sd_undefined(self):
         summary = run_mc(small_plan(r=1))
         cell = summary.cells["nonspatial"]["beta_structural"]

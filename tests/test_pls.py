@@ -20,7 +20,7 @@ from spatialconfound import (
     sweep_lambda,
 )
 from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE
-from spatialconfound.pls import DEFAULT_LAMBDA_GRID, _Solver
+from spatialconfound.pls import DEFAULT_LAMBDA_GRID, _Solver, basis_moments
 
 
 def toy_basis(column, penalty):
@@ -398,7 +398,8 @@ class TestExactFit:
         # y outside col(F) is exactly zero, not an n-row round-off sum.
         rng = np.random.default_rng(3)
         y, F = rng.normal(size=6), rng.normal(size=(6, 6))
-        assert _Solver(y, F, empty_basis(6), None).rss_perp == 0.0
+        m = basis_moments(np.column_stack([F, y]), empty_basis(6))
+        assert _Solver(m, None).rss_perp == 0.0
         sweep = sweep_lambda(y, F, empty_basis(6), [0.0])
         assert sweep.edf[0] == 6
         assert sweep.sigma2[0] == math.inf and sweep.gcv[0] == math.inf
