@@ -20,7 +20,7 @@ def _problem():
     return obs, np.column_stack([np.ones(obs.grid.n), obs.Z, obs.C]), fourier_basis(obs.grid, 2)
 
 
-BUILDERS = {
+FACTORIES = {
     "BasisSet": lambda: fourier_basis(make_grid(8), 1),
     "LocationGrid": lambda: make_grid(8),
     "Observations": lambda: _problem()[0],
@@ -30,9 +30,9 @@ BUILDERS = {
 }
 
 
-@pytest.mark.parametrize("name", list(BUILDERS))
+@pytest.mark.parametrize("name", list(FACTORIES))
 def test_array_types_compare_by_identity(name):
-    a, b = BUILDERS[name](), BUILDERS[name]()
+    a, b = FACTORIES[name](), FACTORIES[name]()
     assert (a == b) is False
     assert a == a
     assert hash(a) == hash(a)
