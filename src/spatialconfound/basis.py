@@ -60,20 +60,20 @@ class BasisSet:
     grid: Optional[LocationGrid] = field(default=None, repr=False)
     pairs: Optional[np.ndarray] = None  # (p/2, 2) frequency pairs of a spectral basis
     d0: np.ndarray = field(init=False, repr=False)  # (p,) diagonal of B'B
-    _cells: Optional[np.ndarray] = field(init=False, repr=False)
+    _shrinkage: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_shrinkage", {})
         spectral = self.columns is None
         if spectral:
             if self.grid is None or self.pairs is None:
                 raise ValueError("a basis without columns needs its grid and frequency pairs")
             _check_pairs(self.pairs, self.grid.m)
-            object.__setattr__(self, "_cells", fields.cell_order(self.grid))
+            self.grid.cell_order  # checks the coordinates, once per grid
             object.__delattr__(self, "columns")  # evaluated on first read
         else:
             object.__setattr__(self, "grid", None)
             object.__setattr__(self, "pairs", None)
-            object.__setattr__(self, "_cells", None)
         for name in ("freq", "penalty"):
             shape = np.shape(getattr(self, name))
             if shape != (self.p,):
@@ -117,7 +117,7 @@ class BasisSet:
         if self.pairs is None:
             return self.columns.T @ X
         out = np.empty((self.p,) + X.shape[1:])
-        out[0::2], out[1::2] = fields.analyze(self.grid.m, self._cells, self.pairs, X)
+        out[0::2], out[1::2] = fields.analyze(self.grid.m, self.grid.cell_order, self.pairs, X)
         return out
 
     def synthesize(self, G) -> np.ndarray:
@@ -125,13 +125,37 @@ class BasisSet:
         G = np.asarray(G, dtype=float)
         if self.pairs is None:
             return self.columns @ G
-        return fields.synthesize(self.grid.m, self._cells, self.pairs, G[0::2], G[1::2])
+        return fields.synthesize(self.grid.m, self.grid.cell_order, self.pairs, G[0::2], G[1::2])
 
     def gram(self) -> np.ndarray:
         """B'B; for a spectral basis the exact diag(d0), with no round-off."""
         if self.pairs is not None:
             return np.diag(self.d0)
         return self.columns.T @ self.columns
+
+    def shrinkage(self, lams: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The weights of a smoothing grid (L,), +inf allowed, on the columns.
+
+        Returns (rho, delta, sqrt(delta), 1/D), each (L, p) and read-only,
+        with D = d0 + lam * penalty: rho = lam * penalty / D is the shrunk
+        share of each column (1 at lam = +inf) and delta = rho / d0.  They
+        depend on the basis only through d0 and ``penalty``, so they are
+        worked out on the first call for a grid and kept with the basis
+        (``dataclasses.replace`` starts with none).  Threads sharing a basis
+        may each work them out once; the results are the same numbers.
+        """
+        key = lams.tobytes()
+        weights = self._shrinkage.get(key)
+        if weights is None:
+            lam = lams[:, None]
+            finite = np.isfinite(lam)
+            pen = np.where(finite, lam, 0.0) * self.penalty
+            rho = np.where(finite, pen / (self.d0 + pen), 1.0)
+            delta = rho / self.d0
+            inv_D = (1.0 - rho) / self.d0
+            weights = tuple(_readonly(w) for w in (rho, delta, np.sqrt(delta), inv_D))
+            self._shrinkage[key] = weights
+        return weights
 
 
 def _check_pairs(pairs, m: int) -> None:
@@ -142,12 +166,13 @@ def _check_pairs(pairs, m: int) -> None:
     ok = pairs.ndim == 2 and pairs.shape[1:] == (2,) and len(pairs) > 0
     ok = ok and np.issubdtype(pairs.dtype, np.integer)
     if ok:
-        k1, k2 = pairs[:, 0], pairs[:, 1]
-        ok = (
-            np.all((k1 > 0) | ((k1 == 0) & (k2 > 0)))
-            and np.abs(pairs).max() <= (m - 1) // 2
-            and len(np.unique(pairs, axis=0)) == len(pairs)
-        )
+        k1, k2 = pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64)
+        ok = np.all((k1 > 0) | ((k1 == 0) & (k2 > 0))) and np.abs(pairs).max() <= (m - 1) // 2
+    if ok:
+        # One integer per pair (|k2| < m), sorted: distinct pairs differ from
+        # their neighbours.  np.unique would import numpy.ma.
+        codes = np.sort(k1 * (2 * m + 1) + k2)
+        ok = not np.any(codes[1:] == codes[:-1])
     if not ok:
         raise ValueError(
             "frequency pairs must be distinct integer representatives (k1 > 0, or "

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -65,6 +66,32 @@ class LocationGrid:
     @property
     def n(self) -> int:
         return self.coords.shape[0]
+
+    @cached_property
+    def cell_order(self) -> Optional[np.ndarray]:
+        """Each row's cell index j*m + i, or None when the rows are in cell order.
+
+        The cell of a row is read from its coordinates, rint(coords*m - 0.5) =
+        (i, j), so a grid whose rows are a permutation of the cell centres
+        works with the FFTs below.  Raises ``ValueError`` for coordinates that
+        are not the m x m cell centres in some row order.  Worked out on first
+        read and kept (a failed read keeps nothing), so the fields and bases
+        built on one grid share one check.
+        """
+        m, coords = self.m, np.asarray(self.coords, dtype=float)
+        if coords.shape != (m * m, 2):
+            raise ValueError(f"grid coordinates have shape {coords.shape}, not ({m * m}, 2)")
+        scaled = coords * m - 0.5
+        ij = np.rint(scaled)
+        if not (np.all(np.abs(scaled - ij) <= 1e-6) and np.all((0 <= ij) & (ij < m))):
+            raise ValueError(f"grid coordinates are not the cell centres of an m={m} grid")
+        cells = (ij[:, 1] * m + ij[:, 0]).astype(np.intp)
+        if np.array_equal(cells, np.arange(m * m)):
+            return None
+        if np.bincount(cells, minlength=m * m).max() > 1:
+            raise ValueError(f"grid coordinates repeat a cell of the m={m} grid")
+        cells.setflags(write=False)
+        return cells
 
 
 def make_grid(m: int) -> LocationGrid:
@@ -147,29 +174,6 @@ def frequency_pairs(k_min: int, k_max: int) -> np.ndarray:
     return np.column_stack([k1[order], k2[order]]).astype(int)
 
 
-def cell_order(grid: LocationGrid) -> Optional[np.ndarray]:
-    """Each row's cell index j*m + i, or None when the rows are in cell order.
-
-    The cell of a row is read from its coordinates, rint(coords*m - 0.5) =
-    (i, j), so a grid whose rows are a permutation of the cell centres
-    works with the FFTs below.  Raises ``ValueError`` for coordinates that
-    are not the m x m cell centres in some row order.
-    """
-    m, coords = grid.m, np.asarray(grid.coords, dtype=float)
-    if coords.shape != (m * m, 2):
-        raise ValueError(f"grid coordinates have shape {coords.shape}, not ({m * m}, 2)")
-    scaled = coords * m - 0.5
-    ij = np.rint(scaled)
-    if not (np.all(np.abs(scaled - ij) <= 1e-6) and np.all((0 <= ij) & (ij < m))):
-        raise ValueError(f"grid coordinates are not the cell centres of an m={m} grid")
-    cells = (ij[:, 1] * m + ij[:, 0]).astype(np.intp)
-    if np.array_equal(cells, np.arange(m * m)):
-        return None
-    if np.bincount(cells, minlength=m * m).max() > 1:
-        raise ValueError(f"grid coordinates repeat a cell of the m={m} grid")
-    return cells
-
-
 def _in_cell_order(values: np.ndarray, cells) -> np.ndarray:
     if cells is None:
         return values
@@ -191,8 +195,8 @@ def synthesize(m: int, cells, pairs: np.ndarray, coef_cos, coef_sin) -> np.ndarr
     """sum_k coef_cos[k] cos(2 pi k.s) + coef_sin[k] sin(2 pi k.s) at each row.
 
     ``pairs`` (P, 2) need k1 in [0, m/2]; the coefficients are (P,) or
-    (P, c), giving an (n,) or (n, c) result; ``cells`` is ``cell_order`` of
-    the grid.  Each pair's complex coefficient is added into its DFT bin
+    (P, c), giving an (n,) or (n, c) result; ``cells`` is the grid's
+    ``cell_order``.  Each pair's complex coefficient is added into its DFT bin
     (pairs (k1, m/2) and (k1, -m/2) share one), and the field is the real
     part of the unnormalized inverse 2-D DFT of those bins: an inverse FFT
     over k2 on the columns k1 <= max k1 only, then a real inverse FFT over
@@ -216,8 +220,8 @@ def analyze(m: int, cells, pairs: np.ndarray, values) -> tuple[np.ndarray, np.nd
     """(sum_s v(s) cos(2 pi k.s), sum_s v(s) sin(2 pi k.s)) for each pair k.
 
     ``values`` is (n,) or (n, c) in the grid's row order, giving two (P,)
-    or (P, c) arrays; ``pairs`` need k1 in [0, m/2], and ``cells`` is
-    ``cell_order`` of the grid.  A real FFT over i, then an FFT over j on
+    or (P, c) arrays; ``pairs`` need k1 in [0, m/2], and ``cells`` is the
+    grid's ``cell_order``.  A real FFT over i, then an FFT over j on
     the columns k1 <= max k1 only: the 2-D DFT at the bins the pairs read.
     """
     values = _in_cell_order(np.asarray(values, dtype=float), cells)
@@ -250,7 +254,7 @@ def sample_grf(grid: LocationGrid, spec: SpectralSpec, seed: int) -> np.ndarray:
     rng = _generator(seed)
     coefs = rng.standard_normal((len(pairs), 2))
     damp = np.maximum(np.abs(pairs).max(axis=1), 1) ** (-float(spec.decay))
-    values = synthesize(grid.m, cell_order(grid), pairs, coefs[:, 0] * damp, coefs[:, 1] * damp)
+    values = synthesize(grid.m, grid.cell_order, pairs, coefs[:, 0] * damp, coefs[:, 1] * damp)
     v = values.var()
     if v > 0.0:
         values = values * np.sqrt(spec.variance / v)
@@ -287,7 +291,7 @@ def field_dft_energy(values, grid: LocationGrid) -> dict[int, float]:
             f"field length {values.shape} does not match grid size ({grid.n},)"
         )
     m = grid.m
-    spectrum = np.fft.fft2(_in_cell_order(values, cell_order(grid)).reshape(m, m))
+    spectrum = np.fft.fft2(_in_cell_order(values, grid.cell_order).reshape(m, m))
     power = (spectrum * spectrum.conj()).real / values.size
     f = np.rint(np.fft.fftfreq(m) * m).astype(int)
     shell = np.maximum(np.abs(f)[:, None], np.abs(f)[None, :])

@@ -35,7 +35,12 @@ is how the two-stage estimators fit a stage on the residuals of another.
 A lambda grid is then one stacked SVD call, of [R; sqrt(delta) W] per
 lambda: lam = 0 (delta = 0), finite lam, lam = +inf (1/D = 0, the basis
 pinned to zero) and p = 0 (F_perp = F) are all rows of the same array formulas,
-sigma2, GCV and AIC included.  Its one result is a ``LambdaSweep``.
+sigma2, GCV and AIC included.  The grid's weights rho = lam * penalty / D,
+delta, sqrt(delta) and 1/D depend on nothing but d0, the penalty and the
+grid, so the basis keeps them per grid (``BasisSet.shrinkage``), and an MC
+run on one basis works them out once.  The edf term diag(W S^-1 W') of every
+lambda is one matrix product of W with all the V's (S^-1 = V V'), squared
+and summed over the q columns.  Its one result is a ``LambdaSweep``.
 ``sweep_moments`` returns it and ``select_moments`` fits its GCV minimizer
 (one real lambda is the one-point grid), as a ``StageFit``.  The array API
 builds the moments of [F y] and calls them: ``sweep_lambda``,
@@ -285,12 +290,8 @@ class _Solver:
         rides along as a last row, and its rank check precedes lam = 0's.
         """
         n, q, p, L = self.n, self.q, self.basis.p, len(lams)
-        lam = np.array(list(lams) + ([math.inf] if max(lams) > 0 else []))[:, None]
-        finite = np.isfinite(lam)
-        pen = np.where(finite, lam, 0.0) * self.basis.penalty
-        rho = np.where(finite, pen / (self.d0 + pen), 1.0)  # shrunk share of each column
-        delta = rho / self.d0
-        root = np.sqrt(delta)
+        lam = np.array(list(lams) + ([math.inf] if max(lams) > 0 else []))
+        rho, delta, root, inv_D = self.basis.shrinkage(lam)
         R, c = self.R[None].repeat(len(lam), axis=0), self.c[None].repeat(len(lam), axis=0)
         u, s, vt = np.linalg.svd(np.hstack([R, root[..., None] * self.W]), full_matrices=False)
         if len(lam) > L:
@@ -301,11 +302,14 @@ class _Solver:
         v = np.swapaxes(vt, -1, -2)
         V = v / s[..., None, :]
         a = _matvec(v, _matvec(np.swapaxes(u, -1, -2), np.hstack([c, root * self.b])) / s)
-        inv_D = (1.0 - rho) / self.d0
         gap = self.b - _matvec(self.W, a)
         r_perp = self.c - _matvec(self.R, a)  # ||y_perp - F_perp a||^2 = ||r_perp||^2 + rss_perp
         rss = _dot(r_perp, r_perp) + self.rss_perp + _dot((delta * gap) ** 2, self.d0)
-        h = ((self.W @ V) ** 2).sum(axis=-1)  # diag(W S^-1 W')
+        # diag(W S^-1 W') for every lambda: one product of W with all the V's,
+        # squared in place and summed over q by a product with ones.
+        WV = self.W @ np.swapaxes(V, 0, 1).reshape(q, lam.size * q)
+        WV *= WV
+        h = (WV.reshape(p * lam.size, q) @ np.ones(q)).reshape(p, lam.size).T
         edf = q + p - (rho * (1.0 + inv_D * h)).sum(axis=-1)
         fits, fitted = n - edf > 0, rss > 0
         denom = np.where(fits, n - edf, 1.0)

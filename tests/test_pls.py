@@ -20,7 +20,7 @@ from spatialconfound import (
     sweep_lambda,
 )
 from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE
-from spatialconfound.pls import DEFAULT_LAMBDA_GRID, _Solver, basis_moments
+from spatialconfound.pls import DEFAULT_LAMBDA_GRID, _Solver, basis_moments, sweep_moments
 
 
 def toy_basis(column, penalty):
@@ -246,6 +246,39 @@ class TestGridIsPointwise:
         assert 0.0 < sel.lam < DEFAULT_LAMBDA_GRID[-1]
         for field in ("fixed_coefs", "basis_coefs", "cov_fixed", "edf", "gcv", "aic", "residuals"):
             assert np.array_equal(getattr(sel, field), getattr(ref, field)), field
+
+
+SWEEP_FIELDS = ("lambdas", "rss", "edf", "gcv", "aic", "fixed_coefs", "basis_coefs", "sigma2", "V")
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["small-first", "default-first"])
+def test_kept_shrinkage_weights_give_the_fresh_sweeps(reverse):
+    # The lambda-grid weights are kept per (basis, grid); sweeps that reuse
+    # them equal, bit for bit, those on a copy of the basis with none kept.
+    # (A bare replace(b) would read b.columns and give a dense copy.)
+    obs = generate_dataset(scenario_config(SCENARIO_STRONG_EXPOSURE), 4).observations()
+    X = np.column_stack([np.ones(obs.grid.n), obs.Z, obs.C, obs.Y])
+    b = fourier_basis(obs.grid, 10)
+    grids = [[3.0], [math.inf, 0.0], list(DEFAULT_LAMBDA_GRID)]
+    for lams in grids[::-1] if reverse else grids:
+        for _ in range(2):
+            kept = sweep_moments(basis_moments(X, b), lams)
+            fresh_basis = replace(b, columns=None)
+            assert fresh_basis._shrinkage == {}
+            fresh = sweep_moments(basis_moments(X, fresh_basis), lams)
+            for field in SWEEP_FIELDS:
+                assert getattr(kept, field).tobytes() == getattr(fresh, field).tobytes(), field
+    assert len(b._shrinkage) == len(grids)
+    lam = np.array([3.0, math.inf])
+    assert b.shrinkage(lam) is b.shrinkage(lam)
+    for weights in b._shrinkage.values():
+        assert len(weights) == 4
+        for w in weights:
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0, 0] = 1.0
+    assert replace(b, columns=None)._shrinkage == {}
+    assert replace(b)._shrinkage == {}
 
 
 class TestDenseOracle:

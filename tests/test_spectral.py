@@ -1,7 +1,11 @@
 """The FFT products of a spectral basis and ``sample_grf`` against the dense
 cos/sin formulas they replace."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from spatialconfound import (
     sample_grf,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 SIDES = [4, 5, 8, 16, 31, 32, 64]
 TOL = 1e-12
 
@@ -99,6 +104,50 @@ def test_shell_energies_read_each_row_at_its_cell():
     assert got == pytest.approx(ref, rel=1e-12, abs=1e-12 * sum(ref.values()))
 
 
+class CountingCoords:
+    """Grid coordinates that count how often they are read as an array."""
+
+    def __init__(self, coords):
+        self.coords, self.shape, self.reads = coords, coords.shape, 0
+
+    def __array__(self, dtype=None, copy=None):
+        self.reads += 1
+        return np.asarray(self.coords, dtype=dtype)
+
+
+def test_grid_checks_its_coordinates_once():
+    coords = CountingCoords(make_grid(16).coords)
+    grid = LocationGrid(m=16, coords=coords)
+    fields = [sample_grf(grid, SpectralSpec(1, 7), seed) for seed in (1, 2)]
+    b = fourier_basis(grid, 7)
+    for cutoff in (2, 3):
+        restrict_low_frequency(b, cutoff).analyze(fields[0])
+    b.synthesize(b.analyze(fields[1]))
+    assert coords.reads == 1
+
+
+def test_fourier_basis_and_a_fit_leave_numpy_ma_unimported():
+    script = """
+import sys
+import numpy
+print("numpy.ma" in sys.modules)
+from spatialconfound import SCENARIO_STRONG_EXPOSURE, fit_estimator, fourier_basis
+from spatialconfound import generate_dataset, scenario_config, EstimatorKind
+obs = generate_dataset(scenario_config(SCENARIO_STRONG_EXPOSURE), 1).observations()
+fit_estimator(EstimatorKind.SPATIAL_PLUS, obs, fourier_basis(obs.grid, 10))
+print("numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    at_import, after_fit = proc.stdout.split()
+    if at_import == "True":
+        pytest.skip("this numpy loads numpy.ma on import (numpy < 2)")
+    assert after_fit == "False"
+
+
 def test_fourier_basis_builds_no_dense_columns():
     b = fourier_basis(make_grid(32), 10)
     assert "columns" not in vars(b)
@@ -128,8 +177,10 @@ def test_grid_that_is_not_the_cell_centres_refused(coords):
 
 @pytest.mark.parametrize(
     "pairs",
-    [[[1, 0], [1, 0]], [[0, -1]], [[0, 0]], [[4, 0]], [[1.0, 0.0]], np.zeros((0, 2), dtype=int)],
-    ids=["repeated", "not-a-representative", "constant", "nyquist", "float", "empty"],
+    [[[1, 0], [1, 0]], [[1, -1], [0, 1], [1, -1]], [[0, -1]], [[0, 0]], [[4, 0]], [[1.0, 0.0]],
+     np.zeros((0, 2), dtype=int)],
+    ids=["repeated", "repeated-apart", "not-a-representative", "constant", "nyquist", "float",
+         "empty"],
 )
 def test_spectral_basis_needs_orthogonal_pairs(pairs):
     # d0 = n/2 is taken on trust, so the pairs must give B'B = (n/2) I.
