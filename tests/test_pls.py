@@ -263,9 +263,7 @@ def test_kept_shrinkage_weights_give_the_fresh_sweeps(reverse):
     for lams in grids[::-1] if reverse else grids:
         for _ in range(2):
             kept = sweep_moments(basis_moments(X, b), lams)
-            fresh_basis = replace(b, columns=None)
-            assert fresh_basis._shrinkage == {}
-            fresh = sweep_moments(basis_moments(X, fresh_basis), lams)
+            fresh = sweep_moments(basis_moments(X, replace(b, columns=None)), lams)
             for field in SWEEP_FIELDS:
                 assert getattr(kept, field).tobytes() == getattr(fresh, field).tobytes(), field
     assert len(b._shrinkage) == len(grids)
@@ -273,10 +271,7 @@ def test_kept_shrinkage_weights_give_the_fresh_sweeps(reverse):
     assert b.shrinkage(lam) is b.shrinkage(lam)
     for weights in b._shrinkage.values():
         assert len(weights) == 4
-        for w in weights:
-            assert not w.flags.writeable
-            with pytest.raises(ValueError):
-                w[0, 0] = 1.0
+        assert not any(w.flags.writeable for w in weights)
     assert replace(b, columns=None)._shrinkage == {}
     assert replace(b)._shrinkage == {}
 
