@@ -40,9 +40,10 @@ inner = float(low @ high)
 print(f"\n<low, high> = {inner:.2e} (disjoint bands, exact orthogonality)")
 
 # The Fourier tensor basis: orthogonal columns, squared norm n/2.  The fits
-# reach it through FFTs; its n x p columns are evaluated here, on first read.
+# reach it through FFTs; its dense twin evaluates the n x p columns here.
 basis = fourier_basis(grid, max_freq=10)
-gram = basis.columns.T @ basis.columns
+columns = basis.dense().columns
+gram = columns.T @ columns
 off = gram - np.diag(np.diag(gram))
 print(f"\nbasis: p={basis.p} columns, labels 1..{basis.max_freq}")
 print(f"gram diagonal ~ n/2 = {grid.n / 2}; max off-diagonal {np.abs(off).max():.2e}")
@@ -52,6 +53,7 @@ print(f"penalty weights by label: " +
 # Restriction keeps the low-frequency block only.
 low_block = restrict_low_frequency(basis, cutoff=2)
 print(f"\nrestricted to labels <= 2: p={low_block.p}")
-proj = low_block.columns @ np.linalg.lstsq(low_block.columns, high, rcond=None)[0]
+low_columns = low_block.dense().columns
+proj = low_columns @ np.linalg.lstsq(low_columns, high, rcond=None)[0]
 print(f"projection of the [6,10]-band field on the cutoff-2 basis: "
       f"|proj|/|field| = {np.linalg.norm(proj) / np.linalg.norm(high):.2e}")

@@ -17,7 +17,7 @@ belongs to the fixed-effects design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -38,19 +38,19 @@ class BasisSet:
     columns, B'B = diag(d0), and reaches B only through ``analyze`` (B'X)
     and ``synthesize`` (B G).  A basis comes in one of two kinds:
 
-    - Spectral, built by ``fourier_basis`` or ``restrict_low_frequency``
-      without ``columns``: it is its ``grid`` and frequency ``pairs``,
+    - Spectral, built by ``fourier_basis`` or ``restrict_low_frequency``:
+      it is its ``grid`` and frequency ``pairs``, with ``columns`` None,
       column 2t being cos(2 pi k_t.s) and column 2t+1 sin(2 pi k_t.s).
       ``analyze`` is one real 2-D FFT and ``synthesize`` one inverse FFT,
-      and d0 = n/2 holds on the grid analytically.  The n x p ``columns``
-      are evaluated only when read (by a test or a demo); ``gram()`` is
-      the exact (n/2) I.
-    - Dense, given explicit ``columns`` (a user basis, ``empty_basis``, or
-      ``replace(b, columns=...)`` of any basis, which drops ``grid`` and
-      ``pairs``): the products are matrix products, and building the basis
-      checks the orthogonality once and keeps d0, the diagonal of B'B.  A
-      column of zero norm, or an off-diagonal entry above 1e-12 times the
-      largest diagonal entry, is a ``ValueError``.
+      d0 = n/2 holds on the grid analytically, and ``gram()`` is the exact
+      (n/2) I.  No n x p array is ever attached to it; ``dense()`` builds
+      its dense twin, and ``dataclasses.replace(b)`` stays spectral.
+    - Dense, given explicit ``columns`` (a user basis, ``empty_basis``,
+      ``b.dense()``, or ``replace(b, columns=...)`` of any basis, which
+      drops ``grid`` and ``pairs``): the products are matrix products, and
+      building the basis checks the orthogonality once and keeps d0, the
+      diagonal of B'B.  A column of zero norm, or an off-diagonal entry
+      above 1e-12 times the largest diagonal entry, is a ``ValueError``.
     """
 
     columns: Optional[np.ndarray] = field(repr=False)  # (n, p)
@@ -69,8 +69,6 @@ class BasisSet:
             if self.grid is None or self.pairs is None:
                 raise ValueError("a basis without columns needs its grid and frequency pairs")
             _check_pairs(self.pairs, self.grid.m)
-            self.grid.cell_order  # checks the coordinates, once per grid
-            object.__delattr__(self, "columns")  # evaluated on first read
         else:
             object.__setattr__(self, "grid", None)
             object.__setattr__(self, "pairs", None)
@@ -95,14 +93,6 @@ class BasisSet:
             )
         object.__setattr__(self, "d0", d0)
 
-    def __getattr__(self, name):
-        # Reached only for the columns of a spectral basis not yet read.
-        if name != "columns" or self.__dict__.get("pairs") is None:
-            raise AttributeError(name)
-        columns = _fourier_columns(self.grid, self.pairs)
-        object.__setattr__(self, "columns", columns)
-        return columns
-
     @property
     def p(self) -> int:
         return self.columns.shape[1] if self.pairs is None else 2 * len(self.pairs)
@@ -117,7 +107,7 @@ class BasisSet:
         if self.pairs is None:
             return self.columns.T @ X
         out = np.empty((self.p,) + X.shape[1:])
-        out[0::2], out[1::2] = fields.analyze(self.grid.m, self.grid.cell_order, self.pairs, X)
+        out[0::2], out[1::2] = fields.analyze(self.grid.m, self.pairs, X)
         return out
 
     def synthesize(self, G) -> np.ndarray:
@@ -125,13 +115,20 @@ class BasisSet:
         G = np.asarray(G, dtype=float)
         if self.pairs is None:
             return self.columns @ G
-        return fields.synthesize(self.grid.m, self.grid.cell_order, self.pairs, G[0::2], G[1::2])
+        return fields.synthesize(self.grid.m, self.pairs, G[0::2], G[1::2])
 
     def gram(self) -> np.ndarray:
         """B'B; for a spectral basis the exact diag(d0), with no round-off."""
         if self.pairs is not None:
             return np.diag(self.d0)
         return self.columns.T @ self.columns
+
+    def dense(self) -> "BasisSet":
+        """The same basis with its n x p ``columns`` given explicitly, so its
+        products are matrix products; a dense basis is its own twin."""
+        if self.pairs is None:
+            return self
+        return replace(self, columns=_fourier_columns(self.grid, self.pairs))
 
     def shrinkage(self, lams: np.ndarray) -> tuple[np.ndarray, ...]:
         """The weights of a smoothing grid (L,), +inf allowed, on the columns.
@@ -208,8 +205,7 @@ def fourier_basis(grid: LocationGrid, max_freq: int) -> BasisSet:
 
     ``max_freq`` must satisfy 1 <= max_freq <= (m - 1)//2 so that all
     columns stay strictly below the grid Nyquist frequency and the exact
-    orthogonality relations hold.  The grid's coordinates must be its m x m
-    cell centres, in any row order.
+    orthogonality relations hold.
     """
     if not isinstance(max_freq, (int, np.integer)) or isinstance(max_freq, bool):
         raise ValueError(f"max_freq must be an integer, got {max_freq!r}")
@@ -262,15 +258,8 @@ def restrict_low_frequency(b: BasisSet, cutoff: int) -> BasisSet:
 
 
 def column_names(b: BasisSet) -> list[str]:
-    """Human-readable column names, aligned with ``columns`` order.
-
-    Works for restricted bases too: restriction keeps the (label-sorted)
-    prefix, so the pair enumeration at ``max_freq`` regenerates the order.
-    """
-    if b.p == 0:
-        return []
-    names = []
-    for k1, k2 in frequency_pairs(1, b.max_freq):
-        names.append(f"cos(k=({k1},{k2}))")
-        names.append(f"sin(k=({k1},{k2}))")
-    return names
+    """Human-readable column names in column order: cos/sin of each
+    frequency pair of a spectral basis, ``basis[j]`` for a dense one."""
+    if b.pairs is None:
+        return [f"basis[{j}]" for j in range(b.p)]
+    return [f"{f}(k=({k1},{k2}))" for k1, k2 in b.pairs for f in ("cos", "sin")]

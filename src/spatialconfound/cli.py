@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=500)
     p.add_argument("--seed", type=int, default=20240501)
     p.add_argument("--max-freq", type=int, default=None, dest="max_freq")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="output path stem (.csv/.json appended)")
     p.set_defaults(func=cmd_scenario)
 
     p = sub.add_parser("aic-bias", help="tabulate mean AIC vs bias over smoothing values")
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=20240707)
     p.add_argument("--max-freq", type=int, default=None, dest="max_freq")
     p.add_argument("--lambdas", default=None, help="comma-separated lambda table")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="output path stem (.csv/.json appended)")
     p.set_defaults(func=cmd_aic_bias)
 
     return parser

@@ -103,10 +103,10 @@ class Observations:
     """What an analyst sees: exposure, measured covariate, outcome, grid.
 
     Checked once, when built: Z, C and Y each hold one finite value per
-    grid location, and there are more than 3 locations.  They are stored
-    as read-only float copies, so a checked instance cannot change later.
-    That is what lets it keep, per basis, the moments every estimator
-    starts from (``moments``).
+    grid location (at least 4, as a grid's side is at least 2).  They are
+    stored as read-only float copies, so a checked instance cannot change
+    later.  That is what lets it keep, per basis, the moments every
+    estimator starts from (``moments``).
     """
 
     Z: np.ndarray
@@ -125,8 +125,6 @@ class Observations:
                 raise ValueError(f"{name} has non-finite values (NaN or infinity)")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
-        if n <= 3:
-            raise ValueError(f"need more than 3 observations, got {n}")
         object.__setattr__(self, "_moments", {})
 
     def moments(self, b: Optional[BasisSet] = None) -> Moments:

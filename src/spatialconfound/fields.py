@@ -1,5 +1,9 @@
 """Regular grids on the unit square and random fields sampled on them.
 
+A grid is its side m: its n = m*m cell centres come in one fixed row-major
+order, and every field is a vector in that order, so that 2-D FFTs of the
+reshaped (m, m) values stand in for sums over the locations.
+
 Two kinds of fields are provided.  *Completely spatial* fields are smooth
 functions of location synthesized from a band of integer Fourier frequency
 pairs, so their spectral content is exactly controllable: the 2-D DFT of a
@@ -18,7 +22,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -55,43 +59,32 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class LocationGrid:
     """m x m grid of cell-center locations in the unit square.
 
-    Coordinates are row-major with x varying fastest: point (i, j) sits at
-    ((i + 0.5)/m, (j + 0.5)/m) and occupies index j*m + i.  The fixed order
-    is what lets field vectors align across modules.
+    The grid is its side ``m``, checked when built: an integer in [2, 512],
+    else ``ValueError``.  Locations are row-major with x varying fastest:
+    point (i, j) sits at ((i + 0.5)/m, (j + 0.5)/m) and occupies index
+    j*m + i.  The fixed order is what lets field vectors align across
+    modules, and what the FFTs below work on.
     """
 
     m: int
-    coords: np.ndarray  # (n, 2)
+
+    def __post_init__(self):
+        m = self.m
+        if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
+            raise ValueError(f"grid side m must be an integer, got {m!r}")
+        if not (MIN_GRID_SIDE <= m <= MAX_GRID_SIDE):
+            raise ValueError(f"grid side m must be in [{MIN_GRID_SIDE}, {MAX_GRID_SIDE}], got {m}")
+        object.__setattr__(self, "m", int(m))
 
     @property
     def n(self) -> int:
-        return self.coords.shape[0]
+        return self.m * self.m
 
     @cached_property
-    def cell_order(self) -> Optional[np.ndarray]:
-        """Each row's cell index j*m + i, or None when the rows are in cell order.
-
-        The cell of a row is read from its coordinates, rint(coords*m - 0.5) =
-        (i, j), so a grid whose rows are a permutation of the cell centres
-        works with the FFTs below.  Raises ``ValueError`` for coordinates that
-        are not the m x m cell centres in some row order.  Worked out on first
-        read and kept (a failed read keeps nothing), so the fields and bases
-        built on one grid share one check.
-        """
-        m, coords = self.m, np.asarray(self.coords, dtype=float)
-        if coords.shape != (m * m, 2):
-            raise ValueError(f"grid coordinates have shape {coords.shape}, not ({m * m}, 2)")
-        scaled = coords * m - 0.5
-        ij = np.rint(scaled)
-        if not (np.all(np.abs(scaled - ij) <= 1e-6) and np.all((0 <= ij) & (ij < m))):
-            raise ValueError(f"grid coordinates are not the cell centres of an m={m} grid")
-        cells = (ij[:, 1] * m + ij[:, 0]).astype(np.intp)
-        if np.array_equal(cells, np.arange(m * m)):
-            return None
-        if np.bincount(cells, minlength=m * m).max() > 1:
-            raise ValueError(f"grid coordinates repeat a cell of the m={m} grid")
-        cells.setflags(write=False)
-        return cells
+    def coords(self) -> np.ndarray:
+        """The (n, 2) cell centres in row order, read-only, built on first read."""
+        axis = (np.arange(self.m) + 0.5) / self.m
+        return _readonly(np.column_stack([np.tile(axis, self.m), np.repeat(axis, self.m)]))
 
 
 def make_grid(m: int) -> LocationGrid:
@@ -99,13 +92,7 @@ def make_grid(m: int) -> LocationGrid:
 
     Raises ``ValueError`` unless 2 <= m <= 512.
     """
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
-        raise ValueError(f"grid side m must be an integer, got {m!r}")
-    if not (MIN_GRID_SIDE <= m <= MAX_GRID_SIDE):
-        raise ValueError(f"grid side m must be in [{MIN_GRID_SIDE}, {MAX_GRID_SIDE}], got {m}")
-    axis = (np.arange(m) + 0.5) / m
-    coords = np.column_stack([np.tile(axis, m), np.repeat(axis, m)])
-    return LocationGrid(m=int(m), coords=_readonly(coords))
+    return LocationGrid(m)
 
 
 @dataclass(frozen=True)
@@ -174,15 +161,7 @@ def frequency_pairs(k_min: int, k_max: int) -> np.ndarray:
     return np.column_stack([k1[order], k2[order]]).astype(int)
 
 
-def _in_cell_order(values: np.ndarray, cells) -> np.ndarray:
-    if cells is None:
-        return values
-    ordered = np.empty_like(values)
-    ordered[cells] = values
-    return ordered
-
-
-# The values of a grid in cell order are an (m, m) array indexed [j, i], the
+# The values of a grid in row order are an (m, m) array indexed [j, i], the
 # layout the 2-D FFTs below work on.  With s = ((i + 0.5)/m, (j + 0.5)/m),
 #     exp(-2 pi i k.s) = exp(-2 pi i (k2 j + k1 i)/m) * exp(-i pi (k1 + k2)/m),
 # so pair k reads DFT bin [k2 mod m, k1] times a half-cell phase.
@@ -191,16 +170,16 @@ def _half_cell_phase(pairs: np.ndarray, m: int, ndim: int) -> np.ndarray:
     return phase.reshape((-1,) + (1,) * (ndim - 1))
 
 
-def synthesize(m: int, cells, pairs: np.ndarray, coef_cos, coef_sin) -> np.ndarray:
+def synthesize(m: int, pairs: np.ndarray, coef_cos, coef_sin) -> np.ndarray:
     """sum_k coef_cos[k] cos(2 pi k.s) + coef_sin[k] sin(2 pi k.s) at each row.
 
     ``pairs`` (P, 2) need k1 in [0, m/2]; the coefficients are (P,) or
-    (P, c), giving an (n,) or (n, c) result; ``cells`` is the grid's
-    ``cell_order``.  Each pair's complex coefficient is added into its DFT bin
-    (pairs (k1, m/2) and (k1, -m/2) share one), and the field is the real
-    part of the unnormalized inverse 2-D DFT of those bins: an inverse FFT
-    over k2 on the columns k1 <= max k1 only, then a real inverse FFT over
-    k1, which counts bins 0 < k1 < m/2 twice and so gets them halved.
+    (P, c), giving an (n,) or (n, c) result in the grid's row order.  Each
+    pair's complex coefficient is added into its DFT bin (pairs (k1, m/2)
+    and (k1, -m/2) share one), and the field is the real part of the
+    unnormalized inverse 2-D DFT of those bins: an inverse FFT over k2 on
+    the columns k1 <= max k1 only, then a real inverse FFT over k1, which
+    counts bins 0 < k1 < m/2 twice and so gets them halved.
     """
     coef_cos, coef_sin = np.asarray(coef_cos, dtype=float), np.asarray(coef_sin, dtype=float)
     rest = coef_cos.shape[1:]
@@ -212,19 +191,18 @@ def synthesize(m: int, cells, pairs: np.ndarray, coef_cos, coef_sin) -> np.ndarr
     )
     spectrum[:, 1 : (m + 1) // 2] *= 0.5
     columns = np.fft.ifft(spectrum, axis=0, norm="forward")
-    values = np.fft.irfft(columns, n=m, axis=1, norm="forward").reshape((m * m,) + rest)
-    return values if cells is None else values[cells]
+    return np.fft.irfft(columns, n=m, axis=1, norm="forward").reshape((m * m,) + rest)
 
 
-def analyze(m: int, cells, pairs: np.ndarray, values) -> tuple[np.ndarray, np.ndarray]:
+def analyze(m: int, pairs: np.ndarray, values) -> tuple[np.ndarray, np.ndarray]:
     """(sum_s v(s) cos(2 pi k.s), sum_s v(s) sin(2 pi k.s)) for each pair k.
 
     ``values`` is (n,) or (n, c) in the grid's row order, giving two (P,)
-    or (P, c) arrays; ``pairs`` need k1 in [0, m/2], and ``cells`` is the
-    grid's ``cell_order``.  A real FFT over i, then an FFT over j on
-    the columns k1 <= max k1 only: the 2-D DFT at the bins the pairs read.
+    or (P, c) arrays; ``pairs`` need k1 in [0, m/2].  A real FFT over i,
+    then an FFT over j on the columns k1 <= max k1 only: the 2-D DFT at
+    the bins the pairs read.
     """
-    values = _in_cell_order(np.asarray(values, dtype=float), cells)
+    values = np.asarray(values, dtype=float)
     rows = np.fft.rfft(values.reshape((m, m) + values.shape[1:]), axis=1)
     spectrum = np.fft.fft(rows[:, : int(pairs[:, 0].max()) + 1], axis=0)
     at = spectrum[pairs[:, 1] % m, pairs[:, 0]] * _half_cell_phase(-pairs, m, values.ndim)
@@ -241,8 +219,7 @@ def sample_grf(grid: LocationGrid, spec: SpectralSpec, seed: int) -> np.ndarray:
     variance is zero).  The sum is synthesized as the real part of one
     inverse 2-D FFT (see ``synthesize``).
 
-    Raises ``AliasingError`` when k_max exceeds m/2, and ``ValueError``
-    when the grid's coordinates are not its m x m cell centres.
+    Raises ``AliasingError`` when k_max exceeds m/2.
     """
     if not isinstance(spec, SpectralSpec):
         raise ValueError(f"expected SpectralSpec, got {type(spec).__name__}")
@@ -254,7 +231,7 @@ def sample_grf(grid: LocationGrid, spec: SpectralSpec, seed: int) -> np.ndarray:
     rng = _generator(seed)
     coefs = rng.standard_normal((len(pairs), 2))
     damp = np.maximum(np.abs(pairs).max(axis=1), 1) ** (-float(spec.decay))
-    values = synthesize(grid.m, grid.cell_order, pairs, coefs[:, 0] * damp, coefs[:, 1] * damp)
+    values = synthesize(grid.m, pairs, coefs[:, 0] * damp, coefs[:, 1] * damp)
     v = values.var()
     if v > 0.0:
         values = values * np.sqrt(spec.variance / v)
@@ -291,7 +268,7 @@ def field_dft_energy(values, grid: LocationGrid) -> dict[int, float]:
             f"field length {values.shape} does not match grid size ({grid.n},)"
         )
     m = grid.m
-    spectrum = np.fft.fft2(_in_cell_order(values, grid.cell_order).reshape(m, m))
+    spectrum = np.fft.fft2(values.reshape(m, m))
     power = (spectrum * spectrum.conj()).real / values.size
     f = np.rint(np.fft.fftfreq(m) * m).astype(int)
     shell = np.maximum(np.abs(f)[:, None], np.abs(f)[None, :])

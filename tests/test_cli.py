@@ -363,6 +363,13 @@ def test_max_freq_zero_rejected(tmp_path, capsys, command):
     assert "max_freq" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["mc", "scenario", "aic-bias"])
+def test_out_help_says_it_is_a_stem(command):
+    sub = next(a for a in build_parser()._actions if a.dest == "subcommand")
+    out = next(a for a in sub.choices[command]._actions if a.dest == "out")
+    assert out.help == "output path stem (.csv/.json appended)"
+
+
 def test_mc_threads_default_one():
     args = build_parser().parse_args(["mc", "--config", "c.json", "--out", "x"])
     assert args.threads == 1

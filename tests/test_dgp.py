@@ -170,10 +170,10 @@ class TestObservations:
                 with pytest.raises(ValueError, match=f"^{column} has wrong length"):
                     build()
 
-    def test_more_than_three_locations_required(self):
-        grid = LocationGrid(m=1, coords=np.array([[0.5, 0.5]]))
-        with pytest.raises(ValueError, match="more than 3"):
-            Observations(Z=[1.0], C=[2.0], Y=[3.0], grid=grid)
+    def test_grid_of_side_one_refused(self):
+        # A grid has at least 2 x 2 locations, so every Observations has n >= 4.
+        with pytest.raises(ValueError, match=r"grid side m must be in \[2, 512\], got 1"):
+            LocationGrid(m=1)
 
     def test_stores_read_only_float_copies(self, obs):
         z = np.arange(obs.grid.n)  # integers

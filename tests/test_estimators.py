@@ -12,7 +12,6 @@ from spatialconfound import (
     DegenerateResidualError,
     EstimatorKind,
     IidSpec,
-    LocationGrid,
     Observations,
     ScenarioConfig,
     SpectralSpec,
@@ -27,7 +26,10 @@ from spatialconfound import (
     generate_dataset,
     make_grid,
     empty_basis,
+    scenario_config,
+    select_lambda_gcv,
 )
+from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE
 
 from support import (
     random_config,
@@ -141,7 +143,8 @@ class TestRSR:
         obs = ds.observations()
         b = fourier_basis(ds.grid, 5)
         F = np.column_stack([np.ones(obs.grid.n), obs.Z, obs.C])
-        b_perp = b.columns - F @ np.linalg.lstsq(F, b.columns, rcond=None)[0]
+        columns = b.dense().columns
+        b_perp = columns - F @ np.linalg.lstsq(F, columns, rcond=None)[0]
         X = np.column_stack([F, b_perp])
         coef, _, rank, _ = np.linalg.lstsq(X, obs.Y, rcond=None)
         resid = obs.Y - X @ coef
@@ -326,32 +329,6 @@ class TestUnpenalizedEquivalence:
         assert abs(gsem.beta1_hat - spatial.beta1_hat) < 1e-8 * max(1.0, scale)
 
 
-class TestPermutationInvariance:
-    def test_estimates_invariant_to_consistent_row_permutation(self):
-        ds = generate_dataset(scenario(), 11)
-        obs = ds.observations()
-        b = fourier_basis(ds.grid, 4)
-        rng = np.random.default_rng(12)
-        perm = rng.permutation(ds.grid.n)
-        grid_perm = LocationGrid(m=ds.grid.m, coords=ds.grid.coords[perm])
-        obs_perm = Observations(Z=obs.Z[perm], C=obs.C[perm], Y=obs.Y[perm], grid=grid_perm)
-        b_perm = fourier_basis(grid_perm, 4)
-
-        for fit, kwargs in (
-            (fit_nonspatial, {}),
-            (fit_rsr, {"b": b}),
-            (fit_spatial, {"b": b, "smoothing": 2.5}),
-            (fit_spatial_plus, {"b": b, "smoothing": 2.5}),
-            (fit_gsem, {"b": b, "smoothing": 2.5}),
-        ):
-            kw_perm = dict(kwargs)
-            if "b" in kw_perm:
-                kw_perm["b"] = b_perm
-            a = fit(obs, **kwargs)
-            c = fit(obs_perm, **kw_perm)
-            assert c.beta1_hat == pytest.approx(a.beta1_hat, rel=1e-8), fit.__name__
-
-
 def user_basis(grid, p=12, seed=0):
     """A dense orthogonal basis that is not Fourier: B'1 != 0, uneven norms,
     labels 1..p/4 in fours."""
@@ -370,7 +347,7 @@ def _basis(kind, grid):
     b = fourier_basis(grid, 4)
     if kind == "spectral":
         return b
-    return replace(b, columns=b.columns) if kind == "dense-twin" else user_basis(grid)
+    return b.dense() if kind == "dense-twin" else user_basis(grid)
 
 
 def _outcome(fit):
@@ -416,6 +393,16 @@ class TestGeneralBases:
         b = user_basis(make_grid(12))
         assert np.abs(b.analyze(np.ones(b.n))).max() > 0.1
 
+    def test_collinearity_in_a_user_basis_names_its_columns(self):
+        # p = 12 columns, more than the 8 Fourier columns of label 1: named basis[j].
+        b = user_basis(make_grid(12))
+        b = replace(b, freq=np.ones(b.p, dtype=int), penalty=np.ones(b.p), max_freq=1)
+        F = np.column_stack([np.ones(b.n), b.columns[:, -1]])
+        y = np.random.default_rng(4).normal(size=b.n)
+        with pytest.raises(CollinearityError) as err:
+            select_lambda_gcv(y, F, b, 0.0)
+        assert "fixed[1]" in err.value.columns and "basis[11]" in err.value.columns
+
     @pytest.mark.parametrize("smoothing", [None, 0.0, 3.7], ids=["gcv", "lam0", "lam3.7"])
     @pytest.mark.parametrize("kind", list(TWO_STAGE))
     @pytest.mark.parametrize("basis", ["spectral", "dense-twin", "user"])
@@ -450,6 +437,13 @@ class TestGeneralBases:
             assert got["beta"] == pytest.approx(want["beta"], rel=1e-9)
 
 
+def test_a_replication_builds_no_grid_coordinates():
+    obs = generate_dataset(scenario_config(SCENARIO_STRONG_EXPOSURE), 1).observations()
+    rec = fit_estimator(EstimatorKind.SPATIAL_PLUS, obs, fourier_basis(obs.grid, 10))
+    assert np.isfinite(rec.beta1_hat)
+    assert "coords" not in vars(obs.grid)
+
+
 class TestLargeGrid:
     def test_spatial_plus_at_m256_builds_no_dense_basis(self):
         # n = 65536, p = 440: the n x p basis alone would take 220 MiB.
@@ -458,4 +452,4 @@ class TestLargeGrid:
         b = fourier_basis(obs.grid, 10)
         rec = fit_spatial_plus(obs, b)
         assert np.isfinite(rec.beta1_hat) and rec.se > 0
-        assert "columns" not in vars(b)
+        assert b.columns is None

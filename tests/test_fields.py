@@ -6,6 +6,7 @@ import pytest
 from spatialconfound import (
     AliasingError,
     IidSpec,
+    LocationGrid,
     SpectralSpec,
     derive_seed,
     field_dft_energy,
@@ -47,14 +48,25 @@ class TestMakeGrid:
         grid = make_grid(7)
         assert np.all(grid.coords > 0.0) and np.all(grid.coords < 1.0)
 
+    @pytest.mark.parametrize("build", [make_grid, LocationGrid])
     @pytest.mark.parametrize("m", [1, 0, -3, 513])
-    def test_out_of_range(self, m):
-        with pytest.raises(ValueError):
-            make_grid(m)
+    def test_out_of_range(self, m, build):
+        with pytest.raises(ValueError, match="must be in"):
+            build(m)
 
-    def test_non_integer(self):
+    @pytest.mark.parametrize("build", [make_grid, LocationGrid])
+    @pytest.mark.parametrize("m", [4.0, True])
+    def test_non_integer(self, m, build):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build(m)
+
+    def test_coords_built_on_first_read_and_read_only(self):
+        grid = LocationGrid(np.int64(3))
+        assert type(grid.m) is int and grid.n == 9 and "coords" not in vars(grid)
+        coords = grid.coords
+        assert grid.coords is coords and np.array_equal(coords, make_grid(3).coords)
         with pytest.raises(ValueError):
-            make_grid(4.0)
+            coords[0, 0] = 0.0
 
 
 class TestFrequencyPairs:

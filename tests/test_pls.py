@@ -34,7 +34,7 @@ def toy_basis(column, penalty):
 
 
 def penalized_objective(y, F, b, lam, alpha, gamma):
-    resid = y - F @ alpha - b.columns @ gamma
+    resid = y - F @ alpha - b.dense().columns @ gamma
     return float(resid @ resid + lam * (gamma * b.penalty) @ gamma)
 
 
@@ -43,7 +43,7 @@ def random_problem(seed, n=64, m=8, max_freq=3, noise=0.5):
     grid = make_grid(m)
     b = fourier_basis(grid, max_freq)
     F = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)])
-    y = F @ rng.normal(size=3) + b.columns @ rng.normal(size=b.p) * 0.3
+    y = F @ rng.normal(size=3) + b.dense().columns @ rng.normal(size=b.p) * 0.3
     y = y + noise * rng.normal(size=n)
     return y, F, b
 
@@ -59,7 +59,7 @@ def dense_oracle(y, F, b, lam):
     if math.isinf(lam):
         X, pen = F, np.zeros(q)
     else:
-        X = np.column_stack([F, b.columns])
+        X = np.column_stack([F, b.dense().columns])
         pen = np.concatenate([np.zeros(q), lam * b.penalty])
     A = X.T @ X
     A_pen = A + np.diag(pen)
@@ -123,7 +123,7 @@ class TestLambdaLimits:
     def test_zero_lambda_matches_normal_equations_oracle(self):
         y, F, b = random_problem(1)
         fit = fit_pls(y, F, b, 0.0)
-        X = np.column_stack([F, b.columns])
+        X = np.column_stack([F, b.dense().columns])
         ref = np.linalg.solve(X.T @ X, X.T @ y)
         joint = np.concatenate([fit.fixed_coefs, fit.basis_coefs])
         assert joint == pytest.approx(ref, rel=1e-8)
@@ -254,8 +254,8 @@ SWEEP_FIELDS = ("lambdas", "rss", "edf", "gcv", "aic", "fixed_coefs", "basis_coe
 @pytest.mark.parametrize("reverse", [False, True], ids=["small-first", "default-first"])
 def test_kept_shrinkage_weights_give_the_fresh_sweeps(reverse):
     # The lambda-grid weights are kept per (basis, grid); sweeps that reuse
-    # them equal, bit for bit, those on a copy of the basis with none kept.
-    # (A bare replace(b) would read b.columns and give a dense copy.)
+    # them equal, bit for bit, those on a copy of the basis with none kept
+    # (replace(b) copies a spectral basis as a spectral one, with no weights).
     obs = generate_dataset(scenario_config(SCENARIO_STRONG_EXPOSURE), 4).observations()
     X = np.column_stack([np.ones(obs.grid.n), obs.Z, obs.C, obs.Y])
     b = fourier_basis(obs.grid, 10)
@@ -263,7 +263,7 @@ def test_kept_shrinkage_weights_give_the_fresh_sweeps(reverse):
     for lams in grids[::-1] if reverse else grids:
         for _ in range(2):
             kept = sweep_moments(basis_moments(X, b), lams)
-            fresh = sweep_moments(basis_moments(X, replace(b, columns=None)), lams)
+            fresh = sweep_moments(basis_moments(X, replace(b)), lams)
             for field in SWEEP_FIELDS:
                 assert getattr(kept, field).tobytes() == getattr(fresh, field).tobytes(), field
     assert len(b._shrinkage) == len(grids)
@@ -362,7 +362,8 @@ class TestCollinearity:
     def test_fixed_inside_basis_span_at_lambda_zero(self):
         grid = make_grid(8)
         b = fourier_basis(grid, 2)
-        z = b.columns[:, 0] + 0.5 * b.columns[:, 3]
+        columns = b.dense().columns
+        z = columns[:, 0] + 0.5 * columns[:, 3]
         F = np.column_stack([np.ones(grid.n), z])
         rng = np.random.default_rng(14)
         with pytest.raises(CollinearityError) as err:
@@ -392,7 +393,8 @@ class TestCollinearity:
 
     def test_fixed_in_basis_span_is_joint_at_lambda_zero(self):
         b = fourier_basis(make_grid(8), 2)
-        F = np.column_stack([np.ones(64), b.columns[:, 0] + 0.5 * b.columns[:, 3]])
+        columns = b.dense().columns
+        F = np.column_stack([np.ones(64), columns[:, 0] + 0.5 * columns[:, 3]])
         y = np.random.default_rng(23).normal(size=64)
         for call in (sweep_lambda, select_lambda_gcv):
             with pytest.raises(CollinearityError) as err:
@@ -455,9 +457,10 @@ class TestNonOrthogonalBasis:
         # Orthogonality is checked once, when a basis is built, so no solver
         # entry point can receive a basis that fails it.
         _, _, b = random_problem(21)
-        zeroed = b.columns.copy()
+        dense = b.dense().columns
+        zeroed = dense.copy()
         zeroed[:, 0] = 0.0
-        for columns in (b.columns + 0.1 * b.columns[:, :1], zeroed):
+        for columns in (dense + 0.1 * dense[:, :1], zeroed):
             with pytest.raises(ValueError, match="orthogonal"):
                 replace(b, columns=columns)
             with pytest.raises(ValueError, match="orthogonal"):

@@ -12,9 +12,7 @@ import pytest
 
 from spatialconfound import (
     BasisSet,
-    LocationGrid,
     SpectralSpec,
-    field_dft_energy,
     fourier_basis,
     frequency_pairs,
     make_grid,
@@ -31,18 +29,6 @@ def rel_err(got, ref):
     return np.abs(got - ref).max() / np.abs(ref).max()
 
 
-def dense_twin(b):
-    """The same basis given explicit columns, so its products are matrix products."""
-    twin = replace(b, columns=b.columns)
-    assert twin.pairs is None and np.array_equal(twin.columns, b.columns)
-    return twin
-
-
-def permuted(grid, seed):
-    perm = np.random.default_rng(seed).permutation(grid.n)
-    return LocationGrid(m=grid.m, coords=grid.coords[perm])
-
-
 def dense_grf(grid, spec, seed):
     """``sample_grf`` by the dense cos/sin sum over the band's pairs."""
     pairs = frequency_pairs(spec.k_min, spec.k_max)
@@ -56,7 +42,7 @@ def dense_grf(grid, spec, seed):
 
 def check_products(b, seed):
     rng = np.random.default_rng(seed)
-    twin = dense_twin(b)
+    twin = b.dense()
     X, G = rng.normal(size=(b.n, 3)), rng.normal(size=(b.p, 4))
     assert rel_err(b.analyze(X), twin.analyze(X)) <= TOL
     assert rel_err(b.analyze(X[:, 0]), twin.analyze(X[:, 0])) <= TOL
@@ -77,12 +63,6 @@ def test_restricted_products_match_dense(m):
     check_products(b, seed=m + 1)
 
 
-@pytest.mark.parametrize("m", [5, 16])
-def test_permuted_grid_products_match_dense(m):
-    # Rows in any order: the FFT places each row by its coordinates.
-    check_products(fourier_basis(permuted(make_grid(m), m), (m - 1) // 2), seed=m + 2)
-
-
 @pytest.mark.parametrize(
     "m,band",
     [(4, (1, 2)), (8, (3, 4)), (16, (6, 8)), (31, (1, 15)), (32, (0, 3)), (64, (6, 10)), (5, (0, 2))],
@@ -90,40 +70,8 @@ def test_permuted_grid_products_match_dense(m):
 def test_sample_grf_matches_dense(m, band):
     # Bands reaching m/2 put two pairs in one DFT bin; k_min = 0 adds a constant.
     spec = SpectralSpec(*band, decay=0.7, variance=2.0)
-    for grid in (make_grid(m), permuted(make_grid(m), 3)):
-        got = sample_grf(grid, spec, seed=m)
-        assert rel_err(got, dense_grf(grid, spec, seed=m)) <= TOL
-
-
-def test_shell_energies_read_each_row_at_its_cell():
-    grid = make_grid(16)
-    perm = np.random.default_rng(5).permutation(grid.n)
-    f = sample_grf(grid, SpectralSpec(2, 3), seed=6)
-    moved = LocationGrid(m=16, coords=grid.coords[perm])
-    got, ref = field_dft_energy(f[perm], moved), field_dft_energy(f, grid)
-    assert got == pytest.approx(ref, rel=1e-12, abs=1e-12 * sum(ref.values()))
-
-
-class CountingCoords:
-    """Grid coordinates that count how often they are read as an array."""
-
-    def __init__(self, coords):
-        self.coords, self.shape, self.reads = coords, coords.shape, 0
-
-    def __array__(self, dtype=None, copy=None):
-        self.reads += 1
-        return np.asarray(self.coords, dtype=dtype)
-
-
-def test_grid_checks_its_coordinates_once():
-    coords = CountingCoords(make_grid(16).coords)
-    grid = LocationGrid(m=16, coords=coords)
-    fields = [sample_grf(grid, SpectralSpec(1, 7), seed) for seed in (1, 2)]
-    b = fourier_basis(grid, 7)
-    for cutoff in (2, 3):
-        restrict_low_frequency(b, cutoff).analyze(fields[0])
-    b.synthesize(b.analyze(fields[1]))
-    assert coords.reads == 1
+    grid = make_grid(m)
+    assert rel_err(sample_grf(grid, spec, seed=m), dense_grf(grid, spec, seed=m)) <= TOL
 
 
 def test_fourier_basis_and_a_fit_leave_numpy_ma_unimported():
@@ -150,29 +98,26 @@ print("numpy.ma" in sys.modules)
 
 def test_fourier_basis_builds_no_dense_columns():
     b = fourier_basis(make_grid(32), 10)
-    assert "columns" not in vars(b)
+    assert b.columns is None
     assert np.array_equal(b.d0, np.full(b.p, 512.0))
     b.synthesize(b.analyze(np.ones(b.n)))
-    assert "columns" not in vars(b)
-    assert b.columns.shape == (b.n, b.p) and "columns" in vars(b)  # built on first read
+    twin = b.dense()
+    assert b.columns is None and vars(b)["columns"] is None
+    assert twin.pairs is None and twin.grid is None and twin.dense() is twin
+    assert twin.columns.shape == (b.n, b.p) and not twin.columns.flags.writeable
+    assert np.array_equal(twin.d0, np.diag(twin.columns.T @ twin.columns))
+    phases = 2.0 * np.pi * (make_grid(32).coords @ b.pairs.T.astype(float))
+    assert np.array_equal(twin.columns[:, 0::2], np.cos(phases))
+    assert np.array_equal(twin.columns[:, 1::2], np.sin(phases))
 
 
-@pytest.mark.parametrize(
-    "coords",
-    [
-        make_grid(4).coords + 0.01,  # off the cell centres
-        np.vstack([make_grid(4).coords[:-1], make_grid(4).coords[:1]]),  # a cell twice
-        make_grid(4).coords[:-1],  # a cell missing
-        np.full((16, 2), np.nan),
-    ],
-    ids=["shifted", "repeated", "short", "nan"],
-)
-def test_grid_that_is_not_the_cell_centres_refused(coords):
-    grid = LocationGrid(m=4, coords=coords)
-    with pytest.raises(ValueError, match="grid coordinates"):
-        fourier_basis(grid, 1)
-    with pytest.raises(ValueError, match="grid coordinates"):
-        sample_grf(grid, SpectralSpec(1, 2), seed=0)
+def test_replace_keeps_a_spectral_basis_spectral():
+    b = fourier_basis(make_grid(128), 10)
+    copy = replace(b)
+    assert copy.columns is None and copy.pairs is b.pairs and copy.grid is b.grid
+    assert vars(b)["columns"] is None
+    X = np.random.default_rng(3).normal(size=(b.n, 2))
+    assert np.array_equal(copy.analyze(X), b.analyze(X))
 
 
 @pytest.mark.parametrize(
