@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import fields
+from .errors import _integer
 from .fields import LocationGrid, frequency_pairs, _readonly
 
 
@@ -207,41 +208,26 @@ def fourier_basis(grid: LocationGrid, max_freq: int) -> BasisSet:
     columns stay strictly below the grid Nyquist frequency and the exact
     orthogonality relations hold.
     """
-    if not isinstance(max_freq, (int, np.integer)) or isinstance(max_freq, bool):
-        raise ValueError(f"max_freq must be an integer, got {max_freq!r}")
-    limit = (grid.m - 1) // 2
-    if not (1 <= max_freq <= limit):
-        raise ValueError(
-            f"max_freq must be in [1, {limit}] for an m={grid.m} grid "
-            f"(aliasing guard), got {max_freq}"
-        )
-    pairs = frequency_pairs(1, int(max_freq))
+    max_freq = _integer(max_freq, f"max_freq for an m={grid.m} grid", 1, (grid.m - 1) // 2)
+    pairs = frequency_pairs(1, max_freq)
     freq = np.repeat(np.abs(pairs).max(axis=1), 2)
     return BasisSet(
         columns=None,
         freq=freq,
         penalty=freq.astype(float) ** 2,
-        max_freq=int(max_freq),
+        max_freq=max_freq,
         grid=grid,
         pairs=pairs,
     )
 
 
-def _check_cutoff(cutoff, max_freq: int) -> None:
-    """Raise ``ValueError`` unless ``cutoff`` is an integer in [1, max_freq]."""
-    if not isinstance(cutoff, (int, np.integer)) or isinstance(cutoff, bool):
-        raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
-    if not (1 <= cutoff <= max_freq):
-        raise ValueError(f"cutoff must be in [1, {max_freq}], got {cutoff}")
-
-
 def restrict_low_frequency(b: BasisSet, cutoff: int) -> BasisSet:
     """Keep exactly the columns with frequency label <= cutoff.
 
-    Penalty entries are carried over unchanged.  Requires
+    Penalty entries are carried over unchanged.  Requires an integer
     1 <= cutoff <= b.max_freq.
     """
-    _check_cutoff(cutoff, b.max_freq)
+    cutoff = _integer(cutoff, "cutoff", 1, b.max_freq)
     keep = b.freq <= cutoff
     if b.pairs is None:
         columns, pairs = _readonly(b.columns[:, keep]), None
@@ -251,7 +237,7 @@ def restrict_low_frequency(b: BasisSet, cutoff: int) -> BasisSet:
         columns=columns,
         freq=b.freq[keep].copy(),
         penalty=b.penalty[keep].copy(),
-        max_freq=int(cutoff),
+        max_freq=cutoff,
         grid=b.grid,
         pairs=pairs,
     )

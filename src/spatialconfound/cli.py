@@ -50,7 +50,6 @@ from .mc import (
     summary_to_csv,
 )
 from .oracle import compute_estimands
-from .pls import DEFAULT_LAMBDA_GRID
 
 ESTIMATOR_NAMES = tuple(kind.value for kind in EstimatorKind)
 _THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -225,7 +224,7 @@ def cmd_scenario(args, argv) -> int:
 
 def cmd_aic_bias(args, argv) -> int:
     base = _with_config(default_aic_plan(r=args.reps, master_seed=args.seed), args)
-    lambdas = _parse_lambdas(args.lambdas) if args.lambdas else list(DEFAULT_LAMBDA_GRID)
+    lambdas = _parse_lambdas(args.lambdas) if args.lambdas else None
     result = aic_bias_experiment(base, lambdas)
     return _write_outputs(
         args, argv, base.config, lambda path: aic_table_to_csv(result, path), result.to_dict()

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .basis import BasisSet, empty_basis
-from .errors import ConfigError, DegenerateExposureError
+from .errors import ConfigError, DegenerateExposureError, _real
 from .fields import (
     FieldSpec,
     IidSpec,
@@ -46,13 +46,6 @@ from .pls import Moments, basis_moments
 
 OBSERVED_COLUMNS = ("x", "y", "Z", "C", "Y")
 LATENT_COLUMNS = ("S1", "S2", "E", "U", "nu", "eps")
-
-
-def _real(value, name: str) -> float:
-    """``value`` as a finite float; a string or a bool is refused, not read as a number."""
-    if isinstance(value, (str, bool, np.bool_)) or not np.isfinite(float(value)):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -87,15 +80,12 @@ class ScenarioConfig:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "loadings", loadings)
         for name in ("nu_sd", "sigma", "e_sd", "u_sd"):
-            v = _real(getattr(self, name), name)
-            if v < 0:
-                raise ValueError(f"{name} must be a nonnegative real, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0))
         if not isinstance(self.spec_S1, SpectralSpec) or not isinstance(self.spec_S2, SpectralSpec):
             raise ValueError("spec_S1 and spec_S2 must be SpectralSpec instances")
         if not isinstance(self.spec_C, (SpectralSpec, IidSpec)):
             raise ValueError("spec_C must be a SpectralSpec or IidSpec")
-        make_grid(self.m)  # validates the range
+        object.__setattr__(self, "m", make_grid(self.m).m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,11 +288,11 @@ def _spec_from_dict(d, field: str) -> FieldSpec:
             return SpectralSpec(
                 k_min=d["k_min"],
                 k_max=d["k_max"],
-                decay=_real(d.get("decay", 0.0), "decay"),
-                variance=_real(d["variance"], "variance"),
+                decay=d.get("decay", 0.0),
+                variance=d["variance"],
             )
         if kind == "iid":
-            return IidSpec(sd=_real(d["sd"], "sd"))
+            return IidSpec(sd=d["sd"])
     except KeyError as exc:
         raise ConfigError(f"field '{field}' is missing entry {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -76,14 +76,24 @@ class EstimatorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class EstimateRecord:
+    """One estimator's fit.  ``beta1_hat``, ``se`` and ``aic`` are stored as
+    floats, and ``ci95`` = beta1_hat -/+ 1.96 se is worked out from them
+    when built, ``dataclasses.replace`` included."""
+
     kind: EstimatorKind
     beta1_hat: float
     se: float
-    ci95: tuple[float, float]
+    ci95: tuple[float, float] = field(init=False)
     lambdas: dict[str, float]
     edf: dict[str, float]
     aic: float
     diagnostics: dict[str, float]
+
+    def __post_init__(self):
+        for name in ("beta1_hat", "se", "aic"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        half = Z_CRIT_95 * self.se
+        object.__setattr__(self, "ci95", (self.beta1_hat - half, self.beta1_hat + half))
 
     def to_dict(self) -> dict:
         return {
@@ -98,32 +108,10 @@ class EstimateRecord:
         }
 
 
-def _record(
-    kind: EstimatorKind,
-    beta1: float,
-    se: float,
-    lambdas: dict[str, float],
-    edf: dict[str, float],
-    aic: float,
-    diagnostics: dict[str, float],
-) -> EstimateRecord:
-    half = Z_CRIT_95 * se
-    return EstimateRecord(
-        kind=kind,
-        beta1_hat=float(beta1),
-        se=float(se),
-        ci95=(float(beta1 - half), float(beta1 + half)),
-        lambdas=lambdas,
-        edf=edf,
-        aic=float(aic),
-        diagnostics=diagnostics,
-    )
-
-
 def _outcome_record(kind: EstimatorKind, fit: StageFit, **parts) -> EstimateRecord:
     """The record whose estimate, standard error and AIC are those of ``fit``."""
-    se = float(np.sqrt(fit.cov_fixed[1, 1]))
-    return _record(kind, fit.fixed_coefs[1], se, aic=fit.aic, **parts)
+    se = np.sqrt(fit.cov_fixed[1, 1])
+    return EstimateRecord(kind, fit.fixed_coefs[1], se, aic=fit.aic, **parts)
 
 
 def _design_cond(m: Moments) -> float:
@@ -187,10 +175,10 @@ def fit_rsr(obs: Observations, b: BasisSet) -> EstimateRecord:
     m = obs.moments(b)
     sweep = sweep_moments(m, [math.inf, 0.0], OUTCOME_NAMES)  # rows: OLS, joint
     s_inv = sweep.V[0] @ sweep.V[0].T  # (F'F)^-1
-    return _record(
+    return EstimateRecord(
         EstimatorKind.RSR,
         sweep.fixed_coefs[0, 1],
-        float(np.sqrt(sweep.sigma2[1] * s_inv[1, 1])),
+        np.sqrt(sweep.sigma2[1] * s_inv[1, 1]),
         lambdas={},
         edf={"outcome": float(sweep.edf[1])},
         aic=sweep.aic[1],

@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import AliasingError
+from .errors import AliasingError, _integer, _real
 
 MIN_GRID_SIDE = 2
 MAX_GRID_SIDE = 512
@@ -69,12 +69,7 @@ class LocationGrid:
     m: int
 
     def __post_init__(self):
-        m = self.m
-        if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
-            raise ValueError(f"grid side m must be an integer, got {m!r}")
-        if not (MIN_GRID_SIDE <= m <= MAX_GRID_SIDE):
-            raise ValueError(f"grid side m must be in [{MIN_GRID_SIDE}, {MAX_GRID_SIDE}], got {m}")
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "m", _integer(self.m, "grid side m", MIN_GRID_SIDE, MAX_GRID_SIDE))
 
     @property
     def n(self) -> int:
@@ -103,7 +98,9 @@ class SpectralSpec:
     frequency pairs included in the synthesis, ``decay`` is a power-law
     exponent damping amplitudes with frequency, and ``variance`` is the
     marginal variance the sampled field is rescaled to on its grid.
-    ``variance = 0`` denotes the identically-zero field.
+    ``variance = 0`` denotes the identically-zero field.  Checked when
+    built: integers 0 <= k_min <= k_max, and finite nonnegative reals,
+    stored as floats (a bool or a string is a ``ValueError``).
     """
 
     k_min: int
@@ -112,32 +109,25 @@ class SpectralSpec:
     variance: float = 1.0
 
     def __post_init__(self):
-        for name in ("k_min", "k_max"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
-        if self.k_min > self.k_max:
-            raise ValueError(f"k_min={self.k_min} exceeds k_max={self.k_max}")
-        if not np.isfinite(self.decay) or self.decay < 0:
-            raise ValueError(f"decay must be a nonnegative real, got {self.decay!r}")
-        if not np.isfinite(self.variance) or self.variance < 0:
-            raise ValueError(f"variance must be a nonnegative real, got {self.variance!r}")
+        object.__setattr__(self, "k_min", _integer(self.k_min, "k_min", 0))
+        object.__setattr__(self, "k_max", _integer(self.k_max, "k_max", self.k_min))
+        object.__setattr__(self, "decay", _real(self.decay, "decay", 0))
+        object.__setattr__(self, "variance", _real(self.variance, "variance", 0))
 
 
 @dataclass(frozen=True)
 class IidSpec:
-    """Marker for an independent (non-spatial) field with the given sd."""
+    """An independent (non-spatial) field; ``sd``, a finite real >= 0, is stored as a float."""
 
     sd: float
 
     def __post_init__(self):
-        if not np.isfinite(self.sd) or self.sd < 0:
-            raise ValueError(f"sd must be a nonnegative real, got {self.sd!r}")
+        object.__setattr__(self, "sd", _real(self.sd, "sd", 0))
 
     @property
     def variance(self) -> float:
         """Marginal variance, as ``SpectralSpec.variance`` is for a spatial field."""
-        return float(self.sd) ** 2
+        return self.sd**2
 
 
 FieldSpec = Union[SpectralSpec, IidSpec]
@@ -230,7 +220,7 @@ def sample_grf(grid: LocationGrid, spec: SpectralSpec, seed: int) -> np.ndarray:
     pairs = frequency_pairs(spec.k_min, spec.k_max)
     rng = _generator(seed)
     coefs = rng.standard_normal((len(pairs), 2))
-    damp = np.maximum(np.abs(pairs).max(axis=1), 1) ** (-float(spec.decay))
+    damp = np.maximum(np.abs(pairs).max(axis=1), 1) ** (-spec.decay)
     values = synthesize(grid.m, pairs, coefs[:, 0] * damp, coefs[:, 1] * damp)
     v = values.var()
     if v > 0.0:
@@ -239,11 +229,10 @@ def sample_grf(grid: LocationGrid, spec: SpectralSpec, seed: int) -> np.ndarray:
 
 
 def sample_iid(grid: LocationGrid, sd: float, seed: int) -> np.ndarray:
-    """Sample n independent N(0, sd^2) draws, read-only; sd must be nonnegative."""
-    if not np.isfinite(sd) or sd < 0:
-        raise ValueError(f"sd must be a nonnegative real, got {sd!r}")
+    """Sample n independent N(0, sd^2) draws, read-only; sd is a finite real >= 0."""
+    sd = _real(sd, "sd", 0)
     rng = _generator(seed)
-    values = rng.standard_normal(grid.n) * float(sd)
+    values = rng.standard_normal(grid.n) * sd
     return _readonly(values)
 
 

@@ -31,9 +31,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .basis import BasisSet, _check_cutoff, fourier_basis
+from .basis import BasisSet, fourier_basis
 from .dgp import ScenarioConfig, config_hash, generate_dataset
-from .errors import DegeneracyError
+from .errors import DegeneracyError, _integer
 from .estimators import OUTCOME_NAMES, EstimatorKind, Smoothing, fit_estimator
 from .fields import IidSpec, SpectralSpec, derive_seed, make_grid
 from .oracle import EstimandSet, compute_estimands
@@ -72,10 +72,11 @@ class EstimatorSpec:
     """One estimator plus its basis / smoothing settings inside a plan.
 
     Checked when built, so that a bad plan fails before any dataset is
-    drawn: every kind but the non-spatial one needs ``max_freq``,
-    ``spatial-plus-lowfreq`` needs a ``cutoff`` in [1, max_freq], and a
-    ``smoothing`` other than None must be one nonnegative real or a grid of
-    distinct ones.  The values are stored as given.
+    drawn: every kind but the non-spatial one needs ``max_freq``, an
+    integer of at least 1 (its upper bound needs the grid);
+    ``spatial-plus-lowfreq`` needs an integer ``cutoff`` in [1, max_freq];
+    and a ``smoothing`` other than None must be one nonnegative real or a
+    grid of distinct ones.  The values are stored as given.
     """
 
     kind: EstimatorKind
@@ -86,10 +87,12 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind is not EstimatorKind.NONSPATIAL_OLS and self.max_freq is None:
             raise ValueError(f"estimator {self.name!r} needs max_freq for its basis")
+        if self.max_freq is not None:
+            _integer(self.max_freq, "max_freq", 1)
         if self.kind is EstimatorKind.SPATIAL_PLUS_LOWFREQ:
             if self.cutoff is None:
                 raise ValueError(f"estimator {self.name!r} needs a cutoff")
-            _check_cutoff(self.cutoff, self.max_freq)
+            _integer(self.cutoff, "cutoff", 1, self.max_freq)
         if self.smoothing is not None:
             _distinct_lambdas(self.smoothing)
 
@@ -101,7 +104,8 @@ class EstimatorSpec:
 @dataclass(frozen=True)
 class MCPlan:
     """A full Monte Carlo specification; targets are computed from the
-    config on every build, ``dataclasses.replace`` included."""
+    config on every build, ``dataclasses.replace`` included.  ``R``, the
+    replication count, is an integer of at least 1, stored as an int."""
 
     config: ScenarioConfig
     estimators: tuple[EstimatorSpec, ...]
@@ -110,8 +114,7 @@ class MCPlan:
     targets: EstimandSet = field(init=False)
 
     def __post_init__(self):
-        if self.R < 1:
-            raise ValueError(f"replication count must be >= 1, got {self.R}")
+        object.__setattr__(self, "R", _integer(self.R, "replication count R", 1))
         estimators = tuple(self.estimators)
         if not estimators:
             raise ValueError("plan needs at least one estimator")
@@ -236,10 +239,9 @@ def run_mc(plan: MCPlan, n_jobs: int = 1) -> MCSummary:
     estimands) are counted per estimator and never abort the run; any
     other exception is a bug and propagates.  The
     summary is deterministic for a fixed plan regardless of ``n_jobs``,
-    which must be at least 1.
+    which must be an integer of at least 1.
     """
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
+    n_jobs = _integer(n_jobs, "n_jobs", 1)
     bases = _bases(plan)
 
     def fit(obs):

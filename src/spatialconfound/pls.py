@@ -74,7 +74,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .basis import BasisSet, column_names, empty_basis, restrict_low_frequency
-from .errors import CollinearityError
+from .errors import CollinearityError, _is_real
 
 RCOND_COLLINEAR = 1e-10
 
@@ -140,10 +140,6 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., None])[..., 0, 0]
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float, np.floating, np.integer)) and not isinstance(value, bool)
 
 
 def _as_lambdas(values) -> list[float]:
@@ -360,8 +356,6 @@ def _array_moments(y, fixed, basis: BasisSet, fixed_names) -> tuple[np.ndarray, 
         F = F[:, None]
     if F.shape[0] != y.shape[0]:
         raise ValueError(f"fixed design has {F.shape[0]} rows for {y.shape[0]} responses")
-    if basis.n != y.shape[0]:
-        raise ValueError("basis rows do not match the response length")
     if fixed_names is not None and len(fixed_names) != F.shape[1]:
         raise ValueError("fixed_names length does not match the fixed design")
     if F.shape[1] > F.shape[0]:

@@ -2,6 +2,8 @@
 
 import math
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -138,6 +140,18 @@ class TestConfigValidation:
     def test_nonfinite_beta(self):
         with pytest.raises(ValueError):
             base_config(beta=(0, np.inf, 0, 0, 0, 0))
+
+    def test_grid_side_stored_as_int(self):
+        config = replace(base_config(), m=np.int64(8))
+        assert type(config.m) is int and config_hash(config) == config_hash(base_config(m=8))
+
+    @pytest.mark.parametrize(
+        "value", [Fraction(1, 2), Decimal("0.5"), np.True_], ids=["Fraction", "Decimal", "np-bool"]
+    )
+    def test_reals_are_the_package_reals(self, value):
+        # The same numbers count as reals here as in a lambda grid.
+        with pytest.raises(ValueError, match="^sigma must be a finite real number"):
+            replace(base_config(), sigma=value)
 
 
 class TestObservations:
@@ -286,6 +300,7 @@ class TestInterchange:
             ("spec_S1", "variance", "2"),
             ("spec_S1", "decay", True),
             ("spec_C", "sd", "1"),
+            pytest.param("sigma", None, 10**400, id="sigma-None-10**400"),
         ],
     )
     def test_no_silent_coercion(self, field, entry, value):

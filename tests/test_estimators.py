@@ -10,6 +10,7 @@ from spatialconfound import (
     BasisSet,
     CollinearityError,
     DegenerateResidualError,
+    EstimateRecord,
     EstimatorKind,
     IidSpec,
     Observations,
@@ -61,6 +62,23 @@ def noiseless_scenario(**overrides):
     merged = dict(e_sd=0.0, u_sd=0.0, sigma=0.0)
     merged.update(overrides)
     return scenario(**merged)
+
+
+def test_record_derives_its_interval():
+    rec = EstimateRecord(
+        EstimatorKind.SPATIAL_PLUS, np.float64(2.5), np.float64(0.5),
+        lambdas={}, edf={}, aic=np.float64(-3.0), diagnostics={},
+    )
+    assert rec.ci95 == (2.5 - 1.96 * 0.5, 2.5 + 1.96 * 0.5)
+    assert all(type(v) is float for v in (rec.beta1_hat, rec.se, rec.aic, *rec.ci95))
+    moved = replace(rec, kind=EstimatorKind.SPATIAL_PLUS_LOWFREQ)
+    assert moved.ci95 == rec.ci95 and moved.kind is EstimatorKind.SPATIAL_PLUS_LOWFREQ
+    assert replace(rec, se=1.0).ci95 == (2.5 - 1.96, 2.5 + 1.96)
+    with pytest.raises(TypeError):
+        EstimateRecord(
+            EstimatorKind.SPATIAL, 2.5, 0.5, ci95=(0.0, 1.0),
+            lambdas={}, edf={}, aic=0.0, diagnostics={},
+        )
 
 
 @pytest.fixture(scope="module")

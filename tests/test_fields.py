@@ -55,7 +55,7 @@ class TestMakeGrid:
             build(m)
 
     @pytest.mark.parametrize("build", [make_grid, LocationGrid])
-    @pytest.mark.parametrize("m", [4.0, True])
+    @pytest.mark.parametrize("m", [4.0, True, "4"])
     def test_non_integer(self, m, build):
         with pytest.raises(ValueError, match="must be an integer"):
             build(m)
@@ -171,6 +171,22 @@ class TestSampleIid:
         grid = make_grid(8)
         with pytest.raises(ValueError):
             sample_iid(grid, -1.0, seed=0)
+
+    @pytest.mark.parametrize("value", [True, np.True_, "1"], ids=["bool", "np-bool", "str"])
+    @pytest.mark.parametrize(
+        "name,build",
+        [
+            ("sd", IidSpec),
+            ("sd", lambda v: sample_iid(make_grid(8), v, seed=0)),
+            ("variance", lambda v: SpectralSpec(1, 2, variance=v)),
+            ("decay", lambda v: SpectralSpec(1, 2, decay=v)),
+        ],
+        ids=["IidSpec", "sample_iid", "variance", "decay"],
+    )
+    def test_not_a_real_number(self, name, build, value):
+        # A bool is not read as 1.0, nor a string parsed.
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+            build(value)
 
     def test_dispatch(self):
         grid = make_grid(8)

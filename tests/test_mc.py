@@ -68,6 +68,17 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             small_plan(r=0)
 
+    @pytest.mark.parametrize("r", [True, 2.5])
+    def test_r_not_an_integer(self, r):
+        with pytest.raises(ValueError, match="replication count R must be an integer"):
+            small_plan(r=r)
+
+    @pytest.mark.parametrize("max_freq", [2.5, True, "4", 0])
+    def test_max_freq_checked_when_built(self, max_freq):
+        # Its upper bound needs the grid; an integer of at least 1 does not.
+        with pytest.raises(ValueError, match="^max_freq must be"):
+            EstimatorSpec(kind=EstimatorKind.SPATIAL, max_freq=max_freq)
+
     def test_duplicate_labels(self):
         specs = (
             EstimatorSpec(kind=EstimatorKind.SPATIAL, max_freq=3),
@@ -191,9 +202,13 @@ class TestRunMc:
         threaded = run_mc(plan, n_jobs=3)
         assert serial == threaded
 
-    @pytest.mark.parametrize("n_jobs", [0, -4])
-    def test_thread_count_below_one_rejected(self, n_jobs):
-        with pytest.raises(ValueError, match="n_jobs must be at least 1"):
+    @pytest.mark.parametrize(
+        "n_jobs,match",
+        [(0, "at least 1"), (-4, "at least 1"), (True, "an integer"), (2.0, "an integer")],
+        ids=["0", "-4", "True", "2.0"],
+    )
+    def test_thread_count_below_one_rejected(self, n_jobs, match):
+        with pytest.raises(ValueError, match=f"n_jobs must be {match}"):
             run_mc(small_plan(r=2), n_jobs=n_jobs)
 
     def test_master_seed_changes_results(self):

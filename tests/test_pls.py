@@ -335,6 +335,11 @@ class TestSelectLambdaGcv:
         with pytest.raises(ValueError):
             select_lambda_gcv(y, F, b, [-1.0, 2.0])
 
+    def test_basis_of_another_grid_rejected(self):
+        y, F, _ = random_problem(12)  # n = 64
+        with pytest.raises(ValueError, match="basis rows do not match the response length"):
+            select_lambda_gcv(y, F, fourier_basis(make_grid(6), 2))
+
     @pytest.mark.parametrize(
         "grid",
         ["12", True, np.True_, [True, 2.0], [0.0, "1"]],
