@@ -6,8 +6,6 @@ then sweeps fixed smoothing values for the Spatial model to show the
 AIC-improves-while-bias-grows effect on a confounded scenario.
 """
 
-import numpy as np
-
 from spatialconfound import (
     compute_estimands,
     fit_gsem,
@@ -18,9 +16,9 @@ from spatialconfound import (
     fit_spatial_plus_lowfreq,
     fourier_basis,
     generate_dataset,
-    sweep_lambda,
 )
 from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE, scenario_config
+from spatialconfound.pls import sweep_moments
 
 config = scenario_config(SCENARIO_STRONG_EXPOSURE)
 targets = compute_estimands(config)
@@ -56,10 +54,10 @@ print(f"  |gsem - spatial|    (lam=0) = "
       f"{abs(records['gsem (lam=0)'].beta1_hat - records['spatial (lam=0)'].beta1_hat):.2e}")
 
 # One-dataset smoothing sweep for the Spatial model: AIC falls while the
-# coefficient drifts away from the achieved target.
+# coefficient drifts away from the achieved target.  The sweep starts from
+# the moments of [1, Z, C, Y] on the basis, which the fits above already made.
 lams = [0.0, 0.1, 1.0, 10.0, 100.0, 1000.0]
-F = np.column_stack([np.ones(obs.grid.n), obs.Z, obs.C])
-sweep = sweep_lambda(obs.Y, F, basis, lams, ["intercept", "Z", "C"])
+sweep = sweep_moments(obs.moments(basis), lams, ["intercept", "Z", "C"])
 print(f"\nSpatial model smoothing sweep (achieved target {targets.beta_cond_achieved:.4f}):")
 print(f"{'lambda':>8s} {'beta1':>8s} {'edf':>7s} {'aic':>9s}")
 for i, lam in enumerate(lams):

@@ -79,8 +79,8 @@ from .mc import (
 from .oracle import EstimandSet, compute_estimands, population_covariance
 from .pls import (
     DEFAULT_LAMBDA_GRID,
-    FitResult,
     LambdaSweep,
+    StageFit,
     fit_pls,
     project_out,
     select_lambda_gcv,

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .basis import BasisSet, empty_basis
-from .errors import ConfigError, DegenerateExposureError, _real
+from .errors import ConfigError, DegenerateExposureError, _integer, _real
 from .fields import (
     FieldSpec,
     IidSpec,
@@ -158,8 +158,11 @@ def generate_dataset(config: ScenarioConfig, seed: int) -> Dataset:
     """Draw every field independently and assemble Z and Y structurally.
 
     Child seeds come from hashing (seed, field name), so each field's
-    stream is independent of the others and of evaluation order.
+    stream is independent of the others and of evaluation order.  ``seed``
+    is any integer, stored as an int; a bool, a float or a string is a
+    ``ValueError``.
     """
+    seed = _integer(seed, "seed", None)
     grid = make_grid(config.m)
     s1 = sample_grf(grid, config.spec_S1, derive_seed(seed, "S1"))
     s2 = sample_grf(grid, config.spec_S2, derive_seed(seed, "S2"))
@@ -185,7 +188,7 @@ def generate_dataset(config: ScenarioConfig, seed: int) -> Dataset:
         nu=nu,
         eps=eps,
         config=config,
-        seed=int(seed),
+        seed=seed,
     )
 
 

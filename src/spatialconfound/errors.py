@@ -56,11 +56,12 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-def _integer(value, name: str, lo: int, hi: Optional[int] = None) -> int:
-    """``value`` as an int in [lo, hi] (hi None: no upper bound), else ``ValueError``."""
+def _integer(value, name: str, lo: Optional[int], hi: Optional[int] = None) -> int:
+    """``value`` as an int in [lo, hi] (lo None: no lower bound, hi None: no
+    upper bound), else ``ValueError``."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < lo or (hi is not None and value > hi):
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
         bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ValueError(f"{name} must be {bound}, got {value}")
     return int(value)

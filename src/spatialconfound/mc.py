@@ -25,7 +25,6 @@ smoothing levels that improve AIC while worsening the coefficient.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -105,7 +104,8 @@ class EstimatorSpec:
 class MCPlan:
     """A full Monte Carlo specification; targets are computed from the
     config on every build, ``dataclasses.replace`` included.  ``R``, the
-    replication count, is an integer of at least 1, stored as an int."""
+    replication count, is an integer of at least 1, and ``master_seed`` any
+    integer; both are stored as ints."""
 
     config: ScenarioConfig
     estimators: tuple[EstimatorSpec, ...]
@@ -115,6 +115,7 @@ class MCPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "R", _integer(self.R, "replication count R", 1))
+        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed", None))
         estimators = tuple(self.estimators)
         if not estimators:
             raise ValueError("plan needs at least one estimator")
@@ -184,6 +185,9 @@ def _replicate(plan: MCPlan, fit: Callable, n_jobs: int = 1) -> list:
         return fit(ds.observations())
 
     if n_jobs > 1:
+        # Imported here, so that importing the package loads no thread pool.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             return list(pool.map(one, range(plan.R)))
     return [one(rep) for rep in range(plan.R)]

@@ -40,13 +40,13 @@ delta, sqrt(delta) and 1/D depend on nothing but d0, the penalty and the
 grid, so the basis keeps them per grid (``BasisSet.shrinkage``), and an MC
 run on one basis works them out once.  The edf term diag(W S^-1 W') of every
 lambda is one matrix product of W with all the V's (S^-1 = V V'), squared
-and summed over the q columns.  Its one result is a ``LambdaSweep``.
-``sweep_moments`` returns it and ``select_moments`` fits its GCV minimizer
-(one real lambda is the one-point grid), as a ``StageFit``.  The array API
-builds the moments of [F y] and calls them: ``sweep_lambda``,
-``select_lambda_gcv``, which alone forms the n residuals (one more
-``basis.synthesize``) of its ``FitResult``, and ``fit_pls``, which is
-``select_lambda_gcv`` at one lambda.
+and summed over the q columns.  Its one result is a ``LambdaSweep``, which
+holds no basis coefficients.  ``sweep_moments`` returns it and
+``select_moments`` fits its GCV minimizer (one real lambda is the one-point
+grid), as a ``StageFit``: g = (b - W a) / D is formed for that lambda
+alone.  The array API builds the moments of [F y] and calls them:
+``sweep_lambda`` returns the ``LambdaSweep``, and ``select_lambda_gcv`` and
+``fit_pls`` (``select_lambda_gcv`` at one lambda) the ``StageFit``.
 
 Conventions pinned here and relied on elsewhere:
 
@@ -95,24 +95,13 @@ class StageFit:
 
 
 @dataclass(frozen=True, eq=False)
-class FitResult(StageFit):
-    """A ``StageFit`` of the arrays (y, F), with its n residuals."""
-
-    residuals: np.ndarray  # y - F a - B g
-
-    @property
-    def rss(self) -> float:
-        return float(self.residuals @ self.residuals)
-
-
-@dataclass(frozen=True, eq=False)
 class LambdaSweep:
     """The penalized fit at every lambda of a smoothing grid.
 
     Rows align with ``lambdas`` in the order given by the caller.  The
-    quantities are those ``fit_pls`` reports at the same lambda; ``V``
-    factors S^-1 = V V' for the Schur complement S, so that
-    cov_fixed = sigma2 * V V'.
+    quantities are those ``fit_pls`` reports at the same lambda, less the
+    basis coefficients; ``V`` factors S^-1 = V V' for the Schur complement
+    S, so that cov_fixed = sigma2 * V V'.
     """
 
     lambdas: np.ndarray
@@ -121,7 +110,6 @@ class LambdaSweep:
     gcv: np.ndarray
     aic: np.ndarray
     fixed_coefs: np.ndarray  # (L, q)
-    basis_coefs: np.ndarray  # (L, p)
     sigma2: np.ndarray
     V: np.ndarray  # (L, q, q)
 
@@ -284,10 +272,11 @@ class _Solver:
 
         When some lambda is positive, lam = +inf (the singular values of F)
         rides along as a last row, and its rank check precedes lam = 0's.
+        The grid's 1/D stays as ``inv_D`` for one row's basis coefficients.
         """
         n, q, p, L = self.n, self.q, self.basis.p, len(lams)
         lam = np.array(list(lams) + ([math.inf] if max(lams) > 0 else []))
-        rho, delta, root, inv_D = self.basis.shrinkage(lam)
+        rho, delta, root, self.inv_D = self.basis.shrinkage(lam)
         R, c = self.R[None].repeat(len(lam), axis=0), self.c[None].repeat(len(lam), axis=0)
         u, s, vt = np.linalg.svd(np.hstack([R, root[..., None] * self.W]), full_matrices=False)
         if len(lam) > L:
@@ -306,13 +295,13 @@ class _Solver:
         WV = self.W @ np.swapaxes(V, 0, 1).reshape(q, lam.size * q)
         WV *= WV
         h = (WV.reshape(p * lam.size, q) @ np.ones(q)).reshape(p, lam.size).T
-        edf = q + p - (rho * (1.0 + inv_D * h)).sum(axis=-1)
+        edf = q + p - (rho * (1.0 + self.inv_D * h)).sum(axis=-1)
         fits, fitted = n - edf > 0, rss > 0
         denom = np.where(fits, n - edf, 1.0)
         sigma2 = np.where(fits, rss / denom, math.inf)
         gcv = np.where(fits, n * rss / (denom * denom), math.inf)
         aic = np.where(fitted, n * _log(np.where(fitted, rss, n) / n) + 2.0 * edf, -math.inf)
-        rows = (rss, edf, gcv, aic, a, inv_D * gap, sigma2, V)
+        rows = (rss, edf, gcv, aic, a, sigma2, V)
         return LambdaSweep(np.array(lams), *(x[:L] for x in rows))
 
 
@@ -328,14 +317,16 @@ def select_moments(
     lambda_grid: Optional[Sequence[float]] = None,
     fixed_names: Optional[Sequence[str]] = None,
 ) -> StageFit:
-    """``select_lambda_gcv`` on the moments of [F y], without residuals."""
+    """``select_lambda_gcv`` on the moments of [F y]."""
     grid = _gcv_grid(lambda_grid)
-    sweep = _Solver(m, fixed_names).solve(grid)
+    solver = _Solver(m, fixed_names)
+    sweep = solver.solve(grid)
     i = int(np.argmin(sweep.gcv))  # first minimum = smallest lambda
+    a = sweep.fixed_coefs[i]
     s_inv = sweep.V[i] @ sweep.V[i].T
     return StageFit(
-        fixed_coefs=sweep.fixed_coefs[i],
-        basis_coefs=sweep.basis_coefs[i],
+        fixed_coefs=a,
+        basis_coefs=solver.inv_D[i] * (solver.b - _matvec(solver.W, a)),
         lam=grid[i],
         edf=float(sweep.edf[i]),
         gcv=float(sweep.gcv[i]),
@@ -348,8 +339,8 @@ def _gcv_grid(lambda_grid) -> list[float]:
     return sorted(_distinct_lambdas(DEFAULT_LAMBDA_GRID if lambda_grid is None else lambda_grid))
 
 
-def _array_moments(y, fixed, basis: BasisSet, fixed_names) -> tuple[np.ndarray, np.ndarray, Moments]:
-    """(y, F, the moments of [F y]), after checking the arrays."""
+def _array_moments(y, fixed, basis: BasisSet, fixed_names) -> Moments:
+    """The moments of [F y], after checking the arrays."""
     y = np.asarray(y, dtype=float).ravel()
     F = np.asarray(fixed, dtype=float)
     if F.ndim == 1:
@@ -363,7 +354,7 @@ def _array_moments(y, fixed, basis: BasisSet, fixed_names) -> tuple[np.ndarray, 
             f"fixed design has {F.shape[1]} columns for {F.shape[0]} rows",
             columns=tuple(_fixed_labels(fixed_names, F.shape[1])),
         )
-    return y, F, basis_moments(np.column_stack([F, y]), basis)
+    return basis_moments(np.column_stack([F, y]), basis)
 
 
 def fit_pls(
@@ -372,7 +363,7 @@ def fit_pls(
     basis: BasisSet,
     lam: float,
     fixed_names: Optional[Sequence[str]] = None,
-) -> FitResult:
+) -> StageFit:
     """Fit the penalized least-squares problem at one smoothing value.
 
     ``lam`` may be 0 (plain OLS on the concatenated design), a positive
@@ -399,7 +390,7 @@ def sweep_lambda(
     The basis products are formed once, and one stacked SVD call of (q + p) x q
     matrices covers the grid.
     """
-    return sweep_moments(_array_moments(y, fixed, basis, fixed_names)[2], lambdas, fixed_names)
+    return sweep_moments(_array_moments(y, fixed, basis, fixed_names), lambdas, fixed_names)
 
 
 def select_lambda_gcv(
@@ -408,7 +399,7 @@ def select_lambda_gcv(
     basis: BasisSet,
     lambda_grid: Optional[Sequence[float]] = None,
     fixed_names: Optional[Sequence[str]] = None,
-) -> FitResult:
+) -> StageFit:
     """Fit every lambda in the grid and return the GCV minimizer.
 
     ``lambda_grid`` is a grid of distinct smoothing values, or one real
@@ -417,10 +408,7 @@ def select_lambda_gcv(
     smallest lambda.
     """
     grid = _gcv_grid(lambda_grid)
-    y, F, m = _array_moments(y, fixed, basis, fixed_names)
-    fit = select_moments(m, grid, fixed_names)
-    residuals = y - (F @ fit.fixed_coefs + basis.synthesize(fit.basis_coefs))
-    return FitResult(**vars(fit), residuals=residuals)
+    return select_moments(_array_moments(y, fixed, basis, fixed_names), grid, fixed_names)
 
 
 def _scale(sigma2: float, m: np.ndarray) -> np.ndarray:

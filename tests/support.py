@@ -72,10 +72,16 @@ def random_config(rng, m=64, allow_spatial_c=True):
 # Two-stage estimators on explicit residuals
 # ---------------------------------------------------------------------------
 #
-# Each stage is ``select_lambda_gcv`` on arrays, and the next stage gets the
-# n residuals it returns.  The results are dicts with the estimate, its
+# Each stage is ``select_lambda_gcv`` on arrays, and the next stage gets its
+# n residuals y - F a - B g, formed here with the basis's dense columns (not
+# ``basis.synthesize``).  The results are dicts with the estimate, its
 # standard error, and each stage's edf and lambda, keyed as the estimators
 # key their records.
+
+
+def residuals(y, F, b, fit):
+    """y - F a - B g of a stage fit, with B the dense columns of ``b``."""
+    return y - (F @ fit.fixed_coefs + b.dense().columns @ fit.basis_coefs)
 
 
 def _exposure_share_check(r_z, z):
@@ -94,10 +100,11 @@ def _result(final, stages):
 
 def reference_spatial_plus(obs, b, smoothing=None):
     ones = np.ones(obs.grid.n)
-    stage1 = select_lambda_gcv(obs.Z, np.column_stack([ones, obs.C]), b, smoothing,
-                               ["intercept", "C"])
-    _exposure_share_check(stage1.residuals, obs.Z)
-    F2 = np.column_stack([ones, stage1.residuals, obs.C])
+    F1 = np.column_stack([ones, obs.C])
+    stage1 = select_lambda_gcv(obs.Z, F1, b, smoothing, ["intercept", "C"])
+    r_z = residuals(obs.Z, F1, b, stage1)
+    _exposure_share_check(r_z, obs.Z)
+    F2 = np.column_stack([ones, r_z, obs.C])
     stage2 = select_lambda_gcv(obs.Y, F2, b, smoothing, ["intercept", "r_Z", "C"])
     return _result(stage2, {"exposure": stage1, "outcome": stage2})
 
@@ -108,11 +115,12 @@ def reference_spatial_plus_lowfreq(obs, b, cutoff, smoothing=0.0):
 
 def reference_gsem(obs, b, smoothing=None):
     ones = np.ones(obs.grid.n)[:, None]
+    columns = {"outcome": obs.Y, "exposure": obs.Z, "covariate": obs.C}
     fits = {
         name: select_lambda_gcv(values, ones, b, smoothing, ["intercept"])
-        for name, values in (("outcome", obs.Y), ("exposure", obs.Z), ("covariate", obs.C))
+        for name, values in columns.items()
     }
-    r_y, r_z, r_c = (fit.residuals for fit in fits.values())
+    r_y, r_z, r_c = (residuals(columns[name], ones, b, fit) for name, fit in fits.items())
     _exposure_share_check(r_z, obs.Z)
     F = np.column_stack([ones, r_z, r_c])
     final = select_lambda_gcv(r_y, F, empty_basis(obs.grid.n), 0.0, ["intercept", "r_Z", "r_C"])

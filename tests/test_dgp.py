@@ -90,6 +90,19 @@ class TestStructuralIdentities:
         assert np.array_equal(a.Y, c.Y)
         assert np.array_equal(a.S1, c.S1)
 
+    @pytest.mark.parametrize("seed", [True, 2.5, "2"], ids=["bool", "float", "str"])
+    def test_seed_not_an_integer_refused(self, seed):
+        # derive_seed hashes str(seed): 2.5 would draw from "2.5" and record 2.
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            generate_dataset(base_config(), seed)
+
+    def test_any_integer_seed_stored_as_int(self):
+        ds = generate_dataset(base_config(), np.int64(-3))
+        ref = generate_dataset(base_config(), -3)
+        assert type(ds.seed) is int and ds.seed == -3
+        for name in ("Z", "C", "Y", "S1", "S2", "E", "U", "nu", "eps"):
+            assert np.array_equal(getattr(ds, name), getattr(ref, name)), name
+
     def test_fields_mutually_independent_streams(self):
         # Same seed, different fields: distinct draws (not aliased streams).
         ds = generate_dataset(base_config(), 9)

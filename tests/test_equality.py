@@ -25,7 +25,7 @@ FACTORIES = {
     "LocationGrid": lambda: make_grid(8),
     "Observations": lambda: _problem()[0],
     "Dataset": lambda: generate_dataset(scenario_config(SCENARIO_STRONG_EXPOSURE), 1),
-    "FitResult": lambda: select_lambda_gcv(_problem()[0].Y, *_problem()[1:], 1.0),
+    "StageFit": lambda: select_lambda_gcv(_problem()[0].Y, *_problem()[1:], 1.0),
     "LambdaSweep": lambda: sweep_lambda(_problem()[0].Y, *_problem()[1:], [0.0, 1.0]),
 }
 

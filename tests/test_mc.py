@@ -1,6 +1,10 @@
 """Monte Carlo harness: determinism, accounting, summaries, experiments."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +77,16 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="replication count R must be an integer"):
             small_plan(r=r)
 
+    @pytest.mark.parametrize("seed", [True, 2.5, "11"], ids=["bool", "float", "str"])
+    def test_master_seed_not_an_integer(self, seed):
+        with pytest.raises(ValueError, match=f"^master_seed must be an integer, got {seed!r}$"):
+            small_plan(seed=seed)
+
+    def test_master_seed_any_integer_stored_as_int(self):
+        plan = small_plan(seed=np.int64(-3))
+        assert type(plan.master_seed) is int and plan.master_seed == -3
+        assert run_mc(plan).to_dict() == run_mc(small_plan(seed=-3)).to_dict()
+
     @pytest.mark.parametrize("max_freq", [2.5, True, "4", 0])
     def test_max_freq_checked_when_built(self, max_freq):
         # Its upper bound needs the grid; an integer of at least 1 does not.
@@ -123,6 +137,22 @@ class TestPlanValidation:
     def test_degenerate_config_raises_at_plan_build(self):
         with pytest.raises(EstimandUndefinedError):
             small_plan(nu_sd=0.0, e_sd=0.0)
+
+
+def test_import_loads_no_thread_pool():
+    # run_mc imports concurrent.futures only when it starts worker threads.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    script = (
+        "import sys, spatialconfound\n"
+        "print(sorted(m for m in ('concurrent.futures', 'logging', 'queue') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "[]"
 
 
 class TestRunMc:

@@ -21,6 +21,7 @@ from spatialconfound import (
 )
 from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE
 from spatialconfound.pls import DEFAULT_LAMBDA_GRID, _Solver, basis_moments, sweep_moments
+from support import residuals
 
 
 def toy_basis(column, penalty):
@@ -86,7 +87,8 @@ class TestToyInstance:
         assert fit.basis_coefs[0] == pytest.approx(0.5, abs=1e-12)
         assert fit.edf == pytest.approx(1.5, abs=1e-12)
         # Residuals (0.5,-0.5,0.5,-0.5): RSS = 1, penalized objective = 2.
-        assert fit.rss == pytest.approx(1.0, abs=1e-12)
+        resid = residuals(self.y, self.F, self.b, fit)
+        assert float(resid @ resid) == pytest.approx(1.0, abs=1e-12)
         obj = penalized_objective(self.y, self.F, self.b, 4.0, fit.fixed_coefs, fit.basis_coefs)
         assert obj == pytest.approx(2.0, abs=1e-12)
 
@@ -130,12 +132,13 @@ class TestLambdaLimits:
         assert fit.edf == pytest.approx(X.shape[1])
 
     def test_residuals_are_response_minus_fitted(self):
+        # The solver's RSS, formed from moments, is that of y - (F a + B g).
         y, F, b = random_problem(2)
         for lam in (0.0, 3.7, math.inf):
             fit = fit_pls(y, F, b, lam)
-            assert np.array_equal(
-                fit.residuals, y - (F @ fit.fixed_coefs + b.synthesize(fit.basis_coefs))
-            )
+            resid = residuals(y, F, b, fit)
+            rss = sweep_lambda(y, F, b, lam).rss[0]
+            assert rss == pytest.approx(float(resid @ resid), rel=1e-10)
 
     def test_negative_lambda_rejected(self):
         y, F, b = random_problem(3)
@@ -149,7 +152,7 @@ class TestMonotonicityAndGradient:
     def test_rss_nondecreasing_edf_nonincreasing(self):
         y, F, b = random_problem(4)
         fits = [fit_pls(y, F, b, lam) for lam in self.lambdas]
-        rss = [f.rss for f in fits]
+        rss = [float(r @ r) for r in (residuals(y, F, b, f) for f in fits)]
         edf = [f.edf for f in fits]
         assert all(a <= c + 1e-10 for a, c in zip(rss, rss[1:]))
         assert all(a >= c - 1e-10 for a, c in zip(edf, edf[1:]))
@@ -200,8 +203,9 @@ class TestSweep:
         sweep = sweep_lambda(y, F, b, lams)
         for i, lam in enumerate(lams):
             fit = fit_pls(y, F, b, lam)
-            # FitResult.rss is summed over the n residuals, the sweep's is not.
-            assert sweep.rss[i] == pytest.approx(fit.rss, rel=1e-8, abs=1e-10)
+            # The fit's RSS is summed here over its n residuals, the sweep's is not.
+            resid = residuals(y, F, b, fit)
+            assert sweep.rss[i] == pytest.approx(float(resid @ resid), rel=1e-8, abs=1e-10)
             assert (sweep.edf[i], sweep.gcv[i], sweep.aic[i]) == (fit.edf, fit.gcv, fit.aic)
             assert np.array_equal(sweep.fixed_coefs[i], fit.fixed_coefs)
 
@@ -229,11 +233,15 @@ class TestGridIsPointwise:
     def test_default_grid_sweep_rows(self, problem):
         y, F, b = problem
         sweep = sweep_lambda(y, F, b, DEFAULT_LAMBDA_GRID)
+        # A sweep keeps no basis coefficients; a fit's are (B'y - B'F a) / D.
+        WX = basis_moments(np.column_stack([F, y]), b).WX
+        inv_D = b.shrinkage(np.array(DEFAULT_LAMBDA_GRID + (math.inf,)))[3]
         for i, lam in enumerate(DEFAULT_LAMBDA_GRID):
             fit = fit_pls(y, F, b, lam)
             assert (sweep.edf[i], sweep.gcv[i], sweep.aic[i]) == (fit.edf, fit.gcv, fit.aic)
             assert np.array_equal(sweep.fixed_coefs[i], fit.fixed_coefs)
-            assert np.array_equal(sweep.basis_coefs[i], fit.basis_coefs)
+            gap = WX[:, -1] - (WX[:, :-1] @ sweep.fixed_coefs[i][:, None])[:, 0]
+            assert np.array_equal(inv_D[i] * gap, fit.basis_coefs)
             one = sweep_lambda(y, F, b, lam)
             assert (sweep.sigma2[i], sweep.V[i].tobytes()) == (one.sigma2[0], one.V[0].tobytes())
             s_inv = sweep.V[i] @ sweep.V[i].T
@@ -244,11 +252,11 @@ class TestGridIsPointwise:
         sel = select_lambda_gcv(y, F, b)
         ref = fit_pls(y, F, b, sel.lam)
         assert 0.0 < sel.lam < DEFAULT_LAMBDA_GRID[-1]
-        for field in ("fixed_coefs", "basis_coefs", "cov_fixed", "edf", "gcv", "aic", "residuals"):
+        for field in ("fixed_coefs", "basis_coefs", "cov_fixed", "edf", "gcv", "aic"):
             assert np.array_equal(getattr(sel, field), getattr(ref, field)), field
 
 
-SWEEP_FIELDS = ("lambdas", "rss", "edf", "gcv", "aic", "fixed_coefs", "basis_coefs", "sigma2", "V")
+SWEEP_FIELDS = ("lambdas", "rss", "edf", "gcv", "aic", "fixed_coefs", "sigma2", "V")
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["small-first", "default-first"])
@@ -316,7 +324,8 @@ class TestSelectLambdaGcv:
     def test_noiseless_response_in_span_interpolated(self):
         y, F, b = random_problem(10, noise=0.0)
         sel = select_lambda_gcv(y, F, b)
-        assert sel.rss < 1e-18 * float(y @ y)
+        resid = residuals(y, F, b, sel)
+        assert float(resid @ resid) < 1e-18 * float(y @ y)
 
     def test_argmin_contract_against_independent_refits(self):
         y, F, b = random_problem(11)
