@@ -211,21 +211,24 @@ def exposure_spatial_fraction(ds: Dataset) -> float:
 # ---------------------------------------------------------------------------
 
 
-def dataset_to_csv(ds: Dataset, path, latent: bool = False) -> None:
-    """Write the dataset as CSV (x,y,Z,C,Y, plus latent columns on request).
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV lines.  Strings are written as
+    they are and every other value by ``repr``, so equal results give
+    byte-equal files."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n")
 
-    Floats are written with ``repr`` so identical datasets produce
-    byte-identical files.
-    """
+
+def dataset_to_csv(ds: Dataset, path, latent: bool = False) -> None:
+    """Write the dataset as CSV (x,y,Z,C,Y, plus latent columns on request)."""
     cols = [ds.grid.coords[:, 0], ds.grid.coords[:, 1], ds.Z, ds.C, ds.Y]
     header = list(OBSERVED_COLUMNS)
     if latent:
         cols += [ds.S1, ds.S2, ds.E, ds.U, ds.nu, ds.eps]
         header += list(LATENT_COLUMNS)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(path, header, np.column_stack(cols).tolist())
 
 
 def read_observations_csv(path) -> Observations:

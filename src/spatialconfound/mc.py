@@ -19,7 +19,9 @@ reverse) on a plan of Spatial, Spatial+ and gSEM, and reports which
 method tracks the spatially-conditional quantity better.
 ``aic_bias_experiment`` sweeps fixed smoothing values for the plan's
 Spatial model and tabulates mean AIC against mean absolute bias, flagging
-smoothing levels that improve AIC while worsening the coefficient.
+smoothing levels that improve AIC while worsening the coefficient.  Both
+tables come from one reduction, so each AIC row is the ``run_mc`` cell of
+Spatial at that fixed smoothing value.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .basis import BasisSet, fourier_basis
-from .dgp import ScenarioConfig, config_hash, generate_dataset
+from .dgp import ScenarioConfig, _write_csv, config_hash, generate_dataset
 from .errors import DegeneracyError, _integer
 from .estimators import OUTCOME_NAMES, EstimatorKind, Smoothing, fit_estimator
 from .fields import IidSpec, SpectralSpec, derive_seed, make_grid
@@ -71,11 +73,11 @@ class EstimatorSpec:
     """One estimator plus its basis / smoothing settings inside a plan.
 
     Checked when built, so that a bad plan fails before any dataset is
-    drawn: every kind but the non-spatial one needs ``max_freq``, an
-    integer of at least 1 (its upper bound needs the grid);
-    ``spatial-plus-lowfreq`` needs an integer ``cutoff`` in [1, max_freq];
-    and a ``smoothing`` other than None must be one nonnegative real or a
-    grid of distinct ones.  The values are stored as given.
+    drawn: ``kind`` is an ``EstimatorKind``; every kind but the non-spatial
+    one needs ``max_freq``, an integer of at least 1 (its upper bound needs
+    the grid); ``spatial-plus-lowfreq`` needs an integer ``cutoff`` in [1,
+    max_freq]; and a ``smoothing`` other than None must be one nonnegative
+    real or a grid of distinct ones.  The values are stored as given.
     """
 
     kind: EstimatorKind
@@ -84,6 +86,8 @@ class EstimatorSpec:
     cutoff: Optional[int] = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, EstimatorKind):
+            raise ValueError(f"estimator kind must be an EstimatorKind, got {self.kind!r}")
         if self.kind is not EstimatorKind.NONSPATIAL_OLS and self.max_freq is None:
             raise ValueError(f"estimator {self.name!r} needs max_freq for its basis")
         if self.max_freq is not None:
@@ -119,6 +123,9 @@ class MCPlan:
         estimators = tuple(self.estimators)
         if not estimators:
             raise ValueError("plan needs at least one estimator")
+        for spec in estimators:
+            if not isinstance(spec, EstimatorSpec):
+                raise ValueError(f"plan estimators must be EstimatorSpecs, got {spec!r}")
         names = [e.name for e in estimators]
         if len(set(names)) != len(names):
             raise ValueError(f"estimator kinds must be unique, got {names}")
@@ -193,47 +200,31 @@ def _replicate(plan: MCPlan, fit: Callable, n_jobs: int = 1) -> list:
     return [one(rep) for rep in range(plan.R)]
 
 
-def _cell(values, lo, hi, aics, target, n_failed) -> CellStats:
-    n_success = values.size
-    if n_success == 0:
-        nan = float("nan")
-        return CellStats(
-            target_value=float(target),
-            mean_bias=nan,
-            mc_se_of_bias=nan,
-            sd=nan,
-            rmse=nan,
-            coverage95=nan,
-            mean_aic=nan,
-            n_success=0,
-            n_failed=n_failed,
-            sd_defined=False,
-        )
-    bias = float(values.mean() - target)
-    dev = values - target
-    rmse = float(np.sqrt((dev * dev).mean()))
-    coverage = float(np.mean((lo <= target) & (target <= hi)))
-    mean_aic = float(aics.mean())
-    if n_success >= 2:
-        sd = float(values.std(ddof=0))  # ddof=0 keeps rmse^2 = bias^2 + sd^2 exact
-        mc_se = float(values.std(ddof=1) / np.sqrt(n_success))
-        sd_defined = True
-    else:
-        sd = float("nan")
-        mc_se = float("nan")
-        sd_defined = False
-    return CellStats(
-        target_value=float(target),
-        mean_bias=bias,
-        mc_se_of_bias=mc_se,
-        sd=sd,
-        rmse=rmse,
-        coverage95=coverage,
-        mean_aic=mean_aic,
-        n_success=n_success,
-        n_failed=n_failed,
-        sd_defined=sd_defined,
-    )
+def _cells(betas: np.ndarray, aics: np.ndarray, targets: np.ndarray, R: int) -> list[dict]:
+    """Every ``CellStats`` field but coverage, for each cell.
+
+    Row i of the (cells x successful replications) ``betas`` and ``aics``
+    is one cell, judged against ``targets[i]``, out of ``R`` replications.
+    A row sums in replication order, as a 1-D array would, so a cell's bits
+    do not depend on the rows beside it.
+    """
+    n = betas.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN, not a warning, when n < 2
+        mean = betas.sum(axis=1) / n
+        ss = ((betas - mean[:, None]) ** 2).sum(axis=1)
+        stats = {
+            "target_value": targets,
+            "mean_bias": mean - targets,
+            "mc_se_of_bias": np.sqrt(ss / (n - 1)) / np.sqrt(n),
+            # ddof=0 keeps rmse^2 = bias^2 + sd^2 exact
+            "sd": np.sqrt(ss / n) if n > 1 else np.full(len(targets), np.nan),
+            "rmse": np.sqrt(((betas - targets[:, None]) ** 2).sum(axis=1) / n),
+            "mean_aic": aics.sum(axis=1) / n,
+        }
+    return [
+        dict(zip(stats, row), n_success=n, n_failed=R - n, sd_defined=n > 1)
+        for row in zip(*(v.tolist() for v in stats.values()))
+    ]
 
 
 def run_mc(plan: MCPlan, n_jobs: int = 1) -> MCSummary:
@@ -265,18 +256,18 @@ def run_mc(plan: MCPlan, n_jobs: int = 1) -> MCSummary:
         return out
 
     results = _replicate(plan, fit, n_jobs)
+    targets = np.array([getattr(plan.targets, t) for t in TARGET_NAMES])
     cells: dict[str, dict[str, CellStats]] = {}
-    target_map = plan.targets.as_dict()
     for spec in plan.estimators:
-        rows = [result[spec.name] for result in results]
-        ok = [r for r in rows if r is not None]
-        n_failed = len(rows) - len(ok)
-        values = np.array([r[0] for r in ok])
-        lo = np.array([r[1] for r in ok])
-        hi = np.array([r[2] for r in ok])
-        aics = np.array([r[3] for r in ok])
+        ok = [result[spec.name] for result in results if result[spec.name] is not None]
+        betas, lo, hi, aics = np.array(ok).reshape(-1, 4).T
+        covered = (lo <= targets[:, None]) & (targets[:, None] <= hi)
+        with np.errstate(invalid="ignore"):  # 0/0 is NaN when every fit failed
+            coverage = (covered.sum(axis=1) / len(ok)).tolist()
+        per_target = (targets.size, 1)
+        stats = _cells(np.tile(betas, per_target), np.tile(aics, per_target), targets, plan.R)
         cells[spec.name] = {
-            t: _cell(values, lo, hi, aics, target_map[t], n_failed) for t in TARGET_NAMES
+            t: CellStats(coverage95=c, **kw) for t, c, kw in zip(TARGET_NAMES, coverage, stats)
         }
     return MCSummary(
         cells=cells,
@@ -481,49 +472,32 @@ def aic_bias_experiment(
         return sweep.fixed_coefs[:, 1], sweep.aic
 
     fits = [f for f in _replicate(base, fit) if f is not None]
-    n_failed = base.R - len(fits)
     if not fits:
         raise DegeneracyError("every replication failed; no AIC/bias table to build")
-    # (n_lambda, R_ok), reduced along rows: each row then sums in the order
-    # of run_mc's cell at that lambda.
-    betas = np.column_stack([beta for beta, _ in fits])
-    aics = np.column_stack([aic for _, aic in fits])
-    r_ok = betas.shape[1]
-    bias = betas.mean(axis=1) - target
-    if r_ok > 1:
-        mc_se = betas.std(axis=1, ddof=1) / np.sqrt(r_ok)
-    else:
-        mc_se = np.full(len(grid_lams), np.nan)
-    mean_aic = aics.mean(axis=1)
+    # (n_lambda, R_ok) each; row i is the run_mc cell of Spatial at lambda i.
+    betas, aics = np.stack(fits, axis=-1)
+    cells = _cells(betas, aics, np.full(len(grid_lams), target), base.R)
     rows = tuple(
-        AicBiasRow(
-            lam=float(grid_lams[i]),
-            mean_aic=float(mean_aic[i]),
-            mean_bias=float(bias[i]),
-            abs_mean_bias=float(abs(bias[i])),
-            mc_se_of_bias=float(mc_se[i]),
-        )
-        for i in range(len(grid_lams))
+        AicBiasRow(lam, c["mean_aic"], c["mean_bias"], abs(c["mean_bias"]), c["mc_se_of_bias"])
+        for lam, c in zip(grid_lams, cells)
     )
-    i0 = grid_lams.index(0.0)
+    ref = rows[grid_lams.index(0.0)]
     flagged = []
-    for i, lam in enumerate(grid_lams):
-        if i == i0:
-            continue
-        combined = math.sqrt(mc_se[i] ** 2 + mc_se[i0] ** 2)
+    for r in rows:
+        combined = math.sqrt(r.mc_se_of_bias**2 + ref.mc_se_of_bias**2)
         if (
-            mean_aic[i] < mean_aic[i0]
+            r.mean_aic < ref.mean_aic
             and combined > 0
-            and abs(bias[i]) - abs(bias[i0]) > 2.0 * combined
+            and r.abs_mean_bias - ref.abs_mean_bias > 2.0 * combined
         ):
-            flagged.append(float(lam))
+            flagged.append(r.lam)
     return AicBiasResult(
         rows=rows,
         flag=bool(flagged),
         flagged_lambdas=tuple(flagged),
         target=float(target),
         R=base.R,
-        n_failed=n_failed,
+        n_failed=cells[0]["n_failed"],
     )
 
 
@@ -533,27 +507,20 @@ def aic_bias_experiment(
 
 
 def summary_to_csv(summary: MCSummary, path) -> None:
-    """One row per (estimator, target) cell, long format."""
-    cols = (
-        "estimator,target,target_value,mean_bias,mc_se_of_bias,sd,rmse,"
-        "coverage95,mean_aic,n_success,n_failed\n"
+    """One row per (estimator, target) cell, long format, with every
+    ``CellStats`` field but ``sd_defined``."""
+    fields = [f for f in CellStats.__dataclass_fields__ if f != "sd_defined"]
+    rows = (
+        (est, t, *(getattr(c, f) for f in fields))
+        for est, per_target in summary.cells.items()
+        for t, c in per_target.items()
     )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(cols)
-        for est, per_target in summary.cells.items():
-            for t, c in per_target.items():
-                fh.write(
-                    f"{est},{t},{c.target_value!r},{c.mean_bias!r},{c.mc_se_of_bias!r},"
-                    f"{c.sd!r},{c.rmse!r},{c.coverage95!r},{c.mean_aic!r},"
-                    f"{c.n_success},{c.n_failed}\n"
-                )
+    _write_csv(path, ("estimator", "target", *fields), rows)
 
 
 def aic_table_to_csv(result: AicBiasResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("lambda,mean_aic,mean_bias,abs_mean_bias,mc_se_of_bias\n")
-        for r in result.rows:
-            fh.write(
-                f"{r.lam!r},{r.mean_aic!r},{r.mean_bias!r},{r.abs_mean_bias!r},"
-                f"{r.mc_se_of_bias!r}\n"
-            )
+    _write_csv(
+        path,
+        ("lambda", "mean_aic", "mean_bias", "abs_mean_bias", "mc_se_of_bias"),
+        (vars(r).values() for r in result.rows),
+    )

@@ -11,6 +11,7 @@ import pytest
 
 import spatialconfound.mc
 from spatialconfound import (
+    CollinearityError,
     EstimandUndefinedError,
     EstimatorKind,
     EstimatorSpec,
@@ -121,6 +122,21 @@ class TestPlanValidation:
         monkeypatch.setattr(spatialconfound.mc, "generate_dataset", no_draws)
         with pytest.raises(ValueError, match=match):
             run_mc(small_plan(estimators=(EstimatorSpec(**{"max_freq": 4, **settings}),)))
+
+    @pytest.mark.parametrize(
+        "build, value",
+        [
+            (lambda: EstimatorSpec(kind="spatial", max_freq=4), "'spatial'"),
+            (lambda: EstimatorSpec(kind="nonspatial"), "'nonspatial'"),
+            (lambda: small_plan(estimators=("spatial",)), "'spatial'"),
+        ],
+        ids=["spec-kind-name", "spec-kind-name-no-basis", "plan-entry-name"],
+    )
+    def test_kind_names_refused(self, build, value):
+        # A kind's name is not the kind: it is a ValueError naming the value,
+        # not an AttributeError while checking or formatting.
+        with pytest.raises(ValueError, match=f"got {value}$"):
+            build()
 
     def test_settings_stored_as_given(self):
         spec = EstimatorSpec(
@@ -276,6 +292,32 @@ class TestRunMc:
         assert np.isnan(rsr_cell.mean_bias)
         assert ols_cell.n_success == 4 and ols_cell.n_failed == 0
 
+    def test_partial_failures_drop_only_their_replications(self, monkeypatch):
+        # Spatial fails on every other replication: its cell reduces the
+        # estimates that survived, and OLS keeps all of its own.
+        real = spatialconfound.mc.fit_estimator
+        spatial = []
+
+        def every_other_spatial_fails(kind, *args, **kwargs):
+            rec = real(kind, *args, **kwargs)
+            if kind is EstimatorKind.SPATIAL:
+                spatial.append(rec.beta1_hat)
+                if len(spatial) % 2 == 0:
+                    raise CollinearityError("injected")
+            return rec
+
+        monkeypatch.setattr(spatialconfound.mc, "fit_estimator", every_other_spatial_fails)
+        plan = small_plan(r=7)
+        summary = run_mc(plan, n_jobs=1)
+        kept = spatial[::2]
+        assert len(kept) == 4
+        for t in TARGET_NAMES:
+            cell = summary.cells["spatial"][t]
+            assert (cell.n_success, cell.n_failed) == (4, 3)
+            assert cell.mean_bias == np.array(kept).mean() - getattr(plan.targets, t)
+            ols = summary.cells["nonspatial"][t]
+            assert (ols.n_success, ols.n_failed) == (7, 0)
+
     def test_linalg_error_propagates(self, monkeypatch):
         # Data degeneracies arrive as typed errors; a LinAlgError is a bug.
         def broken(*args, **kwargs):
@@ -391,8 +433,8 @@ class TestAicBias:
 
     @pytest.mark.parametrize("master_seed,r", [(5, 3), (6, 13), (9, 8)])
     def test_every_row_is_its_run_mc_cell_bit_for_bit(self, master_seed, r):
-        # The table's means and standard errors sum in the order of run_mc's
-        # cells, so no row differs from its cell in the last bits.
+        # The table's rows come from run_mc's own cell reduction, so no row
+        # differs from its cell in the last bits.
         lams = [0.0, 1.0, 10.0]
         base = default_aic_plan(r=r, master_seed=master_seed, max_freq=6)
         rows = aic_bias_experiment(base, lams).rows
@@ -401,6 +443,22 @@ class TestAicBias:
             cell = run_mc(replace(base, estimators=(spec,))).cells["spatial"]["beta_cond_achieved"]
             assert (row.mean_aic, row.mean_bias, row.mc_se_of_bias) == (
                 cell.mean_aic, cell.mean_bias, cell.mc_se_of_bias
+            )
+
+    def test_one_replication_table(self):
+        # One replication leaves every MC-SE NaN, so nothing can be flagged;
+        # each row is still its run_mc cell (compared NaN-aware).
+        lams = [0.0, 1.0]
+        base = default_aic_plan(r=1, max_freq=6)
+        result = aic_bias_experiment(base, lams)
+        assert not result.flag and result.flagged_lambdas == ()
+        for row, lam in zip(result.rows, lams):
+            assert np.isfinite(row.mean_bias) and np.isnan(row.mc_se_of_bias)
+            spec = EstimatorSpec(kind=EstimatorKind.SPATIAL, max_freq=6, smoothing=lam)
+            cell = run_mc(replace(base, estimators=(spec,))).cells["spatial"]["beta_cond_achieved"]
+            np.testing.assert_array_equal(
+                [row.mean_aic, row.mean_bias, row.mc_se_of_bias],
+                [cell.mean_aic, cell.mean_bias, cell.mc_se_of_bias],
             )
 
     def test_linalg_error_propagates(self, monkeypatch):
