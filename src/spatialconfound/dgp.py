@@ -118,7 +118,8 @@ class Observations:
         object.__setattr__(self, "_moments", {})
 
     def moments(self, b: Optional[BasisSet] = None) -> Moments:
-        """The moments of X = [1, Z, C, Y] on basis ``b`` (None: no basis).
+        """The moments of X = [1, Z, C, Y] on basis ``b`` (None: the p = 0
+        basis on the grid).
 
         Computed on the first call for ``b``, the basis object itself, and
         kept: the estimators fitted on one basis share one pass over the n
@@ -128,7 +129,7 @@ class Observations:
         m = self._moments.get(b)
         if m is None:
             X = np.column_stack([np.ones(self.grid.n), self.Z, self.C, self.Y])
-            m = basis_moments(X, empty_basis(self.grid.n) if b is None else b)
+            m = basis_moments(X, empty_basis(self.grid) if b is None else b)
             self._moments[b] = m
         return m
 
@@ -249,7 +250,7 @@ def read_observations_csv(path) -> Observations:
             if not line.strip():
                 continue
             row = line.strip().split(",")
-            if len(row) < len(header):
+            if len(row) != len(header):
                 raise ValueError(
                     f"dataset CSV line {lineno} has {len(row)} fields for {len(header)} columns"
                 )

@@ -173,7 +173,7 @@ def synthesize(m: int, pairs: np.ndarray, coef_cos, coef_sin) -> np.ndarray:
     """
     coef_cos, coef_sin = np.asarray(coef_cos, dtype=float), np.asarray(coef_sin, dtype=float)
     rest = coef_cos.shape[1:]
-    spectrum = np.zeros((m, int(pairs[:, 0].max()) + 1) + rest, dtype=complex)
+    spectrum = np.zeros((m, int(pairs[:, 0].max(initial=0)) + 1) + rest, dtype=complex)
     np.add.at(
         spectrum,
         (pairs[:, 1] % m, pairs[:, 0]),
@@ -194,7 +194,7 @@ def analyze(m: int, pairs: np.ndarray, values) -> tuple[np.ndarray, np.ndarray]:
     """
     values = np.asarray(values, dtype=float)
     rows = np.fft.rfft(values.reshape((m, m) + values.shape[1:]), axis=1)
-    spectrum = np.fft.fft(rows[:, : int(pairs[:, 0].max()) + 1], axis=0)
+    spectrum = np.fft.fft(rows[:, : int(pairs[:, 0].max(initial=0)) + 1], axis=0)
     at = spectrum[pairs[:, 1] % m, pairs[:, 0]] * _half_cell_phase(-pairs, m, values.ndim)
     return at.real, -at.imag
 

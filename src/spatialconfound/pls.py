@@ -4,10 +4,9 @@ Fits  y ~ fixed design + penalized basis,  minimizing
 
     || y - F a - B g ||^2  +  lam * g' diag(penalty) g.
 
-The fixed block F (n x q) is never penalized.  The basis B (n x p) must have
+The fixed block F (n x q) is never penalized.  The basis B (n x p) has
 mutually orthogonal columns, B'B = diag(d0), as the Fourier basis has on its
-grid (``BasisSet`` keeps d0: n/2 for the Fourier basis, checked when built
-for a dense one).  Then, with W = B'F,
+grid (``BasisSet`` keeps d0 = n/2).  Then, with W = B'F,
 b = B'y and D = d0 + lam * penalty, the basis block has the closed form
 
     g = (b - W a) / D,
@@ -167,8 +166,8 @@ class Moments:
     and v = Q (R t) + B h with h = WX t / d0 - g and Q'B = 0, Q'Q = I: the
     rows [R t; sqrt(d0) h] hold v's inner products.  So the moments of any
     columns X T - B G follow from (WX, R) alone.  B'1 is column 0 of WX when
-    X starts with the constant; it is zero only for the Fourier basis on its
-    grid, so nothing here assumes it.
+    X starts with the constant; on the grid it is zero only up to the FFT's
+    round-off, so nothing here assumes it.
     """
 
     basis: BasisSet
@@ -196,9 +195,9 @@ class Moments:
         return np.vstack([self.R @ T, np.sqrt(d0) * H])
 
     def without_basis(self, T, G=None) -> "Moments":
-        """The moments of X T - B G on the empty basis."""
+        """The moments of X T - B G on the empty basis of the same grid."""
         R = np.linalg.qr(self.frame(T, G), mode="r")
-        return Moments(empty_basis(self.n), np.zeros((0, R.shape[1])), R)
+        return Moments(empty_basis(self.basis.grid), np.zeros((0, R.shape[1])), R)
 
     def restrict(self, cutoff: int) -> "Moments":
         """The moments of X on ``restrict_low_frequency(basis, cutoff)``.
@@ -318,7 +317,11 @@ def select_moments(
     fixed_names: Optional[Sequence[str]] = None,
 ) -> StageFit:
     """``select_lambda_gcv`` on the moments of [F y]."""
-    grid = _gcv_grid(lambda_grid)
+    return _select(m, _gcv_grid(lambda_grid), fixed_names)
+
+
+def _select(m: Moments, grid: Sequence[float], fixed_names) -> StageFit:
+    """The fit at the GCV choice of a checked, sorted grid."""
     solver = _Solver(m, fixed_names)
     sweep = solver.solve(grid)
     i = int(np.argmin(sweep.gcv))  # first minimum = smallest lambda
@@ -335,8 +338,12 @@ def select_moments(
     )
 
 
-def _gcv_grid(lambda_grid) -> list[float]:
-    return sorted(_distinct_lambdas(DEFAULT_LAMBDA_GRID if lambda_grid is None else lambda_grid))
+def _gcv_grid(lambda_grid) -> Sequence[float]:
+    """A GCV grid checked and sorted; the default grid was checked at import."""
+    return _DEFAULT_GCV_GRID if lambda_grid is None else sorted(_distinct_lambdas(lambda_grid))
+
+
+_DEFAULT_GCV_GRID = tuple(sorted(_distinct_lambdas(DEFAULT_LAMBDA_GRID)))
 
 
 def _array_moments(y, fixed, basis: BasisSet, fixed_names) -> Moments:
@@ -408,7 +415,7 @@ def select_lambda_gcv(
     smallest lambda.
     """
     grid = _gcv_grid(lambda_grid)
-    return select_moments(_array_moments(y, fixed, basis, fixed_names), grid, fixed_names)
+    return _select(_array_moments(y, fixed, basis, fixed_names), grid, fixed_names)
 
 
 def _scale(sigma2: float, m: np.ndarray) -> np.ndarray:

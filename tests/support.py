@@ -1,5 +1,6 @@
-"""Shared test utilities: latent-column regressions, random configs, and
-n-row reference fits of the two-stage estimators."""
+"""Shared test utilities: latent-column regressions, random configs, the
+dense columns of a Fourier basis, and n-row reference fits of the two-stage
+estimators."""
 
 import numpy as np
 
@@ -68,6 +69,18 @@ def random_config(rng, m=64, allow_spatial_c=True):
     )
 
 
+def fourier_columns(b):
+    """The n x p columns of basis ``b``, read-only: cos(2 pi k.s) and
+    sin(2 pi k.s) for each frequency pair k, evaluated at the grid's points.
+    The package never builds them; they are the oracle for its FFT products."""
+    phases = 2.0 * np.pi * (b.grid.coords @ b.pairs.T.astype(float))
+    columns = np.empty((b.n, b.p))
+    columns[:, 0::2] = np.cos(phases)
+    columns[:, 1::2] = np.sin(phases)
+    columns.setflags(write=False)
+    return columns
+
+
 # ---------------------------------------------------------------------------
 # Two-stage estimators on explicit residuals
 # ---------------------------------------------------------------------------
@@ -81,7 +94,7 @@ def random_config(rng, m=64, allow_spatial_c=True):
 
 def residuals(y, F, b, fit):
     """y - F a - B g of a stage fit, with B the dense columns of ``b``."""
-    return y - (F @ fit.fixed_coefs + b.dense().columns @ fit.basis_coefs)
+    return y - (F @ fit.fixed_coefs + fourier_columns(b) @ fit.basis_coefs)
 
 
 def _exposure_share_check(r_z, z):
@@ -123,7 +136,7 @@ def reference_gsem(obs, b, smoothing=None):
     r_y, r_z, r_c = (residuals(columns[name], ones, b, fit) for name, fit in fits.items())
     _exposure_share_check(r_z, obs.Z)
     F = np.column_stack([ones, r_z, r_c])
-    final = select_lambda_gcv(r_y, F, empty_basis(obs.grid.n), 0.0, ["intercept", "r_Z", "r_C"])
+    final = select_lambda_gcv(r_y, F, empty_basis(obs.grid), 0.0, ["intercept", "r_Z", "r_C"])
     result = _result(final, fits)
     result["edf"]["final_ols"] = final.edf
     return result

@@ -48,7 +48,7 @@ from spatialconfound.mc import (
     scenario_config,
 )
 
-from support import ols_coef_and_se, random_config
+from support import fourier_columns, ols_coef_and_se, random_config
 
 
 def verdict(criterion, ok, detail):
@@ -316,7 +316,7 @@ def test_criterion_8_degeneracy_surfacing():
 
 
 def _objective(y, F, b, lam, alpha, gamma):
-    resid = y - F @ alpha - b.dense().columns @ gamma
+    resid = y - F @ alpha - fourier_columns(b) @ gamma
     return float(resid @ resid + lam * (gamma * b.penalty) @ gamma)
 
 
@@ -330,7 +330,7 @@ def test_criterion_9_numerical_core():
         F = np.column_stack(
             [np.ones(grid.n), rng.normal(size=grid.n), rng.normal(size=grid.n)]
         )
-        y = F @ rng.normal(size=3) + b.dense().columns @ rng.normal(size=b.p) * 0.4
+        y = F @ rng.normal(size=3) + fourier_columns(b) @ rng.normal(size=b.p) * 0.4
         y += 0.3 * rng.normal(size=grid.n)
         fit = select_lambda_gcv(y, F, b) if lam is None else fit_pls(y, F, b, lam)
         theta = np.concatenate([fit.fixed_coefs, fit.basis_coefs])

@@ -9,10 +9,15 @@ from spatialconfound import (
     SpectralSpec,
     empty_basis,
     fourier_basis,
+    generate_dataset,
     make_grid,
     restrict_low_frequency,
     sample_grf,
+    scenario_config,
 )
+from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE
+from spatialconfound.pls import basis_moments
+from support import fourier_columns
 
 
 def brute_force_column_count(max_freq):
@@ -52,7 +57,7 @@ class TestFourierBasis:
     def test_gram_diagonal_on_regular_grid(self, m, max_freq):
         grid = make_grid(m)
         b = fourier_basis(grid, max_freq)
-        columns = b.dense().columns
+        columns = fourier_columns(b)
         gram = columns.T @ columns
         diag = np.diag(gram)
         off = gram - np.diag(diag)
@@ -83,7 +88,7 @@ class TestFourierBasis:
         b = fourier_basis(grid, 8)
         f = sample_grf(grid, SpectralSpec(1, 8, 0.3, 1.0), seed=21)
         # Least-squares residual of the field on [1 | columns].
-        X = np.column_stack([np.ones(grid.n), b.dense().columns])
+        X = np.column_stack([np.ones(grid.n), fourier_columns(b)])
         resid = f - X @ np.linalg.lstsq(X, f, rcond=None)[0]
         assert np.linalg.norm(resid) < 1e-9 * np.linalg.norm(f)
 
@@ -116,7 +121,7 @@ class TestRestrictLowFrequency:
         grid = make_grid(32)
         b = restrict_low_frequency(fourier_basis(grid, 5), 2)
         f = sample_grf(grid, SpectralSpec(4, 5, 0.0, 1.0), seed=33)
-        columns = b.dense().columns
+        columns = fourier_columns(b)
         proj = columns @ np.linalg.lstsq(columns, f, rcond=None)[0]
         assert np.linalg.norm(proj) < 1e-10 * np.linalg.norm(f)
 
@@ -148,7 +153,31 @@ def test_labels_need_one_entry_per_column(name):
             replace(b, **{name: short})
 
 
-def test_empty_basis():
-    b = empty_basis(25)
-    assert b.p == 0 and b.n == 25
-    assert b.gram().shape == (0, 0)
+class TestEmptyBasis:
+    """The p = 0 basis: a basis on the grid with no frequency pairs."""
+
+    @pytest.mark.parametrize("m", [2, 5, 16])
+    def test_shape(self, m):
+        b = empty_basis(make_grid(m))
+        assert b.p == 0 and b.n == m * m and b.pairs.shape == (0, 2)
+        assert b.gram().shape == (0, 0) and b.d0.shape == (0,)
+        assert b.analyze(np.ones((b.n, 3))).shape == (0, 3)
+        assert np.array_equal(b.synthesize(np.zeros((0, 2))), np.zeros((b.n, 2)))
+
+    def test_moments_are_the_qr_of_x(self):
+        grid = make_grid(6)
+        X = np.random.default_rng(5).normal(size=(grid.n, 4))
+        m = basis_moments(X, empty_basis(grid))
+        assert m.WX.shape == (0, 4)
+        assert m.R.tobytes() == np.linalg.qr(X, mode="r").tobytes()
+
+    def test_basis_on_another_grid_refused(self):
+        X = np.ones((36, 2))
+        with pytest.raises(ValueError, match="basis rows do not match the response length"):
+            basis_moments(X, empty_basis(make_grid(5)))
+
+    def test_observations_without_a_basis_use_their_grid(self):
+        obs = generate_dataset(scenario_config(SCENARIO_STRONG_EXPOSURE), 1).observations()
+        m = obs.moments(None)
+        assert m.basis.grid is obs.grid and m.basis.p == 0
+        assert m.without_basis(np.eye(4)).basis.grid is obs.grid

@@ -258,6 +258,20 @@ class TestInterchange:
         with pytest.raises(ValueError, match="line 3 has a non-numeric C value 'abc'"):
             read_observations_csv(path)
 
+    @pytest.mark.parametrize("edit, fields", [(lambda row: row[: row.rindex(",")], 4),
+                                              (lambda row: row + ",999", 6)],
+                             ids=["short-row", "long-row"])
+    def test_csv_row_with_the_wrong_field_count(self, tmp_path, edit, fields):
+        small = base_config(m=4, spec_S1=SpectralSpec(1, 1, 0.0, 1.0),
+                            spec_S2=SpectralSpec(1, 1, 0.0, 1.0))
+        path = tmp_path / "data.csv"
+        dataset_to_csv(generate_dataset(small, 24), path)
+        lines = path.read_text().splitlines()
+        lines[1] = edit(lines[1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line 2 has {fields} fields for 5 columns"):
+            read_observations_csv(path)
+
     def test_csv_not_a_grid(self, tmp_path):
         path = tmp_path / "bad.csv"
         rows = ["x,y,Z,C,Y"] + [f"{i / 5},{i / 5},1,2,3" for i in range(4)]

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from spatialconfound import (
-    BasisSet,
     CollinearityError,
     DegenerateResidualError,
     EstimateRecord,
@@ -33,6 +32,7 @@ from spatialconfound import (
 from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE
 
 from support import (
+    fourier_columns,
     random_config,
     reference_gsem,
     reference_spatial_plus,
@@ -148,7 +148,7 @@ class TestRSR:
     def test_zero_basis_identical_to_ols(self, obs_and_basis):
         obs, _ = obs_and_basis
         ols = fit_nonspatial(obs)
-        rsr = fit_rsr(obs, empty_basis(obs.grid.n))
+        rsr = fit_rsr(obs, empty_basis(obs.grid))
         assert rsr.beta1_hat == ols.beta1_hat
         assert rsr.se == ols.se
         assert rsr.aic == ols.aic
@@ -162,7 +162,7 @@ class TestRSR:
         obs = ds.observations()
         b = fourier_basis(ds.grid, 5)
         F = np.column_stack([np.ones(obs.grid.n), obs.Z, obs.C])
-        columns = b.dense().columns
+        columns = fourier_columns(b)
         b_perp = columns - F @ np.linalg.lstsq(F, columns, rcond=None)[0]
         X = np.column_stack([F, b_perp])
         coef, _, rank, _ = np.linalg.lstsq(X, obs.Y, rcond=None)
@@ -223,8 +223,6 @@ class TestSpatialPlus:
         share = rec.diagnostics["exposure_residual_share"]
         # corr(r_Z, Z)^2 >= var(r_Z)/var(Z) only after heavy shrinkage; check
         # the correlation directly through a refit of stage 1.
-        from spatialconfound import select_lambda_gcv
-
         F1 = np.column_stack([np.ones(ds.grid.n), ds.C])
         stage1 = select_lambda_gcv(ds.Z, F1, b)
         corr = np.corrcoef(residuals(ds.Z, F1, b, stage1), ds.Z)[0, 1]
@@ -276,7 +274,7 @@ class TestGSEM:
 
     def test_zero_basis_equals_nonspatial(self, obs_and_basis):
         obs, _ = obs_and_basis
-        gsem = fit_gsem(obs, empty_basis(obs.grid.n), smoothing=0.0)
+        gsem = fit_gsem(obs, empty_basis(obs.grid), smoothing=0.0)
         ols = fit_nonspatial(obs)
         assert gsem.beta1_hat == pytest.approx(ols.beta1_hat, rel=1e-10)
         assert gsem.se == pytest.approx(ols.se, rel=1e-10)
@@ -348,27 +346,6 @@ class TestUnpenalizedEquivalence:
         assert abs(gsem.beta1_hat - spatial.beta1_hat) < 1e-8 * max(1.0, scale)
 
 
-def user_basis(grid, p=12, seed=0):
-    """A dense orthogonal basis that is not Fourier: B'1 != 0, uneven norms,
-    labels 1..p/4 in fours."""
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.normal(size=(grid.n, p)) + 0.3)
-    freq = np.repeat(np.arange(1, p // 4 + 1), 4)
-    return BasisSet(
-        columns=q * rng.uniform(0.5, 3.0, size=p),
-        freq=freq,
-        penalty=freq.astype(float) ** 2,
-        max_freq=int(freq.max()),
-    )
-
-
-def _basis(kind, grid):
-    b = fourier_basis(grid, 4)
-    if kind == "spectral":
-        return b
-    return b.dense() if kind == "dense-twin" else user_basis(grid)
-
-
 def _outcome(fit):
     """The fit's numbers, or the type and columns of its degeneracy error."""
     try:
@@ -405,29 +382,14 @@ def _observations(case, b, seed):
 
 class TestGeneralBases:
     """The estimators' fits from moments against stages fitted on n-row
-    residuals (``support``), on the Fourier basis, its dense twin, and a
-    dense orthogonal basis with B'1 != 0."""
-
-    def test_user_basis_is_not_orthogonal_to_the_constant(self):
-        b = user_basis(make_grid(12))
-        assert np.abs(b.analyze(np.ones(b.n))).max() > 0.1
-
-    def test_collinearity_in_a_user_basis_names_its_columns(self):
-        # p = 12 columns, more than the 8 Fourier columns of label 1: named basis[j].
-        b = user_basis(make_grid(12))
-        b = replace(b, freq=np.ones(b.p, dtype=int), penalty=np.ones(b.p), max_freq=1)
-        F = np.column_stack([np.ones(b.n), b.columns[:, -1]])
-        y = np.random.default_rng(4).normal(size=b.n)
-        with pytest.raises(CollinearityError) as err:
-            select_lambda_gcv(y, F, b, 0.0)
-        assert "fixed[1]" in err.value.columns and "basis[11]" in err.value.columns
+    residuals (``support``), formed with the basis's dense columns."""
 
     @pytest.mark.parametrize("smoothing", [None, 0.0, 3.7], ids=["gcv", "lam0", "lam3.7"])
     @pytest.mark.parametrize("kind", list(TWO_STAGE))
-    @pytest.mark.parametrize("basis", ["spectral", "dense-twin", "user"])
+    @pytest.mark.parametrize("basis", ["spectral"])
     @pytest.mark.parametrize("seed", range(2))
     def test_matches_n_row_reference(self, basis, kind, smoothing, seed):
-        b = _basis(basis, make_grid(12))
+        b = fourier_basis(make_grid(12), 4)
         obs = _observations("simulated", b, seed)
         fit, reference = TWO_STAGE[kind]
         got = _as_reference(fit(obs, b, smoothing=smoothing))
@@ -441,10 +403,10 @@ class TestGeneralBases:
 
     @pytest.mark.parametrize("smoothing", [None, 0.0, 3.7], ids=["gcv", "lam0", "lam3.7"])
     @pytest.mark.parametrize("kind", list(TWO_STAGE))
-    @pytest.mark.parametrize("basis", ["spectral", "dense-twin", "user"])
+    @pytest.mark.parametrize("basis", ["spectral"])
     @pytest.mark.parametrize("case", ["fully-spatial-exposure", "covariate-in-span"])
     def test_degenerate_data_same_error(self, case, basis, kind, smoothing):
-        b = _basis(basis, make_grid(12))
+        b = fourier_basis(make_grid(12), 4)
         obs = _observations(case, b, 0)
         fit, reference = TWO_STAGE[kind]
         got = _outcome(lambda: _as_reference(fit(obs, b, smoothing=smoothing)))
@@ -471,4 +433,3 @@ class TestLargeGrid:
         b = fourier_basis(obs.grid, 10)
         rec = fit_spatial_plus(obs, b)
         assert np.isfinite(rec.beta1_hat) and rec.se > 0
-        assert b.columns is None

@@ -172,23 +172,6 @@ def test_import_loads_no_thread_pool():
 
 
 class TestRunMc:
-    def test_no_dense_basis_on_any_experiment_path(self, monkeypatch):
-        # Every estimator reaches the Fourier basis through its FFT products.
-        def refuse(*args):
-            raise AssertionError("the dense Fourier columns were built")
-
-        monkeypatch.setattr(spatialconfound.basis, "_fourier_columns", refuse)
-        every_kind = tuple(
-            EstimatorSpec(kind=k, max_freq=None if k is EstimatorKind.NONSPATIAL_OLS else 4,
-                          cutoff=2 if k is EstimatorKind.SPATIAL_PLUS_LOWFREQ else None)
-            for k in EstimatorKind
-        )
-        summary = run_mc(small_plan(r=2, estimators=every_kind))
-        assert all(c["beta_structural"].n_success == 2 for c in summary.cells.values())
-        kind = SCENARIO_STRONG_EXPOSURE
-        scenario_experiment(kind, default_scenario_plan(kind, r=2, max_freq=6))
-        aic_bias_experiment(default_aic_plan(r=2, max_freq=6), [0.0, 1.0])
-
     @staticmethod
     def _count_basis_passes(monkeypatch):
         counts = {"analyze": 0, "synthesize": 0}

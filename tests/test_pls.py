@@ -20,22 +20,19 @@ from spatialconfound import (
     sweep_lambda,
 )
 from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE
-from spatialconfound.pls import DEFAULT_LAMBDA_GRID, _Solver, basis_moments, sweep_moments
-from support import residuals
-
-
-def toy_basis(column, penalty):
-    column = np.asarray(column, dtype=float)
-    return BasisSet(
-        columns=column[:, None],
-        freq=np.array([1]),
-        penalty=np.array([float(penalty)]),
-        max_freq=1,
-    )
+from spatialconfound.errors import _is_real
+from spatialconfound.pls import (
+    DEFAULT_LAMBDA_GRID,
+    _Solver,
+    basis_moments,
+    select_moments,
+    sweep_moments,
+)
+from support import fourier_columns, residuals
 
 
 def penalized_objective(y, F, b, lam, alpha, gamma):
-    resid = y - F @ alpha - b.dense().columns @ gamma
+    resid = y - F @ alpha - fourier_columns(b) @ gamma
     return float(resid @ resid + lam * (gamma * b.penalty) @ gamma)
 
 
@@ -44,7 +41,7 @@ def random_problem(seed, n=64, m=8, max_freq=3, noise=0.5):
     grid = make_grid(m)
     b = fourier_basis(grid, max_freq)
     F = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)])
-    y = F @ rng.normal(size=3) + b.dense().columns @ rng.normal(size=b.p) * 0.3
+    y = F @ rng.normal(size=3) + fourier_columns(b) @ rng.normal(size=b.p) * 0.3
     y = y + noise * rng.normal(size=n)
     return y, F, b
 
@@ -60,7 +57,7 @@ def dense_oracle(y, F, b, lam):
     if math.isinf(lam):
         X, pen = F, np.zeros(q)
     else:
-        X = np.column_stack([F, b.dense().columns])
+        X = np.column_stack([F, fourier_columns(b)])
         pen = np.concatenate([np.zeros(q), lam * b.penalty])
     A = X.T @ X
     A_pen = A + np.diag(pen)
@@ -73,44 +70,44 @@ def dense_oracle(y, F, b, lam):
 
 
 class TestToyInstance:
-    """n=4, intercept plus one basis column (1,-1,1,-1), y=(2,0,2,0), lam=4."""
+    """The 3 x 3 grid (n = 9), intercept plus the one pair k = (1, 0), whose
+    cos and sin columns have squared norm d0 = 4.5; penalty 1, y = 1 + the
+    cos column, lam = 4.5."""
 
-    y = np.array([2.0, 0.0, 2.0, 0.0])
-    F = np.ones((4, 1))
-    b = toy_basis([1.0, -1.0, 1.0, -1.0], penalty=1.0)
+    b = BasisSet(freq=np.array([1, 1]), penalty=np.ones(2), max_freq=1,
+                 grid=make_grid(3), pairs=np.array([[1, 0]]))
+    cos, sin = fourier_columns(b).T
+    y = 1.0 + cos
+    F = np.ones((9, 1))
 
     def test_hand_solved_solution(self):
-        fit = fit_pls(self.y, self.F, self.b, lam=4.0)
-        # Normal equations: intercept 1; basis coefficient = shrinkage
-        # 4/(4+4) = 1/2 applied to the unpenalized coefficient 1.
+        fit = fit_pls(self.y, self.F, self.b, lam=4.5)
+        # Normal equations: intercept 1; cos coefficient = shrinkage
+        # 4.5/(4.5+4.5) = 1/2 applied to the unpenalized coefficient 1; sin 0.
         assert fit.fixed_coefs[0] == pytest.approx(1.0, abs=1e-12)
-        assert fit.basis_coefs[0] == pytest.approx(0.5, abs=1e-12)
-        assert fit.edf == pytest.approx(1.5, abs=1e-12)
-        # Residuals (0.5,-0.5,0.5,-0.5): RSS = 1, penalized objective = 2.
+        assert fit.basis_coefs == pytest.approx([0.5, 0.0], abs=1e-12)
+        assert fit.edf == pytest.approx(2.0, abs=1e-12)
+        # Residuals cos / 2: RSS = 4.5 / 4 = 9/8, penalized objective 9/4.
         resid = residuals(self.y, self.F, self.b, fit)
-        assert float(resid @ resid) == pytest.approx(1.0, abs=1e-12)
-        obj = penalized_objective(self.y, self.F, self.b, 4.0, fit.fixed_coefs, fit.basis_coefs)
-        assert obj == pytest.approx(2.0, abs=1e-12)
+        assert float(resid @ resid) == pytest.approx(9 / 8, abs=1e-12)
+        obj = penalized_objective(self.y, self.F, self.b, 4.5, fit.fixed_coefs, fit.basis_coefs)
+        assert obj == pytest.approx(9 / 4, abs=1e-12)
 
     def test_brute_force_grid_minimization(self):
         # Scan a fine grid around the reported solution; nothing beats it.
-        fit = fit_pls(self.y, self.F, self.b, lam=4.0)
+        fit = fit_pls(self.y, self.F, self.b, lam=4.5)
         best = penalized_objective(
-            self.y, self.F, self.b, 4.0, fit.fixed_coefs, fit.basis_coefs
+            self.y, self.F, self.b, 4.5, fit.fixed_coefs, fit.basis_coefs
         )
-        alphas = np.linspace(0.0, 2.0, 201)
-        gammas = np.linspace(-0.5, 1.5, 201)
-        values = [
-            penalized_objective(self.y, self.F, self.b, 4.0, np.array([a]), np.array([g]))
-            for a in alphas
-            for g in gammas
-        ]
-        assert min(values) >= best - 1e-9
+        axes = (np.linspace(0.0, 2.0, 81), np.linspace(-0.5, 1.5, 81), np.linspace(-1.0, 1.0, 81))
+        a, gc, gs = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+        resid = self.y - a[:, None] - gc[:, None] * self.cos - gs[:, None] * self.sin
+        values = (resid * resid).sum(axis=1) + 4.5 * (gc * gc + gs * gs)
+        assert values.min() >= best - 1e-9
         argbest = int(np.argmin(values))
-        a_star = alphas[argbest // 201]
-        g_star = gammas[argbest % 201]
-        assert a_star == pytest.approx(1.0, abs=0.011)
-        assert g_star == pytest.approx(0.5, abs=0.011)
+        assert a[argbest] == pytest.approx(1.0, abs=0.026)
+        assert gc[argbest] == pytest.approx(0.5, abs=0.026)
+        assert gs[argbest] == pytest.approx(0.0, abs=0.026)
 
 
 class TestLambdaLimits:
@@ -125,7 +122,7 @@ class TestLambdaLimits:
     def test_zero_lambda_matches_normal_equations_oracle(self):
         y, F, b = random_problem(1)
         fit = fit_pls(y, F, b, 0.0)
-        X = np.column_stack([F, b.dense().columns])
+        X = np.column_stack([F, fourier_columns(b)])
         ref = np.linalg.solve(X.T @ X, X.T @ y)
         joint = np.concatenate([fit.fixed_coefs, fit.basis_coefs])
         assert joint == pytest.approx(ref, rel=1e-8)
@@ -280,7 +277,6 @@ def test_kept_shrinkage_weights_give_the_fresh_sweeps(reverse):
     for weights in b._shrinkage.values():
         assert len(weights) == 4
         assert not any(w.flags.writeable for w in weights)
-    assert replace(b, columns=None)._shrinkage == {}
     assert replace(b)._shrinkage == {}
 
 
@@ -344,6 +340,26 @@ class TestSelectLambdaGcv:
         with pytest.raises(ValueError):
             select_lambda_gcv(y, F, b, [-1.0, 2.0])
 
+    def test_default_grid_checked_once_explicit_grids_per_call(self, monkeypatch):
+        # The default grid is checked at import; an explicit one once per call.
+        y, F, b = random_problem(12)
+        m = basis_moments(np.column_stack([F, y]), b)
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return _is_real(value)
+
+        monkeypatch.setattr("spatialconfound.pls._is_real", counted)
+        select_moments(m)
+        select_lambda_gcv(y, F, b)
+        assert calls == []
+        select_lambda_gcv(y, F, b, [0.0, 1.0])
+        assert calls == [[0.0, 1.0], 0.0, 1.0]  # is it one number?, then each value
+        for grid in ([], [1.0, 1.0], [-1.0, 2.0], "12"):
+            with pytest.raises(ValueError):
+                select_moments(m, grid)
+
     def test_basis_of_another_grid_rejected(self):
         y, F, _ = random_problem(12)  # n = 64
         with pytest.raises(ValueError, match="basis rows do not match the response length"):
@@ -364,25 +380,26 @@ class TestSelectLambdaGcv:
 
 class TestCollinearity:
     def test_duplicate_fixed_column_named(self):
-        n = 32
+        grid = make_grid(6)
         rng = np.random.default_rng(13)
-        z = rng.normal(size=n)
-        F = np.column_stack([np.ones(n), z, z])
+        z = rng.normal(size=grid.n)
+        F = np.column_stack([np.ones(grid.n), z, z])
         with pytest.raises(CollinearityError) as err:
-            fit_pls(rng.normal(size=n), F, empty_basis(n), 0.0, ["intercept", "Z", "Zcopy"])
+            fit_pls(rng.normal(size=grid.n), F, empty_basis(grid), 0.0, ["intercept", "Z", "Zcopy"])
         assert "collinear" in str(err.value)
         assert {"Z", "Zcopy"} <= set(err.value.columns)
 
     def test_fixed_inside_basis_span_at_lambda_zero(self):
         grid = make_grid(8)
         b = fourier_basis(grid, 2)
-        columns = b.dense().columns
+        columns = fourier_columns(b)
         z = columns[:, 0] + 0.5 * columns[:, 3]
         F = np.column_stack([np.ones(grid.n), z])
         rng = np.random.default_rng(14)
         with pytest.raises(CollinearityError) as err:
             fit_pls(rng.normal(size=grid.n), F, b, 0.0, ["intercept", "Z"])
-        assert "Z" in err.value.columns
+        # The joint null vector names the fixed and the basis columns it loads on.
+        assert err.value.columns == ("Z", "cos(k=(0,1))", "sin(k=(1,-1))")
 
     @pytest.mark.parametrize(
         "grid, what",
@@ -407,7 +424,7 @@ class TestCollinearity:
 
     def test_fixed_in_basis_span_is_joint_at_lambda_zero(self):
         b = fourier_basis(make_grid(8), 2)
-        columns = b.dense().columns
+        columns = fourier_columns(b)
         F = np.column_stack([np.ones(64), columns[:, 0] + 0.5 * columns[:, 3]])
         y = np.random.default_rng(23).normal(size=64)
         for call in (sweep_lambda, select_lambda_gcv):
@@ -418,10 +435,10 @@ class TestCollinearity:
         assert sweep_lambda(y, F, b, [1.0]).edf[0] > 2.0
 
     def test_positive_lambda_still_requires_full_rank_fixed(self):
-        n = 16
-        F = np.column_stack([np.ones(n), np.ones(n)])
+        grid = make_grid(4)
+        F = np.column_stack([np.ones(grid.n), np.ones(grid.n)])
         with pytest.raises(CollinearityError):
-            fit_pls(np.arange(n, dtype=float), F, empty_basis(n), 2.0)
+            fit_pls(np.arange(grid.n, dtype=float), F, empty_basis(grid), 2.0)
 
     def test_more_columns_than_rows(self):
         grid = make_grid(4)  # n=16
@@ -431,7 +448,7 @@ class TestCollinearity:
             fit_pls(np.ones(16), F, b, 0.0)
         wide = np.column_stack([np.eye(16), np.ones(16)])  # 17 fixed columns, no basis
         with pytest.raises(CollinearityError):
-            fit_pls(np.ones(16), wide, empty_basis(16), 0.0)
+            fit_pls(np.ones(16), wide, empty_basis(grid), 0.0)
 
 
 class TestExactFit:
@@ -441,44 +458,29 @@ class TestExactFit:
         # The R factor of [F y] has no row below the F block, so the part of
         # y outside col(F) is exactly zero, not an n-row round-off sum.
         rng = np.random.default_rng(3)
-        y, F = rng.normal(size=6), rng.normal(size=(6, 6))
-        m = basis_moments(np.column_stack([F, y]), empty_basis(6))
+        y, F = rng.normal(size=9), rng.normal(size=(9, 9))
+        m = basis_moments(np.column_stack([F, y]), empty_basis(make_grid(3)))
         assert _Solver(m, None).rss_perp == 0.0
-        sweep = sweep_lambda(y, F, empty_basis(6), [0.0])
-        assert sweep.edf[0] == 6
+        sweep = sweep_lambda(y, F, m.basis, [0.0])
+        assert sweep.edf[0] == 9
         assert sweep.sigma2[0] == math.inf and sweep.gcv[0] == math.inf
         assert sweep.rss[0] < 1e-24 * (y @ y)
 
     def test_infinite_sigma2_times_zero_is_zero(self):
         # sigma2 = inf scales S^-1 into cov_fixed; its exact zeros stay 0,
         # not NaN with a RuntimeWarning.
-        fit = fit_pls(np.arange(1.0, 6.0), 2.0 * np.eye(5), empty_basis(5), 0.0)
-        assert np.array_equal(fit.cov_fixed, np.where(np.eye(5) > 0, math.inf, 0.0))
+        fit = fit_pls(np.arange(1.0, 5.0), 2.0 * np.eye(4), empty_basis(make_grid(2)), 0.0)
+        assert np.array_equal(fit.cov_fixed, np.where(np.eye(4) > 0, math.inf, 0.0))
 
     @pytest.mark.parametrize("scale", [1.0, 2.0])
     def test_interpolation_exact_in_floating_point(self, scale):
         # A solve with no round-off leaves RSS = 0: sigma2 and GCV are inf
         # and AIC is -inf, with no RuntimeWarning.
-        y = np.arange(1.0, 6.0)
-        sweep = sweep_lambda(y, scale * np.eye(5)[::-1], empty_basis(5), [0.0])
+        y = np.arange(1.0, 5.0)
+        sweep = sweep_lambda(y, scale * np.eye(4)[::-1], empty_basis(make_grid(2)), [0.0])
         assert sweep.rss[0] == 0.0
         assert (sweep.sigma2[0], sweep.gcv[0], sweep.aic[0]) == (math.inf, math.inf, -math.inf)
         assert np.array_equal(sweep.fixed_coefs[0], y[::-1] / scale)
-
-
-class TestNonOrthogonalBasis:
-    def test_rejected_when_built(self):
-        # Orthogonality is checked once, when a basis is built, so no solver
-        # entry point can receive a basis that fails it.
-        _, _, b = random_problem(21)
-        dense = b.dense().columns
-        zeroed = dense.copy()
-        zeroed[:, 0] = 0.0
-        for columns in (dense + 0.1 * dense[:, :1], zeroed):
-            with pytest.raises(ValueError, match="orthogonal"):
-                replace(b, columns=columns)
-            with pytest.raises(ValueError, match="orthogonal"):
-                BasisSet(columns=columns, freq=b.freq, penalty=b.penalty, max_freq=b.max_freq)
 
 
 class TestProjectOut:
