@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spatialconfound import (
+    BasisSet,
     CollinearityError,
     DegenerateResidualError,
     EstimateRecord,
@@ -380,16 +381,45 @@ def _observations(case, b, seed):
     return Observations(Z=obs.Z, C=spatial, Y=obs.Y, grid=obs.grid)  # C in the span
 
 
+def chosen_pairs_basis(grid):
+    """A basis of hand-picked frequency pairs, not in ``fourier_basis``
+    order, with labels 1..3 out of order and uneven penalty weights."""
+    pairs = np.array([[2, -1], [0, 1], [3, 3], [1, 0], [1, 2], [0, 3]])
+    freq = np.repeat(np.abs(pairs).max(axis=1), 2)
+    penalty = np.random.default_rng(0).uniform(0.5, 3.0, size=freq.size) * freq**2
+    return BasisSet(freq=freq, penalty=penalty, max_freq=3, grid=grid, pairs=pairs)
+
+
+def _basis(kind, grid):
+    if kind == "spectral":
+        return fourier_basis(grid, 4)
+    if kind == "highest-freq":
+        return fourier_basis(grid, (grid.m - 1) // 2)
+    return chosen_pairs_basis(grid)
+
+
+BASES = ["spectral", "highest-freq", "chosen-pairs"]
+
+
 class TestGeneralBases:
     """The estimators' fits from moments against stages fitted on n-row
-    residuals (``support``), formed with the basis's dense columns."""
+    residuals (``support``), formed with the basis's dense columns: on the
+    Fourier basis, on the one up to the highest label the grid allows, and
+    on a basis of chosen pairs with uneven penalties."""
+
+    def test_chosen_pairs_basis_is_not_a_fourier_basis(self):
+        b = chosen_pairs_basis(make_grid(12))
+        assert np.any(np.diff(b.freq) < 0)
+        assert not np.array_equal(b.penalty, b.freq.astype(float) ** 2)
+        B = fourier_columns(b)
+        assert np.allclose(B.T @ B, np.diag(b.d0), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("smoothing", [None, 0.0, 3.7], ids=["gcv", "lam0", "lam3.7"])
     @pytest.mark.parametrize("kind", list(TWO_STAGE))
-    @pytest.mark.parametrize("basis", ["spectral"])
+    @pytest.mark.parametrize("basis", BASES)
     @pytest.mark.parametrize("seed", range(2))
     def test_matches_n_row_reference(self, basis, kind, smoothing, seed):
-        b = fourier_basis(make_grid(12), 4)
+        b = _basis(basis, make_grid(12))
         obs = _observations("simulated", b, seed)
         fit, reference = TWO_STAGE[kind]
         got = _as_reference(fit(obs, b, smoothing=smoothing))
@@ -403,10 +433,10 @@ class TestGeneralBases:
 
     @pytest.mark.parametrize("smoothing", [None, 0.0, 3.7], ids=["gcv", "lam0", "lam3.7"])
     @pytest.mark.parametrize("kind", list(TWO_STAGE))
-    @pytest.mark.parametrize("basis", ["spectral"])
+    @pytest.mark.parametrize("basis", BASES)
     @pytest.mark.parametrize("case", ["fully-spatial-exposure", "covariate-in-span"])
     def test_degenerate_data_same_error(self, case, basis, kind, smoothing):
-        b = fourier_basis(make_grid(12), 4)
+        b = _basis(basis, make_grid(12))
         obs = _observations(case, b, 0)
         fit, reference = TWO_STAGE[kind]
         got = _outcome(lambda: _as_reference(fit(obs, b, smoothing=smoothing)))
