@@ -1,7 +1,7 @@
 """The two confounding scenarios and the AIC-versus-bias table, reduced size.
 
-Replays the Monte Carlo experiments at R=60 so the demo finishes in about a
-minute; the acceptance suite runs the full R=500/R=300 versions.  Scenario
+Replays the Monte Carlo experiments at R=60 so the demo finishes in a few
+seconds; the acceptance suite runs the full R=500/R=300 versions.  Scenario
 "strong exposure / weak outcome" is where the two-stage estimator shines:
 its exposure model refuses to smooth away the high-frequency confounder.
 In the reversed scenario both methods lean on the outcome model's

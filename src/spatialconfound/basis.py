@@ -5,14 +5,16 @@ the two columns cos(2 pi k.s) and sin(2 pi k.s).  On a regular grid all
 columns are mutually orthogonal, orthogonal to the constant, and have
 squared norm n/2, which is what makes frequency-band arguments exact:
 disjoint bands span orthogonal subspaces, and a field synthesized inside a
-band lies exactly in the span of that band's columns.  A basis is kept as
-its grid and frequency pairs, never as an n x p array, and its products
-are 2-D FFTs (see ``BasisSet``); the p = 0 basis is the one with no pairs.
+band lies exactly in the span of that band's columns.  A basis is its grid
+and its frequency pairs, never an n x p array, and its products are 2-D
+FFTs (see ``BasisSet``); the p = 0 basis is the one with no pairs.
 
-Penalty weights grow polynomially with the frequency label, so a single
-smoothing parameter shrinks high frequencies harder, in the spirit of a
-roughness penalty.  The constant function is never part of the basis; it
-belongs to the fixed-effects design.
+Each column's label, its penalty weight f**2 for label f, and the basis's
+largest label ``max_freq`` follow from the pairs: they are derived when
+the basis is built and are read-only.  The weights grow with the label,
+so a single smoothing parameter shrinks high frequencies harder, in the
+spirit of a roughness penalty.  The constant function is never part of
+the basis; it belongs to the fixed-effects design.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ class BasisSet:
     """A Fourier basis B (n x p) on a grid, kept as its frequency pairs.
 
     Column 2t is cos(2 pi k_t.s) and column 2t+1 sin(2 pi k_t.s) for the
-    t-th row of ``pairs``.  ``freq[j]`` is the max-norm of column j's
-    frequency pair and ``penalty[j]`` its diagonal penalty weight.
-    ``max_freq`` records the truncation level the basis was built (or
-    restricted) to.
+    t-th row of ``pairs``.  The grid and the pairs are the whole basis;
+    the rest is derived from them when it is built, and every array is
+    read-only.  ``freq[j]`` is the max-norm label of column j's pair,
+    ``penalty[j]`` its weight freq[j]**2, and ``max_freq`` the largest
+    label (0 with no pairs).
 
     The penalized solver in ``pls`` reaches B only through ``analyze`` (B'X,
     one real 2-D FFT) and ``synthesize`` (B G, one inverse FFT), and relies
@@ -44,24 +47,31 @@ class BasisSet:
     basis of ``empty_basis``.
     """
 
-    freq: np.ndarray  # (p,) int
-    penalty: np.ndarray  # (p,) float
-    max_freq: int
     grid: LocationGrid = field(repr=False)
     pairs: np.ndarray  # (p/2, 2) frequency pairs
+    freq: np.ndarray = field(init=False)  # (p,) int labels
+    penalty: np.ndarray = field(init=False, repr=False)  # (p,) float, freq**2
+    max_freq: int = field(init=False)
     d0: np.ndarray = field(init=False, repr=False)  # (p,) diagonal of B'B
     _shrinkage: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_shrinkage", {})
-        _check_pairs(self.pairs, self.grid.m)
-        for name in ("freq", "penalty"):
-            shape = np.shape(getattr(self, name))
-            if shape != (self.p,):
-                raise ValueError(
-                    f"basis {name} must have one entry per column ({self.p}), got shape {shape}"
-                )
-        object.__setattr__(self, "d0", _readonly(np.full(self.p, self.n / 2)))
+        pairs = np.asarray(self.pairs)
+        if pairs.flags.writeable:
+            pairs = pairs.copy()
+            pairs.setflags(write=False)
+        _check_pairs(pairs, self.grid.m)
+        freq = np.repeat(np.abs(pairs).max(axis=1), 2)
+        freq.setflags(write=False)
+        for name, value in (
+            ("pairs", pairs),
+            ("freq", freq),
+            ("penalty", _readonly(freq.astype(float) ** 2)),
+            ("max_freq", int(freq.max(initial=0))),
+            ("d0", _readonly(np.full(len(freq), self.grid.n / 2))),
+            ("_shrinkage", {}),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def p(self) -> int:
@@ -139,13 +149,7 @@ def _check_pairs(pairs, m: int) -> None:
 def empty_basis(grid: LocationGrid) -> BasisSet:
     """The p = 0 basis on ``grid``, with no frequency pairs (a basis
     estimator on it is plain OLS)."""
-    return BasisSet(
-        freq=np.zeros(0, dtype=int),
-        penalty=np.zeros(0),
-        max_freq=0,
-        grid=grid,
-        pairs=np.zeros((0, 2), dtype=int),
-    )
+    return BasisSet(grid=grid, pairs=np.zeros((0, 2), dtype=int))
 
 
 def fourier_basis(grid: LocationGrid, max_freq: int) -> BasisSet:
@@ -160,32 +164,17 @@ def fourier_basis(grid: LocationGrid, max_freq: int) -> BasisSet:
     orthogonality relations hold.
     """
     max_freq = _integer(max_freq, f"max_freq for an m={grid.m} grid", 1, (grid.m - 1) // 2)
-    pairs = frequency_pairs(1, max_freq)
-    freq = np.repeat(np.abs(pairs).max(axis=1), 2)
-    return BasisSet(
-        freq=freq,
-        penalty=freq.astype(float) ** 2,
-        max_freq=max_freq,
-        grid=grid,
-        pairs=pairs,
-    )
+    return BasisSet(grid=grid, pairs=frequency_pairs(1, max_freq))
 
 
 def restrict_low_frequency(b: BasisSet, cutoff: int) -> BasisSet:
     """Keep exactly the columns with frequency label <= cutoff.
 
-    Penalty entries are carried over unchanged.  Requires an integer
-    1 <= cutoff <= b.max_freq.
+    The kept columns keep their labels, and so their penalty weights.
+    Requires an integer 1 <= cutoff <= b.max_freq.
     """
     cutoff = _integer(cutoff, "cutoff", 1, b.max_freq)
-    keep = b.freq <= cutoff
-    return BasisSet(
-        freq=b.freq[keep].copy(),
-        penalty=b.penalty[keep].copy(),
-        max_freq=cutoff,
-        grid=b.grid,
-        pairs=b.pairs[keep[0::2]],
-    )
+    return BasisSet(grid=b.grid, pairs=b.pairs[b.freq[0::2] <= cutoff])
 
 
 def column_names(b: BasisSet) -> list[str]:

@@ -114,6 +114,16 @@ class SpectralSpec:
         object.__setattr__(self, "decay", _real(self.decay, "decay", 0))
         object.__setattr__(self, "variance", _real(self.variance, "variance", 0))
 
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """The band's ``frequency_pairs``, read-only, worked out on first read.
+
+        Not a field: ``asdict``, equality and hashing see the four above.
+        """
+        pairs = frequency_pairs(self.k_min, self.k_max)
+        pairs.setflags(write=False)
+        return pairs
+
 
 @dataclass(frozen=True)
 class IidSpec:
@@ -217,7 +227,7 @@ def sample_grf(grid: LocationGrid, spec: SpectralSpec, seed: int) -> np.ndarray:
         raise AliasingError(
             f"k_max={spec.k_max} exceeds the grid Nyquist limit m/2={grid.m // 2}"
         )
-    pairs = frequency_pairs(spec.k_min, spec.k_max)
+    pairs = spec.pairs
     rng = _generator(seed)
     coefs = rng.standard_normal((len(pairs), 2))
     damp = np.maximum(np.abs(pairs).max(axis=1), 1) ** (-spec.decay)

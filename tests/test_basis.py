@@ -1,11 +1,12 @@
 """Fourier tensor basis: counts, orthogonality, restriction, penalties."""
 
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from spatialconfound import (
+    BasisSet,
     SpectralSpec,
     empty_basis,
     fourier_basis,
@@ -107,7 +108,7 @@ class TestRestrictLowFrequency:
         assert r.p == brute_force_column_count(2)
         assert np.all(r.freq <= 2)
         assert r.max_freq == 2
-        # Penalties carried over, not recomputed.
+        # The kept columns keep their labels and so their penalties.
         keep = b.freq <= 2
         assert np.array_equal(r.penalty, b.penalty[keep])
 
@@ -144,13 +145,56 @@ def test_d0_is_the_gram_diagonal(cutoff):
     assert not b.d0.flags.writeable
 
 
-@pytest.mark.parametrize("name", ["freq", "penalty"])
-def test_labels_need_one_entry_per_column(name):
-    # Checked when built, so a fit never meets it as a broadcast error.
-    b = fourier_basis(make_grid(8), 3)
-    for short in (getattr(b, name)[:-1], getattr(b, name)[None]):
-        with pytest.raises(ValueError, match=name):
-            replace(b, **{name: short})
+def brute_force_labels(b):
+    """Each column's max-norm label, its f**2 penalty and the largest
+    label, from the pairs one at a time."""
+    freq = [max(abs(int(k1)), abs(int(k2))) for k1, k2 in b.pairs for _ in ("cos", "sin")]
+    return freq, [float(f * f) for f in freq], max(freq, default=0)
+
+
+def _built_bases():
+    """Name -> (basis, the max_freq it was built or restricted to): Fourier
+    bases, each restricted to cutoffs 1 and 2, and the p = 0 basis."""
+    for m, max_freq in [(8, 3), (16, 5), (32, 10)]:
+        b = fourier_basis(make_grid(m), max_freq)
+        yield f"fourier-{m}-{max_freq}", (b, max_freq)
+        for cutoff in (1, 2):
+            yield f"restricted-{m}-{max_freq}-{cutoff}", (restrict_low_frequency(b, cutoff), cutoff)
+    yield "empty", (empty_basis(make_grid(8)), 0)
+
+
+BUILT = dict(_built_bases())
+
+
+@pytest.mark.parametrize("name", list(BUILT))
+def test_labels_penalty_and_max_freq_follow_from_the_pairs(name):
+    b, built_to = BUILT[name]
+    freq, penalty, max_freq = brute_force_labels(b)
+    assert b.freq.tolist() == freq and b.penalty.tolist() == penalty
+    assert type(b.max_freq) is int and b.max_freq == max_freq == built_to
+
+
+def test_basis_has_two_init_fields():
+    assert [f.name for f in fields(BasisSet) if f.init] == ["grid", "pairs"]
+
+
+@pytest.mark.parametrize("name", ["fourier-16-5", "restricted-16-5-2", "empty"])
+@pytest.mark.parametrize("attr", ["pairs", "freq", "penalty", "d0"])
+def test_basis_arrays_are_read_only(name, attr):
+    # A write would leave the weights kept by ``shrinkage`` stale.
+    a = getattr(BUILT[name][0], attr)
+    assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a[...] = 0
+
+
+def test_basis_copies_the_callers_pairs():
+    pairs = np.array([[1, 0], [0, 1], [1, -1]])
+    b = BasisSet(grid=make_grid(8), pairs=pairs)
+    before = b.analyze(np.arange(64.0))
+    pairs[0] = pairs[1]
+    assert b.pairs.tolist() == [[1, 0], [0, 1], [1, -1]]
+    assert np.array_equal(b.analyze(np.arange(64.0)), before)
 
 
 class TestEmptyBasis:

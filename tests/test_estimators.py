@@ -383,11 +383,9 @@ def _observations(case, b, seed):
 
 def chosen_pairs_basis(grid):
     """A basis of hand-picked frequency pairs, not in ``fourier_basis``
-    order, with labels 1..3 out of order and uneven penalty weights."""
+    order, with labels 1..3 out of order."""
     pairs = np.array([[2, -1], [0, 1], [3, 3], [1, 0], [1, 2], [0, 3]])
-    freq = np.repeat(np.abs(pairs).max(axis=1), 2)
-    penalty = np.random.default_rng(0).uniform(0.5, 3.0, size=freq.size) * freq**2
-    return BasisSet(freq=freq, penalty=penalty, max_freq=3, grid=grid, pairs=pairs)
+    return BasisSet(grid=grid, pairs=pairs)
 
 
 def _basis(kind, grid):
@@ -405,12 +403,12 @@ class TestGeneralBases:
     """The estimators' fits from moments against stages fitted on n-row
     residuals (``support``), formed with the basis's dense columns: on the
     Fourier basis, on the one up to the highest label the grid allows, and
-    on a basis of chosen pairs with uneven penalties."""
+    on a basis of chosen pairs whose labels are out of order, its columns
+    still orthogonal."""
 
     def test_chosen_pairs_basis_is_not_a_fourier_basis(self):
         b = chosen_pairs_basis(make_grid(12))
         assert np.any(np.diff(b.freq) < 0)
-        assert not np.array_equal(b.penalty, b.freq.astype(float) ** 2)
         B = fourier_columns(b)
         assert np.allclose(B.T @ B, np.diag(b.d0), rtol=0, atol=1e-10)
 

@@ -1,13 +1,18 @@
 """Grid construction and random-field sampling."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from spatialconfound import (
+    SCENARIO_STRONG_EXPOSURE,
     AliasingError,
     IidSpec,
     LocationGrid,
     SpectralSpec,
+    config_hash,
+    config_to_dict,
     derive_seed,
     field_dft_energy,
     frequency_pairs,
@@ -15,6 +20,7 @@ from spatialconfound import (
     sample_field,
     sample_grf,
     sample_iid,
+    scenario_config,
 )
 
 
@@ -105,6 +111,24 @@ class TestFrequencyPairs:
         with pytest.raises(ValueError):
             frequency_pairs(3, 2)
 
+    def test_a_spec_keeps_its_pairs(self):
+        spec = SpectralSpec(6, 10, 0.5, 2.0)
+        config = scenario_config(SCENARIO_STRONG_EXPOSURE)
+        doc, digest = config_to_dict(config), config_hash(config)
+        first = spec.pairs
+        assert spec.pairs is first and not first.flags.writeable
+        # frequency_pairs still returns a fresh, writable array.
+        fresh = frequency_pairs(6, 10)
+        assert fresh is not first and fresh.flags.writeable
+        assert np.array_equal(first, fresh)
+        # The kept pairs are not a field.
+        assert asdict(spec) == {"k_min": 6, "k_max": 10, "decay": 0.5, "variance": 2.0}
+        assert spec == SpectralSpec(6, 10, 0.5, 2.0)
+        assert hash(spec) == hash(SpectralSpec(6, 10, 0.5, 2.0))
+        sample_grf(make_grid(32), config.spec_S1, seed=1)
+        assert "pairs" in vars(config.spec_S1)
+        assert config_to_dict(config) == doc and config_hash(config) == digest
+
 
 class TestSampleGrf:
     def test_zero_variance_gives_zero_field(self):
@@ -127,6 +151,8 @@ class TestSampleGrf:
         a = sample_grf(grid, spec, seed=99)
         b = sample_grf(grid, spec, seed=99)
         assert np.array_equal(a, b)
+        # A spec whose pairs were worked out before gives the same bits.
+        assert sample_grf(grid, SpectralSpec(1, 4, 1.0, 2.0), seed=99).tobytes() == a.tobytes()
         c = sample_grf(grid, spec, seed=100)
         assert not np.array_equal(a, c)
 

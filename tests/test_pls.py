@@ -74,8 +74,7 @@ class TestToyInstance:
     cos and sin columns have squared norm d0 = 4.5; penalty 1, y = 1 + the
     cos column, lam = 4.5."""
 
-    b = BasisSet(freq=np.array([1, 1]), penalty=np.ones(2), max_freq=1,
-                 grid=make_grid(3), pairs=np.array([[1, 0]]))
+    b = BasisSet(grid=make_grid(3), pairs=np.array([[1, 0]]))
     cos, sin = fourier_columns(b).T
     y = 1.0 + cos
     F = np.ones((9, 1))

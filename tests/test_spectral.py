@@ -121,6 +121,4 @@ def test_replace_keeps_a_spectral_basis_spectral():
 def test_spectral_basis_needs_orthogonal_pairs(pairs):
     # d0 = n/2 is taken on trust, so the pairs must give B'B = (n/2) I.
     with pytest.raises(ValueError, match="frequency pairs"):
-        BasisSet(freq=np.ones(2 * len(pairs), dtype=int),
-                 penalty=np.ones(2 * len(pairs)), max_freq=1, grid=make_grid(8),
-                 pairs=np.asarray(pairs))
+        BasisSet(grid=make_grid(8), pairs=np.asarray(pairs))
