@@ -6,15 +6,16 @@ columns are mutually orthogonal, orthogonal to the constant, and have
 squared norm n/2, which is what makes frequency-band arguments exact:
 disjoint bands span orthogonal subspaces, and a field synthesized inside a
 band lies exactly in the span of that band's columns.  A basis is its grid
-and its frequency pairs, never an n x p array, and its products are 2-D
-FFTs (see ``BasisSet``); the p = 0 basis is the one with no pairs.
+and its truncation level ``max_freq``, the largest frequency label it
+holds, never an n x p array, and its products are 2-D FFTs (see
+``BasisSet``); the p = 0 basis is the one at ``max_freq`` 0.
 
-Each column's label, its penalty weight f**2 for label f, and the basis's
-largest label ``max_freq`` follow from the pairs: they are derived when
-the basis is built and are read-only.  The weights grow with the label,
-so a single smoothing parameter shrinks high frequencies harder, in the
-spirit of a roughness penalty.  The constant function is never part of
-the basis; it belongs to the fixed-effects design.
+The pairs, each column's label and its penalty weight f**2 for label f
+follow from ``max_freq``: they are derived when the basis is built and are
+read-only.  The weights grow with the label, so a single smoothing
+parameter shrinks high frequencies harder, in the spirit of a roughness
+penalty.  The constant function is never part of the basis; it belongs to
+the fixed-effects design.
 """
 
 from __future__ import annotations
@@ -30,48 +31,55 @@ from .fields import LocationGrid, frequency_pairs, _readonly
 
 @dataclass(frozen=True, eq=False)
 class BasisSet:
-    """A Fourier basis B (n x p) on a grid, kept as its frequency pairs.
+    """The Fourier basis B (n x p) on a grid up to frequency label ``max_freq``.
 
-    Column 2t is cos(2 pi k_t.s) and column 2t+1 sin(2 pi k_t.s) for the
-    t-th row of ``pairs``.  The grid and the pairs are the whole basis;
-    the rest is derived from them when it is built, and every array is
-    read-only.  ``freq[j]`` is the max-norm label of column j's pair,
-    ``penalty[j]`` its weight freq[j]**2, and ``max_freq`` the largest
-    label (0 with no pairs).
+    The grid and ``max_freq``, an integer in [0, (m - 1)//2], are the whole
+    basis, checked when it is built; the rest is derived from them, and
+    every array is read-only.  ``pairs`` are ``frequency_pairs(1,
+    max_freq)`` (none at 0), ordered by (label, k1, k2); column 2t is
+    cos(2 pi k_t.s) and column 2t+1 sin(2 pi k_t.s) for the t-th pair.
+    ``freq[j]`` is the max-norm label of column j's pair and ``penalty[j]``
+    its weight freq[j]**2.  Label f holds the 8f columns [4f(f - 1),
+    4f(f + 1)), so the basis at a lower label is a leading block of the
+    columns.
 
     The penalized solver in ``pls`` reaches B only through ``analyze`` (B'X,
     one real 2-D FFT) and ``synthesize`` (B G, one inverse FFT), and relies
-    on B'B = diag(d0): the pairs are checked when the basis is built, so
-    d0 = n/2 holds on the grid analytically, and ``gram()`` is the exact
-    (n/2) I.  No n x p array is ever built.  With no pairs it is the p = 0
-    basis of ``empty_basis``.
+    on B'B = diag(d0): every pair lies below the grid's Nyquist frequency,
+    so d0 = n/2 holds on the grid analytically, and ``gram()`` is the exact
+    (n/2) I.  No n x p array is ever built.  At ``max_freq`` 0 it is the
+    p = 0 basis of ``empty_basis``.  A copy (``pickle``, ``copy``) is
+    rebuilt from the grid and ``max_freq``.
     """
 
-    grid: LocationGrid = field(repr=False)
-    pairs: np.ndarray  # (p/2, 2) frequency pairs
-    freq: np.ndarray = field(init=False)  # (p,) int labels
+    grid: LocationGrid
+    max_freq: int
+    pairs: np.ndarray = field(init=False, repr=False)  # (p/2, 2) frequency pairs
+    freq: np.ndarray = field(init=False, repr=False)  # (p,) int labels
     penalty: np.ndarray = field(init=False, repr=False)  # (p,) float, freq**2
-    max_freq: int = field(init=False)
     d0: np.ndarray = field(init=False, repr=False)  # (p,) diagonal of B'B
     _shrinkage: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        pairs = np.asarray(self.pairs)
-        if pairs.flags.writeable:
-            pairs = pairs.copy()
-            pairs.setflags(write=False)
-        _check_pairs(pairs, self.grid.m)
+        m = self.grid.m
+        max_freq = _integer(self.max_freq, f"max_freq for an m={m} grid", 0, (m - 1) // 2)
+        # The constant pair (0, 0) sorts first; it belongs to the fixed design.
+        pairs = frequency_pairs(0, max_freq)[1:]
+        pairs.setflags(write=False)
         freq = np.repeat(np.abs(pairs).max(axis=1), 2)
         freq.setflags(write=False)
         for name, value in (
+            ("max_freq", max_freq),
             ("pairs", pairs),
             ("freq", freq),
             ("penalty", _readonly(freq.astype(float) ** 2)),
-            ("max_freq", int(freq.max(initial=0))),
             ("d0", _readonly(np.full(len(freq), self.grid.n / 2))),
             ("_shrinkage", {}),
         ):
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return BasisSet, (self.grid, self.max_freq)
 
     @property
     def p(self) -> int:
@@ -122,59 +130,31 @@ class BasisSet:
         return weights
 
 
-def _check_pairs(pairs, m: int) -> None:
-    """Raise ``ValueError`` unless ``pairs`` are distinct integer pairs with
-    k1 > 0, or k1 = 0 < k2, and max-norm at most (m - 1)//2: the pairs whose
-    cos and sin columns have B'B = (n/2) I on the m x m grid.  No pairs at
-    all is the p = 0 basis."""
-    pairs = np.asarray(pairs)
-    ok = pairs.ndim == 2 and pairs.shape[1:] == (2,)
-    ok = ok and np.issubdtype(pairs.dtype, np.integer)
-    if ok:
-        k1, k2 = pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64)
-        ok = np.all((k1 > 0) | ((k1 == 0) & (k2 > 0)))
-        ok = ok and np.abs(pairs).max(initial=0) <= (m - 1) // 2
-    if ok:
-        # One integer per pair (|k2| < m), sorted: distinct pairs differ from
-        # their neighbours.  np.unique would import numpy.ma.
-        codes = np.sort(k1 * (2 * m + 1) + k2)
-        ok = not np.any(codes[1:] == codes[:-1])
-    if not ok:
-        raise ValueError(
-            "frequency pairs must be distinct integer representatives (k1 > 0, or "
-            f"k1 = 0 < k2) with max-norm at most {(m - 1) // 2} for an m={m} grid"
-        )
-
-
 def empty_basis(grid: LocationGrid) -> BasisSet:
-    """The p = 0 basis on ``grid``, with no frequency pairs (a basis
-    estimator on it is plain OLS)."""
-    return BasisSet(grid=grid, pairs=np.zeros((0, 2), dtype=int))
+    """The p = 0 basis on ``grid``, at ``max_freq`` 0 (a basis estimator on
+    it is plain OLS)."""
+    return BasisSet(grid, 0)
 
 
 def fourier_basis(grid: LocationGrid, max_freq: int) -> BasisSet:
     """The Fourier tensor basis up to frequency label ``max_freq``.
 
-    Columns come in (cos, sin) pairs per frequency representative, ordered
-    by (label, k1, k2).  The penalty weight of a column labeled f is
-    f**2.
-
     ``max_freq`` must satisfy 1 <= max_freq <= (m - 1)//2 so that all
     columns stay strictly below the grid Nyquist frequency and the exact
-    orthogonality relations hold.
+    orthogonality relations hold; label 0 is ``empty_basis``.
     """
-    max_freq = _integer(max_freq, f"max_freq for an m={grid.m} grid", 1, (grid.m - 1) // 2)
-    return BasisSet(grid=grid, pairs=frequency_pairs(1, max_freq))
+    name = f"max_freq for an m={grid.m} grid"
+    return BasisSet(grid, _integer(max_freq, name, 1, (grid.m - 1) // 2))
 
 
 def restrict_low_frequency(b: BasisSet, cutoff: int) -> BasisSet:
-    """Keep exactly the columns with frequency label <= cutoff.
+    """Keep exactly the columns with frequency label <= cutoff: the basis
+    at ``max_freq`` cutoff, whose columns lead ``b``'s.
 
     The kept columns keep their labels, and so their penalty weights.
     Requires an integer 1 <= cutoff <= b.max_freq.
     """
-    cutoff = _integer(cutoff, "cutoff", 1, b.max_freq)
-    return BasisSet(grid=b.grid, pairs=b.pairs[b.freq[0::2] <= cutoff])
+    return BasisSet(b.grid, _integer(cutoff, "cutoff", 1, b.max_freq))
 
 
 def column_names(b: BasisSet) -> list[str]:

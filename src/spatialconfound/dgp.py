@@ -96,7 +96,8 @@ class Observations:
     grid location (at least 4, as a grid's side is at least 2).  They are
     stored as read-only float copies, so a checked instance cannot change
     later.  That is what lets it keep, per basis, the moments every
-    estimator starts from (``moments``).
+    estimator starts from (``moments``).  A copy (``pickle``, ``copy``) is
+    built again from Z, C, Y and the grid, with no moments kept.
     """
 
     Z: np.ndarray
@@ -116,6 +117,9 @@ class Observations:
             v.setflags(write=False)
             object.__setattr__(self, name, v)
         object.__setattr__(self, "_moments", {})
+
+    def __reduce__(self):
+        return Observations, (self.Z, self.C, self.Y, self.grid)
 
     def moments(self, b: Optional[BasisSet] = None) -> Moments:
         """The moments of X = [1, Z, C, Y] on basis ``b`` (None: the p = 0

@@ -63,13 +63,18 @@ class LocationGrid:
     else ``ValueError``.  Locations are row-major with x varying fastest:
     point (i, j) sits at ((i + 0.5)/m, (j + 0.5)/m) and occupies index
     j*m + i.  The fixed order is what lets field vectors align across
-    modules, and what the FFTs below work on.
+    modules, and what the FFTs below work on.  A copy (``pickle``,
+    ``copy``) is rebuilt from ``m``, so its ``coords`` are built again,
+    read-only, on first read.
     """
 
     m: int
 
     def __post_init__(self):
         object.__setattr__(self, "m", _integer(self.m, "grid side m", MIN_GRID_SIDE, MAX_GRID_SIDE))
+
+    def __reduce__(self):
+        return LocationGrid, (self.m,)
 
     @property
     def n(self) -> int:
@@ -113,6 +118,11 @@ class SpectralSpec:
         object.__setattr__(self, "k_max", _integer(self.k_max, "k_max", self.k_min))
         object.__setattr__(self, "decay", _real(self.decay, "decay", 0))
         object.__setattr__(self, "variance", _real(self.variance, "variance", 0))
+
+    def __reduce__(self):
+        # A copy is rebuilt from the four fields, so its pairs are worked
+        # out again, read-only, on first read.
+        return SpectralSpec, (self.k_min, self.k_max, self.decay, self.variance)
 
     @cached_property
     def pairs(self) -> np.ndarray:

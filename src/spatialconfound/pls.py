@@ -202,14 +202,14 @@ class Moments:
     def restrict(self, cutoff: int) -> "Moments":
         """The moments of X on ``restrict_low_frequency(basis, cutoff)``.
 
-        X less its part on the kept columns is X_perp plus its part on the
-        dropped ones, B_drop (WX_drop / d0_drop), orthogonal to X_perp.
+        The kept columns are the first ``sub.p``.  X less its part on them
+        is X_perp plus its part on the dropped ones, B_drop (WX_drop /
+        d0_drop), orthogonal to X_perp.
         """
         sub = restrict_low_frequency(self.basis, cutoff)
-        keep = self.basis.freq <= cutoff
-        drop = self.WX[~keep] / np.sqrt(self.basis.d0[~keep])[:, None]
+        drop = self.WX[sub.p :] / np.sqrt(self.basis.d0[sub.p :])[:, None]
         R = np.linalg.qr(np.vstack([self.R, drop]), mode="r")
-        return Moments(sub, self.WX[keep], R)
+        return Moments(sub, self.WX[: sub.p], R)
 
 
 def basis_moments(X, basis: BasisSet) -> Moments:

@@ -175,7 +175,34 @@ def test_labels_penalty_and_max_freq_follow_from_the_pairs(name):
 
 
 def test_basis_has_two_init_fields():
-    assert [f.name for f in fields(BasisSet) if f.init] == ["grid", "pairs"]
+    assert [f.name for f in fields(BasisSet) if f.init] == ["grid", "max_freq"]
+
+
+@pytest.mark.parametrize("m", [5, 8, 12, 32, 128])
+def test_a_restriction_is_the_leading_block_of_the_basis(m):
+    # What ``pls.Moments.restrict`` relies on to slice rather than mask.
+    grid = make_grid(m)
+    b = fourier_basis(grid, (m - 1) // 2)
+    for f in range(1, b.max_freq + 1):
+        assert np.flatnonzero(b.freq == f).tolist() == list(range(4 * f * (f - 1), 4 * f * (f + 1)))
+    for cutoff in range(1, b.max_freq + 1):
+        r, want = restrict_low_frequency(b, cutoff), fourier_basis(grid, cutoff)
+        assert r.max_freq == cutoff and r.p == 4 * cutoff * (cutoff + 1)
+        for attr in ("pairs", "freq", "penalty"):
+            assert np.array_equal(getattr(r, attr), getattr(want, attr))
+        assert np.array_equal(r.pairs, b.pairs[: r.p // 2])
+        assert np.array_equal(r.penalty, b.penalty[: r.p])
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 5])
+def test_restricted_moments_are_those_on_the_restricted_basis(cutoff):
+    grid = make_grid(16)
+    b = fourier_basis(grid, 5)
+    X = np.random.default_rng(cutoff).normal(size=(grid.n, 3))
+    got, want = basis_moments(X, b).restrict(cutoff), basis_moments(X, restrict_low_frequency(b, cutoff))
+    assert got.basis.max_freq == cutoff
+    assert got.WX == pytest.approx(want.WX, rel=1e-12, abs=1e-12)
+    assert got.R.T @ got.R == pytest.approx(want.R.T @ want.R, rel=1e-10)
 
 
 @pytest.mark.parametrize("name", ["fourier-16-5", "restricted-16-5-2", "empty"])
@@ -188,22 +215,14 @@ def test_basis_arrays_are_read_only(name, attr):
         a[...] = 0
 
 
-def test_basis_copies_the_callers_pairs():
-    pairs = np.array([[1, 0], [0, 1], [1, -1]])
-    b = BasisSet(grid=make_grid(8), pairs=pairs)
-    before = b.analyze(np.arange(64.0))
-    pairs[0] = pairs[1]
-    assert b.pairs.tolist() == [[1, 0], [0, 1], [1, -1]]
-    assert np.array_equal(b.analyze(np.arange(64.0)), before)
-
-
 class TestEmptyBasis:
-    """The p = 0 basis: a basis on the grid with no frequency pairs."""
+    """The p = 0 basis: the basis on the grid at ``max_freq`` 0, with no
+    frequency pairs."""
 
     @pytest.mark.parametrize("m", [2, 5, 16])
     def test_shape(self, m):
         b = empty_basis(make_grid(m))
-        assert b.p == 0 and b.n == m * m and b.pairs.shape == (0, 2)
+        assert b.p == 0 and b.n == m * m and b.pairs.shape == (0, 2) and b.max_freq == 0
         assert b.gram().shape == (0, 0) and b.d0.shape == (0,)
         assert b.analyze(np.ones((b.n, 3))).shape == (0, 3)
         assert np.array_equal(b.synthesize(np.zeros((0, 2))), np.zeros((b.n, 2)))

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from spatialconfound import (
-    BasisSet,
     CollinearityError,
     DegenerateResidualError,
     EstimateRecord,
@@ -381,36 +380,23 @@ def _observations(case, b, seed):
     return Observations(Z=obs.Z, C=spatial, Y=obs.Y, grid=obs.grid)  # C in the span
 
 
-def chosen_pairs_basis(grid):
-    """A basis of hand-picked frequency pairs, not in ``fourier_basis``
-    order, with labels 1..3 out of order."""
-    pairs = np.array([[2, -1], [0, 1], [3, 3], [1, 0], [1, 2], [0, 3]])
-    return BasisSet(grid=grid, pairs=pairs)
-
-
 def _basis(kind, grid):
     if kind == "spectral":
         return fourier_basis(grid, 4)
     if kind == "highest-freq":
         return fourier_basis(grid, (grid.m - 1) // 2)
-    return chosen_pairs_basis(grid)
+    return fourier_basis(grid, 2)
 
 
-BASES = ["spectral", "highest-freq", "chosen-pairs"]
+BASES = ["spectral", "highest-freq", "lowfreq-cutoff"]
 
 
 class TestGeneralBases:
     """The estimators' fits from moments against stages fitted on n-row
     residuals (``support``), formed with the basis's dense columns: on the
     Fourier basis, on the one up to the highest label the grid allows, and
-    on a basis of chosen pairs whose labels are out of order, its columns
-    still orthogonal."""
-
-    def test_chosen_pairs_basis_is_not_a_fourier_basis(self):
-        b = chosen_pairs_basis(make_grid(12))
-        assert np.any(np.diff(b.freq) < 0)
-        B = fourier_columns(b)
-        assert np.allclose(B.T @ B, np.diag(b.d0), rtol=0, atol=1e-10)
+    on the one whose largest label is the Spatial+-lowfreq cutoff, so that
+    restricting it drops no column."""
 
     @pytest.mark.parametrize("smoothing", [None, 0.0, 3.7], ids=["gcv", "lam0", "lam3.7"])
     @pytest.mark.parametrize("kind", list(TWO_STAGE))

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from spatialconfound import (
-    BasisSet,
     CollinearityError,
     empty_basis,
     fit_pls,
@@ -70,22 +69,25 @@ def dense_oracle(y, F, b, lam):
 
 
 class TestToyInstance:
-    """The 3 x 3 grid (n = 9), intercept plus the one pair k = (1, 0), whose
-    cos and sin columns have squared norm d0 = 4.5; penalty 1, y = 1 + the
+    """The 3 x 3 grid (n = 9), intercept plus the Fourier basis at label 1:
+    the four pairs (0, 1), (1, -1), (1, 0), (1, 1), whose eight cos and sin
+    columns have squared norm d0 = 4.5 and penalty 1; y = 1 + the (1, 0)
     cos column, lam = 4.5."""
 
-    b = BasisSet(grid=make_grid(3), pairs=np.array([[1, 0]]))
-    cos, sin = fourier_columns(b).T
+    b = fourier_basis(make_grid(3), 1)
+    cos, sin = fourier_columns(b)[:, 4:6].T  # the (1, 0) pair
     y = 1.0 + cos
     F = np.ones((9, 1))
 
     def test_hand_solved_solution(self):
+        assert self.b.pairs.tolist() == [[0, 1], [1, -1], [1, 0], [1, 1]]
         fit = fit_pls(self.y, self.F, self.b, lam=4.5)
-        # Normal equations: intercept 1; cos coefficient = shrinkage
-        # 4.5/(4.5+4.5) = 1/2 applied to the unpenalized coefficient 1; sin 0.
+        # Normal equations: intercept 1; (1, 0) cos coefficient = shrinkage
+        # 4.5/(4.5+4.5) = 1/2 applied to the unpenalized coefficient 1; the
+        # other seven 0.  edf = 1 + 8 * 1/2.
         assert fit.fixed_coefs[0] == pytest.approx(1.0, abs=1e-12)
-        assert fit.basis_coefs == pytest.approx([0.5, 0.0], abs=1e-12)
-        assert fit.edf == pytest.approx(2.0, abs=1e-12)
+        assert fit.basis_coefs == pytest.approx([0, 0, 0, 0, 0.5, 0, 0, 0], abs=1e-12)
+        assert fit.edf == pytest.approx(5.0, abs=1e-12)
         # Residuals cos / 2: RSS = 4.5 / 4 = 9/8, penalized objective 9/4.
         resid = residuals(self.y, self.F, self.b, fit)
         assert float(resid @ resid) == pytest.approx(9 / 8, abs=1e-12)
@@ -93,7 +95,9 @@ class TestToyInstance:
         assert obj == pytest.approx(9 / 4, abs=1e-12)
 
     def test_brute_force_grid_minimization(self):
-        # Scan a fine grid around the reported solution; nothing beats it.
+        # Scan a fine grid around the reported solution in the intercept and
+        # the (1, 0) pair; nothing beats it.  The other six columns are
+        # orthogonal to y and to these, so they stay at 0.
         fit = fit_pls(self.y, self.F, self.b, lam=4.5)
         best = penalized_objective(
             self.y, self.F, self.b, 4.5, fit.fixed_coefs, fit.basis_coefs

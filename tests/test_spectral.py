@@ -108,17 +108,18 @@ def test_fourier_basis_builds_no_dense_columns():
 def test_replace_keeps_a_spectral_basis_spectral():
     b = fourier_basis(make_grid(128), 10)
     copy = replace(b)
-    assert copy.pairs is b.pairs and copy.grid is b.grid
+    assert copy.grid is b.grid and copy.max_freq == b.max_freq
+    assert np.array_equal(copy.pairs, b.pairs) and not copy.pairs.flags.writeable
     X = np.random.default_rng(3).normal(size=(b.n, 2))
     assert np.array_equal(copy.analyze(X), b.analyze(X))
 
 
 @pytest.mark.parametrize(
-    "pairs",
-    [[[1, 0], [1, 0]], [[1, -1], [0, 1], [1, -1]], [[0, -1]], [[0, 0]], [[4, 0]], [[1.0, 0.0]]],
-    ids=["repeated", "repeated-apart", "not-a-representative", "constant", "nyquist", "float"],
+    "max_freq",
+    [True, 2.0, np.float64(2.0), "2", -1, 4],
+    ids=["bool", "float", "numpy-float", "str", "negative", "nyquist"],
 )
-def test_spectral_basis_needs_orthogonal_pairs(pairs):
-    # d0 = n/2 is taken on trust, so the pairs must give B'B = (n/2) I.
-    with pytest.raises(ValueError, match="frequency pairs"):
-        BasisSet(grid=make_grid(8), pairs=np.asarray(pairs))
+def test_spectral_basis_needs_a_label_below_nyquist(max_freq):
+    # d0 = n/2 is taken on trust: it holds for labels 0..(m - 1)//2 only.
+    with pytest.raises(ValueError, match=r"^max_freq for an m=8 grid must be"):
+        BasisSet(make_grid(8), max_freq)
