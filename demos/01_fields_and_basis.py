@@ -13,7 +13,6 @@ from spatialconfound import (
     field_dft_energy,
     fourier_basis,
     make_grid,
-    restrict_low_frequency,
     sample_grf,
     sample_iid,
 )
@@ -60,9 +59,10 @@ print(f"gram diagonal ~ n/2 = {grid.n / 2}; max off-diagonal {np.abs(off).max():
 print(f"penalty weights by label: " +
       ", ".join(f"f={f}: {f**2}" for f in sorted(set(basis.freq))[:5]) + ", ...")
 
-# Restriction keeps the low-frequency block only.
-low_block = restrict_low_frequency(basis, cutoff=2)
-print(f"\nrestricted to labels <= 2: p={low_block.p}")
+# The basis up to a lower label is the low-frequency block only.
+low_block = fourier_basis(grid, max_freq=2)
+leading = np.array_equal(low_block.pairs, basis.pairs[: low_block.p // 2])
+print(f"\nlabels <= 2: p={low_block.p}, the leading columns of the max_freq=10 basis: {leading}")
 low_columns = basis_columns(low_block)
 proj = low_columns @ np.linalg.lstsq(low_columns, high, rcond=None)[0]
 print(f"projection of the [6,10]-band field on the cutoff-2 basis: "

@@ -9,7 +9,7 @@ experiments about smoothing, confounder frequency, and AIC.
 
 __version__ = "0.1.0"
 
-from .basis import BasisSet, empty_basis, fourier_basis, restrict_low_frequency
+from .basis import BasisSet, empty_basis, fourier_basis
 from .dgp import (
     Dataset,
     Observations,

@@ -105,29 +105,29 @@ class BasisSet:
         """B'B: the exact diag(d0), with no round-off."""
         return np.diag(self.d0)
 
-    def shrinkage(self, lams: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The weights of a smoothing grid (L,), +inf allowed, on the columns.
+    def shrinkage(self, weights: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The shrinkage of a smoothing, (L, max_freq) penalties per label
+        in [0, +inf] (``pls._label_weights``), on the columns.
 
         Returns (rho, delta, sqrt(delta), 1/D), each (L, p) and read-only,
-        with D = d0 + lam * penalty: rho = lam * penalty / D is the shrunk
-        share of each column (1 at lam = +inf) and delta = rho / d0.  They
-        depend on the basis only through d0 and ``penalty``, so they are
-        worked out on the first call for a grid and kept with the basis
-        (``dataclasses.replace`` starts with none).  Threads sharing a basis
-        may each work them out once; the results are the same numbers.
+        with D = d0 + w for the weight w of the column's label: rho = w / D
+        is the shrunk share of each column (1 at w = +inf) and delta = rho /
+        d0.  They are worked out on the first call for an array and kept with
+        the basis (``dataclasses.replace`` starts with none).  Threads sharing
+        a basis may each work them out once; the results are the same numbers.
         """
-        key = lams.tobytes()
-        weights = self._shrinkage.get(key)
-        if weights is None:
-            lam = lams[:, None]
-            finite = np.isfinite(lam)
-            pen = np.where(finite, lam, 0.0) * self.penalty
+        key = (weights.shape, weights.tobytes())
+        kept = self._shrinkage.get(key)
+        if kept is None:
+            w = weights[:, self.freq - 1]
+            finite = np.isfinite(w)
+            pen = np.where(finite, w, 0.0)
             rho = np.where(finite, pen / (self.d0 + pen), 1.0)
             delta = rho / self.d0
             inv_D = (1.0 - rho) / self.d0
-            weights = tuple(_readonly(w) for w in (rho, delta, np.sqrt(delta), inv_D))
-            self._shrinkage[key] = weights
-        return weights
+            kept = tuple(_readonly(a) for a in (rho, delta, np.sqrt(delta), inv_D))
+            self._shrinkage[key] = kept
+        return kept
 
 
 def empty_basis(grid: LocationGrid) -> BasisSet:
@@ -145,16 +145,6 @@ def fourier_basis(grid: LocationGrid, max_freq: int) -> BasisSet:
     """
     name = f"max_freq for an m={grid.m} grid"
     return BasisSet(grid, _integer(max_freq, name, 1, (grid.m - 1) // 2))
-
-
-def restrict_low_frequency(b: BasisSet, cutoff: int) -> BasisSet:
-    """Keep exactly the columns with frequency label <= cutoff: the basis
-    at ``max_freq`` cutoff, whose columns lead ``b``'s.
-
-    The kept columns keep their labels, and so their penalty weights.
-    Requires an integer 1 <= cutoff <= b.max_freq.
-    """
-    return BasisSet(b.grid, _integer(cutoff, "cutoff", 1, b.max_freq))
 
 
 def column_names(b: BasisSet) -> list[str]:

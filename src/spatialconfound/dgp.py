@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .basis import BasisSet, empty_basis
-from .errors import ConfigError, DegenerateExposureError, _integer, _real
+from .errors import AliasingError, ConfigError, DegenerateExposureError, _integer, _real
 from .fields import (
     FieldSpec,
     IidSpec,
@@ -56,7 +56,7 @@ class ScenarioConfig:
     coefficients on S1, S2 + E, and C.  ``e_sd = 0`` makes the second
     confounder fully spatial; ``nu_sd = 0`` makes the exposure fully
     spatial (the degenerate case where spatially-conditional targets stop
-    existing).
+    existing).  A band with k_max above m/2 is an ``AliasingError``.
     """
 
     beta: tuple[float, float, float, float, float, float]
@@ -86,6 +86,10 @@ class ScenarioConfig:
         if not isinstance(self.spec_C, (SpectralSpec, IidSpec)):
             raise ValueError("spec_C must be a SpectralSpec or IidSpec")
         object.__setattr__(self, "m", make_grid(self.m).m)
+        for name in _SPEC_FIELDS:
+            spec = getattr(self, name)
+            if isinstance(spec, SpectralSpec) and spec.k_max > self.m // 2:
+                raise AliasingError(f"{name}: k_max={spec.k_max} exceeds m/2={self.m // 2}")
 
 
 @dataclass(frozen=True, eq=False)

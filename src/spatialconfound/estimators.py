@@ -19,12 +19,12 @@ Methods:
                         is the Spatial fit with that residual in place of Z
     GSEM                residualize Y, Z, C each on (1) + basis; then the
                         NonSpatialOLS fit on those residuals
-    SpatialPlusLowFreq  SpatialPlus on the basis restricted to labels
-                        <= cutoff, unpenalized by default
+    SpatialPlusLowFreq  SpatialPlus with the labels above cutoff dropped
+                        (penalty +inf), unpenalized by default
 
 Every estimator but RSR ends in one outcome regression, y on (1, z, c)
 plus a basis, with residuals in place of Z, C or Y in SpatialPlus and GSEM;
-every stage is one ``select_moments`` call, a fixed lambda being the
+every stage is one GCV selection on moments, a fixed lambda being the
 one-point grid.  The observations arrive checked (``Observations``), and
 every stage starts from their moments on the basis, X = [1, Z, C, Y]:
 B'X and the R factor of X less its basis part, formed once per basis and
@@ -49,8 +49,8 @@ import numpy as np
 
 from .basis import BasisSet
 from .dgp import Observations
-from .errors import DegenerateResidualError
-from .pls import Moments, StageFit, select_moments, sweep_moments
+from .errors import DegenerateResidualError, _integer
+from .pls import Moments, StageFit, _gcv_grid, _select, select_moments, sweep_moments
 
 Smoothing = Union[None, float, Sequence[float]]
 
@@ -200,17 +200,18 @@ def fit_spatial(obs: Observations, b: BasisSet, smoothing: Smoothing = None) -> 
 
 
 def _spatial_plus(
-    m: Moments, z, smoothing: Smoothing, include_c_in_stage1: bool
+    m: Moments, z, smoothing: Smoothing, include_c_in_stage1: bool, cutoff: Optional[int] = None
 ) -> EstimateRecord:
-    """Spatial+ from the moments of [1, Z, C, Y] on its basis."""
+    """Spatial+ from the moments of [1, Z, C, Y] on its labels up to ``cutoff``."""
+    grid = _gcv_grid(smoothing)
     fixed1 = np.column_stack([_ONE, _C] if include_c_in_stage1 else [_ONE])
     names1 = ["intercept", "C"] if include_c_in_stage1 else ["intercept"]
-    stage1 = select_moments(m.columns(np.column_stack([fixed1, _Z])), smoothing, names1)
+    stage1 = _select(m.columns(np.column_stack([fixed1, _Z])), grid, names1, cutoff)
     t, g = _residual(fixed1, _Z, stage1), stage1.basis_coefs
     share = _exposure_residual_share(m, t, g, z)
     zero = np.zeros_like(g)
     m2 = m.columns(np.column_stack([_ONE, t, _C, _Y]), np.column_stack([zero, g, zero, zero]))
-    stage2 = select_moments(m2, smoothing, ["intercept", "r_Z", "C"])
+    stage2 = _select(m2, grid, ["intercept", "r_Z", "C"], cutoff)
     return _outcome_record(
         EstimatorKind.SPATIAL_PLUS,
         stage2,
@@ -284,14 +285,14 @@ def fit_spatial_plus_lowfreq(
 ) -> EstimateRecord:
     """SpatialPlus on the low-frequency block of the basis.
 
-    Keeps only basis columns with frequency label <= cutoff and runs both
-    stages unpenalized by default (pass a different ``smoothing`` to
-    override).  Targets the coefficient conditional on C and the
-    low-frequency confounder only.  The moments on the restricted basis
-    come from those on ``b``.
+    Drops the labels above ``cutoff``, an integer in [1, b.max_freq], by
+    penalty +inf (the fit on ``fourier_basis(b.grid, cutoff)``), and runs
+    both stages unpenalized by default (a different ``smoothing`` puts lam
+    * f**2 on the kept labels).  Targets the coefficient conditional on C
+    and the low-frequency confounder only.
     """
-    m = obs.moments(b).restrict(cutoff)
-    rec = _spatial_plus(m, obs.Z, smoothing, include_c_in_stage1)
+    cutoff = _integer(cutoff, "cutoff", 1, b.max_freq)
+    rec = _spatial_plus(obs.moments(b), obs.Z, smoothing, include_c_in_stage1, cutoff)
     return replace(
         rec,
         kind=EstimatorKind.SPATIAL_PLUS_LOWFREQ,

@@ -108,8 +108,8 @@ class EstimatorSpec:
 class MCPlan:
     """A full Monte Carlo specification; targets are computed from the
     config on every build, ``dataclasses.replace`` included.  ``R``, the
-    replication count, is an integer of at least 1, and ``master_seed`` any
-    integer; both are stored as ints."""
+    replication count, is an integer of at least 1, ``master_seed`` any
+    integer (both stored as ints), and each ``max_freq`` fits the grid."""
 
     config: ScenarioConfig
     estimators: tuple[EstimatorSpec, ...]
@@ -130,6 +130,7 @@ class MCPlan:
         if len(set(names)) != len(names):
             raise ValueError(f"estimator kinds must be unique, got {names}")
         object.__setattr__(self, "estimators", estimators)
+        _bases(self)
         object.__setattr__(self, "targets", compute_estimands(self.config))
 
 

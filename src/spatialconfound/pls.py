@@ -28,22 +28,23 @@ in BLAS, so their sums do not change with its thread count.  R's leading
 block is R of F_perp, c = Q'y_perp sits above it in the last column, and the
 rest of that column is the part of y_perp outside col(F_perp).  The moments
 of any columns X T - B G follow from those of X without another n-row pass
-(``Moments.columns``, ``Moments.without_basis``, ``Moments.restrict``): that
-is how the two-stage estimators fit a stage on the residuals of another.
+(``Moments.columns``, ``Moments.without_basis``): that is how the
+two-stage estimators fit a stage on the residuals of another.
 
-A lambda grid is then one stacked SVD call, of [R; sqrt(delta) W] per
-lambda: lam = 0 (delta = 0), finite lam, lam = +inf (1/D = 0, the basis
-pinned to zero) and p = 0 (F_perp = F) are all rows of the same array formulas,
-sigma2, GCV and AIC included.  The grid's weights rho = lam * penalty / D,
-delta, sqrt(delta) and 1/D depend on nothing but d0, the penalty and the
-grid, so the basis keeps them per grid (``BasisSet.shrinkage``), and an MC
-run on one basis works them out once.  The edf term diag(W S^-1 W') of every
-lambda is one matrix product of W with all the V's (S^-1 = V V'), squared
-and summed over the q columns.  Its one result is a ``LambdaSweep``, which
-holds no basis coefficients.  ``sweep_moments`` returns it and
-``select_moments`` fits its GCV minimizer (one real lambda is the one-point
-grid), as a ``StageFit``: g = (b - W a) / D is formed for that lambda
-alone.  The array API builds the moments of [F y] and calls them:
+A smoothing is rows of penalties w per label in [0, +inf]: lam * f**2 for
+a lambda grid, +inf above a cutoff (1/D = 0: the column is dropped).  The
+rows are one stacked SVD call, of [R; sqrt(delta) W] per row: lam = 0, lam
+= +inf (the basis pinned to zero), a cutoff and p = 0 (F_perp = F) are all
+rows of the same array formulas, sigma2, GCV and AIC included.  The column
+weights rho = w / D, delta, sqrt(delta) and 1/D depend on nothing but d0
+and the rows, so the basis keeps them (``BasisSet.shrinkage``), and an MC
+run on one basis works them out once.  The edf term diag(W S^-1 W') of
+every row is one matrix product of W with all the V's (S^-1 = V V'),
+squared and summed over the q columns.  Its one result is a
+``LambdaSweep``, which holds no basis coefficients.  ``sweep_moments``
+returns it and ``select_moments`` fits its GCV minimizer (one real lambda
+is the one-point grid), as a ``StageFit``: g = (b - W a) / D is formed for
+that lambda alone.  The array API builds the moments of [F y] and calls them:
 ``sweep_lambda`` returns the ``LambdaSweep``, and ``select_lambda_gcv`` and
 ``fit_pls`` (``select_lambda_gcv`` at one lambda) the ``StageFit``.
 
@@ -58,7 +59,7 @@ Conventions pinned here and relied on elsewhere:
                 normal-equations inverse
 
 Rank deficiency of the fixed design at any lambda, or of the unpenalized
-(lam = 0) joint design [F, B], raises ``CollinearityError`` naming the
+(lam = 0) joint design [F, B_kept], raises ``CollinearityError`` naming the
 offending columns: that is the surface on which a fully spatial exposure
 shows up as an error rather than a number.  Both are tested on singular
 values of q-column matrices, never on a Gram product.
@@ -72,7 +73,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import BasisSet, column_names, empty_basis, restrict_low_frequency
+from .basis import BasisSet, column_names, empty_basis
 from .errors import CollinearityError, _is_real
 
 RCOND_COLLINEAR = 1e-10
@@ -199,18 +200,6 @@ class Moments:
         R = np.linalg.qr(self.frame(T, G), mode="r")
         return Moments(empty_basis(self.basis.grid), np.zeros((0, R.shape[1])), R)
 
-    def restrict(self, cutoff: int) -> "Moments":
-        """The moments of X on ``restrict_low_frequency(basis, cutoff)``.
-
-        The kept columns are the first ``sub.p``.  X less its part on them
-        is X_perp plus its part on the dropped ones, B_drop (WX_drop /
-        d0_drop), orthogonal to X_perp.
-        """
-        sub = restrict_low_frequency(self.basis, cutoff)
-        drop = self.WX[sub.p :] / np.sqrt(self.basis.d0[sub.p :])[:, None]
-        R = np.linalg.qr(np.vstack([self.R, drop]), mode="r")
-        return Moments(sub, self.WX[: sub.p], R)
-
 
 def basis_moments(X, basis: BasisSet) -> Moments:
     """The moments of X (n x k) on ``basis``: one ``analyze``, one
@@ -244,19 +233,19 @@ class _Solver:
         self.R, self.c = m.R[:q, :q], m.R[:q, q]
         self.rss_perp = float(m.R[q:, q] @ m.R[q:, q])
 
-    def _require_full_rank(self, lam: float, s: np.ndarray, vt: np.ndarray) -> None:
+    def _require_full_rank(
+        self, lam: float, rho: np.ndarray, s: np.ndarray, vt: np.ndarray
+    ) -> None:
         if s[0] > 0 and s[-1] / s[0] >= RCOND_COLLINEAR:
             return
         rcond = s[-1] / s[0] if s[0] > 0 else 0.0
-        null = vt[-1]
+        # [F, B_kept] [v; -W_kept v / d0] = F_perp v, for the row's columns of
+        # rho 0 (none at lam = +inf): the joint null vector.
+        keep = rho == 0.0
+        null = np.concatenate([vt[-1], -(self.W[keep] @ vt[-1]) / self.d0[keep]])
         names = _fixed_labels(self.fixed_names, self.q)
-        if lam == 0.0:
-            # [F, B] [v; -W v / d0] = F_perp v: the joint null vector.
-            what = "joint design at lambda=0"
-            null = np.concatenate([null, -(self.W @ null) / self.d0])
-            names += column_names(self.basis)
-        else:
-            what = "fixed design"
+        names += [name for name, kept in zip(column_names(self.basis), keep) if kept]
+        what = "joint design at lambda=0" if lam == 0.0 else "fixed design"
         load = np.abs(null)
         picks = np.nonzero(load > 0.2 * load.max())[0]
         cols = tuple(names[int(j)] for j in picks[:8])
@@ -266,23 +255,26 @@ class _Solver:
             columns=cols,
         )
 
-    def solve(self, lams: Sequence[float]) -> LambdaSweep:
-        """Every lambda from one stacked SVD of the designs [R; sqrt(delta) W].
+    def solve(self, lams: Sequence[float], weights: np.ndarray) -> LambdaSweep:
+        """Every row of ``weights`` (``_label_weights`` of ``lams``) from one
+        stacked SVD of the designs [R; sqrt(delta) W].
 
-        When some lambda is positive, lam = +inf (the singular values of F)
-        rides along as a last row, and its rank check precedes lam = 0's.
-        The grid's 1/D stays as ``inv_D`` for one row's basis coefficients.
+        When some lambda is positive, the all-+inf row (F alone) rides along
+        last, and its rank check precedes each lam = 0 row's, on F and the
+        row's kept columns.  1/D stays as ``inv_D`` for basis coefficients.
         """
         n, q, p, L = self.n, self.q, self.basis.p, len(lams)
-        lam = np.array(list(lams) + ([math.inf] if max(lams) > 0 else []))
-        rho, delta, root, self.inv_D = self.basis.shrinkage(lam)
-        R, c = self.R[None].repeat(len(lam), axis=0), self.c[None].repeat(len(lam), axis=0)
+        if max(lams) > 0:
+            weights = np.vstack([weights, np.full((1, weights.shape[1]), math.inf)])
+        rows = len(weights)
+        rho, delta, root, self.inv_D = self.basis.shrinkage(weights)
+        R, c = self.R[None].repeat(rows, axis=0), self.c[None].repeat(rows, axis=0)
         u, s, vt = np.linalg.svd(np.hstack([R, root[..., None] * self.W]), full_matrices=False)
-        if len(lam) > L:
-            self._require_full_rank(math.inf, s[-1], vt[-1])
-        if 0.0 in lams:
-            i = lams.index(0.0)
-            self._require_full_rank(0.0, s[i], vt[i])
+        if rows > L:
+            self._require_full_rank(math.inf, rho[-1], s[-1], vt[-1])
+        for i, lam in enumerate(lams):
+            if lam == 0.0:
+                self._require_full_rank(lam, rho[i], s[i], vt[i])
         v = np.swapaxes(vt, -1, -2)
         V = v / s[..., None, :]
         a = _matvec(v, _matvec(np.swapaxes(u, -1, -2), np.hstack([c, root * self.b])) / s)
@@ -291,24 +283,25 @@ class _Solver:
         rss = _dot(r_perp, r_perp) + self.rss_perp + _dot((delta * gap) ** 2, self.d0)
         # diag(W S^-1 W') for every lambda: one product of W with all the V's,
         # squared in place and summed over q by a product with ones.
-        WV = self.W @ np.swapaxes(V, 0, 1).reshape(q, lam.size * q)
+        WV = self.W @ np.swapaxes(V, 0, 1).reshape(q, rows * q)
         WV *= WV
-        h = (WV.reshape(p * lam.size, q) @ np.ones(q)).reshape(p, lam.size).T
+        h = (WV.reshape(p * rows, q) @ np.ones(q)).reshape(p, rows).T
         edf = q + p - (rho * (1.0 + self.inv_D * h)).sum(axis=-1)
         fits, fitted = n - edf > 0, rss > 0
         denom = np.where(fits, n - edf, 1.0)
         sigma2 = np.where(fits, rss / denom, math.inf)
         gcv = np.where(fits, n * rss / (denom * denom), math.inf)
         aic = np.where(fitted, n * _log(np.where(fitted, rss, n) / n) + 2.0 * edf, -math.inf)
-        rows = (rss, edf, gcv, aic, a, sigma2, V)
-        return LambdaSweep(np.array(lams), *(x[:L] for x in rows))
+        fields = (rss, edf, gcv, aic, a, sigma2, V)
+        return LambdaSweep(np.array(lams), *(x[:L] for x in fields))
 
 
 def sweep_moments(
     m: Moments, lambdas: Sequence[float], fixed_names: Optional[Sequence[str]] = None
 ) -> LambdaSweep:
     """``sweep_lambda`` on the moments of [F y]: no n-row pass."""
-    return _Solver(m, fixed_names).solve(_as_lambdas(lambdas))
+    lams = _as_lambdas(lambdas)
+    return _Solver(m, fixed_names).solve(lams, _label_weights(m.basis, lams))
 
 
 def select_moments(
@@ -320,10 +313,19 @@ def select_moments(
     return _select(m, _gcv_grid(lambda_grid), fixed_names)
 
 
-def _select(m: Moments, grid: Sequence[float], fixed_names) -> StageFit:
-    """The fit at the GCV choice of a checked, sorted grid."""
+def _label_weights(basis: BasisSet, lams: Sequence[float], cutoff=None) -> np.ndarray:
+    """A smoothing as (L, max_freq) penalties per label: lam * f**2 on label
+    f, and +inf, which drops the label, above ``cutoff`` (None: none)."""
+    f = np.arange(1.0, basis.max_freq + 1)
+    top = basis.max_freq if cutoff is None else cutoff
+    return np.where(f > top, math.inf, np.array(lams)[:, None] * f**2)
+
+
+def _select(m: Moments, grid: Sequence[float], fixed_names, cutoff=None) -> StageFit:
+    """The fit at the GCV choice of a checked, sorted grid, on the labels up
+    to ``cutoff``."""
     solver = _Solver(m, fixed_names)
-    sweep = solver.solve(grid)
+    sweep = solver.solve(grid, _label_weights(m.basis, grid, cutoff))
     i = int(np.argmin(sweep.gcv))  # first minimum = smallest lambda
     a = sweep.fixed_coefs[i]
     s_inv = sweep.V[i] @ sweep.V[i].T

@@ -10,7 +10,7 @@ from spatialconfound import (
     ScenarioConfig,
     SpectralSpec,
     empty_basis,
-    restrict_low_frequency,
+    fourier_basis,
     select_lambda_gcv,
 )
 
@@ -36,8 +36,10 @@ def latent_projection(ds, conditioners):
     return ols_coef_and_se(X, ds.Y, 1)
 
 
-def random_config(rng, m=64, allow_spatial_c=True):
-    """A randomized, comfortably non-degenerate scenario configuration."""
+def random_config(rng, m=64, allow_spatial_c=True, **overrides):
+    """A randomized, comfortably non-degenerate scenario configuration;
+    ``overrides`` replace fields after every draw, so the draws and the
+    other fields do not depend on them."""
     def u(lo, hi):
         return float(rng.uniform(lo, hi))
 
@@ -48,7 +50,7 @@ def random_config(rng, m=64, allow_spatial_c=True):
         else IidSpec(u(0.5, 1.5))
     )
     sign = lambda: float(rng.choice([-1.0, 1.0]))
-    return ScenarioConfig(
+    values = dict(
         beta=(
             u(-1, 1),
             sign() * u(0.5, 2.0),
@@ -67,6 +69,7 @@ def random_config(rng, m=64, allow_spatial_c=True):
         u_sd=u(0.0, 1.0),
         m=m,
     )
+    return ScenarioConfig(**{**values, **overrides})
 
 
 def fourier_columns(b):
@@ -123,7 +126,8 @@ def reference_spatial_plus(obs, b, smoothing=None):
 
 
 def reference_spatial_plus_lowfreq(obs, b, cutoff, smoothing=0.0):
-    return reference_spatial_plus(obs, restrict_low_frequency(b, cutoff), smoothing)
+    """Spatial+ on the basis that stops at the cutoff label."""
+    return reference_spatial_plus(obs, fourier_basis(b.grid, cutoff), smoothing)
 
 
 def reference_gsem(obs, b, smoothing=None):

@@ -68,9 +68,8 @@ def test_criterion_1_rsr_equals_ols():
     for i in range(50):
         rng = np.random.default_rng(1100 + i)
         m = int(rng.integers(8, 20))
-        config = random_config(rng, m=m, allow_spatial_c=False)
-        config = replace(
-            config, spec_S2=SpectralSpec(3, min(4, m // 2), 0.0, 1.0)
+        config = random_config(
+            rng, m=m, allow_spatial_c=False, spec_S2=SpectralSpec(3, min(4, m // 2), 0.0, 1.0)
         )
         ds = generate_dataset(config, int(rng_master.integers(0, 2**31)))
         max_freq = int(rng.integers(1, (m - 1) // 2 + 1))

@@ -1,5 +1,6 @@
-"""Fourier tensor basis: counts, orthogonality, restriction, penalties."""
+"""Fourier tensor basis: counts, orthogonality, cutoffs, penalties."""
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -7,17 +8,18 @@ import pytest
 
 from spatialconfound import (
     BasisSet,
+    Observations,
     SpectralSpec,
     empty_basis,
+    fit_spatial_plus_lowfreq,
     fourier_basis,
     generate_dataset,
     make_grid,
-    restrict_low_frequency,
     sample_grf,
     scenario_config,
 )
 from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE
-from spatialconfound.pls import basis_moments
+from spatialconfound.pls import _label_weights, _select, basis_moments
 from support import fourier_columns
 
 
@@ -94,33 +96,45 @@ class TestFourierBasis:
         assert np.linalg.norm(resid) < 1e-9 * np.linalg.norm(f)
 
 
+LAMS = [0.0, 0.3, 2.0, math.inf]
+
+
 class TestRestrictLowFrequency:
+    """A cutoff is a row of label weights: +inf on the labels above it."""
+
     def test_identity_restriction(self):
+        # A cutoff at the largest label drops nothing: the rows lam * f**2.
         b = fourier_basis(make_grid(16), 5)
-        r = restrict_low_frequency(b, 5)
-        assert np.array_equal(r.pairs, b.pairs)
-        assert np.array_equal(r.freq, b.freq)
-        assert np.array_equal(r.penalty, b.penalty)
+        w = _label_weights(b, LAMS, 5)
+        assert w.tobytes() == _label_weights(b, LAMS).tobytes()
+        assert np.array_equal(w[1:3, b.freq - 1], np.array(LAMS[1:3])[:, None] * b.penalty)
 
     def test_cutoff_filters_labels(self):
         b = fourier_basis(make_grid(16), 5)
-        r = restrict_low_frequency(b, 2)
+        r = fourier_basis(b.grid, 2)
         assert r.p == brute_force_column_count(2)
-        assert np.all(r.freq <= 2)
-        assert r.max_freq == 2
-        # The kept columns keep their labels and so their penalties.
+        rho, delta, root, inv_D = b.shrinkage(_label_weights(b, LAMS, 2))
         keep = b.freq <= 2
-        assert np.array_equal(r.penalty, b.penalty[keep])
+        assert keep.sum() == r.p
+        # The dropped columns are shrunk all the way (1/D = 0, delta = 1/d0);
+        # the kept ones keep their labels, and so their shrinkage, bit for bit.
+        assert np.all(rho[:, ~keep] == 1.0) and np.all(inv_D[:, ~keep] == 0.0)
+        assert np.array_equal(delta[:, ~keep], np.broadcast_to(1.0 / b.d0[~keep], (4, b.p - r.p)))
+        for got, want in zip((rho, delta, root, inv_D), r.shrinkage(_label_weights(r, LAMS))):
+            assert got[:, keep].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("cutoff", [0, 6, -1])
     def test_cutoff_out_of_range(self, cutoff):
-        b = fourier_basis(make_grid(16), 5)
-        with pytest.raises(ValueError):
-            restrict_low_frequency(b, cutoff)
+        grid = make_grid(16)
+        b = fourier_basis(grid, 5)
+        rng = np.random.default_rng(0)
+        obs = Observations(*rng.normal(size=(3, grid.n)), grid=grid)
+        with pytest.raises(ValueError, match=rf"^cutoff must be in \[1, 5\], got {cutoff}$"):
+            fit_spatial_plus_lowfreq(obs, b, cutoff)
 
     def test_high_band_field_orthogonal_to_low_basis(self):
         grid = make_grid(32)
-        b = restrict_low_frequency(fourier_basis(grid, 5), 2)
+        b = fourier_basis(grid, 2)
         f = sample_grf(grid, SpectralSpec(4, 5, 0.0, 1.0), seed=33)
         columns = fourier_columns(b)
         proj = columns @ np.linalg.lstsq(columns, f, rcond=None)[0]
@@ -138,9 +152,7 @@ class TestRestrictLowFrequency:
 
 @pytest.mark.parametrize("cutoff", [None, 1, 3])
 def test_d0_is_the_gram_diagonal(cutoff):
-    b = fourier_basis(make_grid(16), 5)
-    if cutoff is not None:
-        b = restrict_low_frequency(b, cutoff)
+    b = fourier_basis(make_grid(16), 5 if cutoff is None else cutoff)
     assert np.array_equal(b.d0, np.diag(b.gram()))
     assert not b.d0.flags.writeable
 
@@ -153,13 +165,11 @@ def brute_force_labels(b):
 
 
 def _built_bases():
-    """Name -> (basis, the max_freq it was built or restricted to): Fourier
-    bases, each restricted to cutoffs 1 and 2, and the p = 0 basis."""
-    for m, max_freq in [(8, 3), (16, 5), (32, 10)]:
-        b = fourier_basis(make_grid(m), max_freq)
-        yield f"fourier-{m}-{max_freq}", (b, max_freq)
-        for cutoff in (1, 2):
-            yield f"restricted-{m}-{max_freq}-{cutoff}", (restrict_low_frequency(b, cutoff), cutoff)
+    """Name -> (basis, the max_freq it was built to): Fourier bases up to
+    labels 1, 2 and the largest each grid allows, and the p = 0 basis."""
+    for m, top in [(8, 3), (16, 5), (32, 10)]:
+        for max_freq in (top, 1, 2):
+            yield f"fourier-{m}-{max_freq}", (fourier_basis(make_grid(m), max_freq), max_freq)
     yield "empty", (empty_basis(make_grid(8)), 0)
 
 
@@ -180,32 +190,41 @@ def test_basis_has_two_init_fields():
 
 @pytest.mark.parametrize("m", [5, 8, 12, 32, 128])
 def test_a_restriction_is_the_leading_block_of_the_basis(m):
-    # What ``pls.Moments.restrict`` relies on to slice rather than mask.
+    # The basis up to a cutoff is the leading block of the columns, and so
+    # are the columns a lam = 0 cutoff row keeps unpenalized.
     grid = make_grid(m)
     b = fourier_basis(grid, (m - 1) // 2)
     for f in range(1, b.max_freq + 1):
         assert np.flatnonzero(b.freq == f).tolist() == list(range(4 * f * (f - 1), 4 * f * (f + 1)))
     for cutoff in range(1, b.max_freq + 1):
-        r, want = restrict_low_frequency(b, cutoff), fourier_basis(grid, cutoff)
+        r = fourier_basis(grid, cutoff)
         assert r.max_freq == cutoff and r.p == 4 * cutoff * (cutoff + 1)
-        for attr in ("pairs", "freq", "penalty"):
-            assert np.array_equal(getattr(r, attr), getattr(want, attr))
         assert np.array_equal(r.pairs, b.pairs[: r.p // 2])
+        assert np.array_equal(r.freq, b.freq[: r.p])
         assert np.array_equal(r.penalty, b.penalty[: r.p])
+        rho = b.shrinkage(_label_weights(b, [0.0], cutoff))[0][0]
+        assert np.flatnonzero(rho == 0.0).tolist() == list(range(r.p))
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 5])
 def test_restricted_moments_are_those_on_the_restricted_basis(cutoff):
+    # The moments on the full basis with a cutoff row fit what the moments
+    # on the basis that stops at the cutoff fit.
     grid = make_grid(16)
     b = fourier_basis(grid, 5)
     X = np.random.default_rng(cutoff).normal(size=(grid.n, 3))
-    got, want = basis_moments(X, b).restrict(cutoff), basis_moments(X, restrict_low_frequency(b, cutoff))
-    assert got.basis.max_freq == cutoff
-    assert got.WX == pytest.approx(want.WX, rel=1e-12, abs=1e-12)
-    assert got.R.T @ got.R == pytest.approx(want.R.T @ want.R, rel=1e-10)
+    r = fourier_basis(grid, cutoff)
+    for grid_lams in ([0.0], [0.0, 0.1, 10.0]):
+        got = _select(basis_moments(X, b), grid_lams, None, cutoff)
+        want = _select(basis_moments(X, r), grid_lams, None)
+        assert got.lam == want.lam
+        for field in ("fixed_coefs", "cov_fixed", "edf", "gcv", "aic"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12), field
+        assert got.basis_coefs[: r.p] == pytest.approx(want.basis_coefs, rel=1e-12, abs=1e-15)
+        assert not got.basis_coefs[r.p :].any()
 
 
-@pytest.mark.parametrize("name", ["fourier-16-5", "restricted-16-5-2", "empty"])
+@pytest.mark.parametrize("name", ["fourier-16-5", "fourier-16-2", "empty"])
 @pytest.mark.parametrize("attr", ["pairs", "freq", "penalty", "d0"])
 def test_basis_arrays_are_read_only(name, attr):
     # A write would leave the weights kept by ``shrinkage`` stale.

@@ -14,7 +14,6 @@ from spatialconfound import (
     fourier_basis,
     generate_dataset,
     make_grid,
-    restrict_low_frequency,
     sample_grf,
     scenario_config,
 )
@@ -46,8 +45,8 @@ def _in_use():
 def test_a_copied_basis_is_rebuilt(how, cutoff):
     obs, b, fits = _in_use()
     if cutoff is not None:
-        b = restrict_low_frequency(b, cutoff)
-        b.shrinkage(np.array([0.0, 1.0]))
+        b = fourier_basis(obs.grid, cutoff)
+        b.shrinkage(np.array([[0.0, 0.0], [1.0, 4.0]]))
     c = COPIES[how](b)
     assert type(c) is type(b) and c.max_freq == b.max_freq and c.grid.m == b.grid.m
     assert c._shrinkage == {} and "coords" not in vars(c.grid)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from spatialconfound import (
+    AliasingError,
     ConfigError,
     DegenerateExposureError,
     IidSpec,
@@ -155,8 +156,24 @@ class TestConfigValidation:
             base_config(beta=(0, np.inf, 0, 0, 0, 0))
 
     def test_grid_side_stored_as_int(self):
-        config = replace(base_config(), m=np.int64(8))
-        assert type(config.m) is int and config_hash(config) == config_hash(base_config(m=8))
+        base = base_config(spec_S2=SpectralSpec(3, 4, 0.0, 1.0))
+        config = replace(base, m=np.int64(8))
+        assert type(config.m) is int and config_hash(config) == config_hash(replace(base, m=8))
+
+    @pytest.mark.parametrize("name", ["spec_S1", "spec_S2", "spec_C"])
+    def test_band_beyond_the_grid_refused_when_built(self, name):
+        # k_max = m/2 fits; one more would alias at the first draw.
+        fits = {"spec_S1": SpectralSpec(1, 2, 0.0, 1.0), "spec_S2": SpectralSpec(3, 4, 0.0, 1.0)}
+        base_config(m=8, **{**fits, name: SpectralSpec(2, 4, 0.0, 1.0)})
+        bands = {**fits, name: SpectralSpec(2, 5, 0.0, 1.0)}
+        msg = f"^{name}: k_max=5 exceeds m/2=4$"
+        with pytest.raises(AliasingError, match=msg):
+            base_config(m=8, **bands)
+        with pytest.raises(AliasingError, match=msg):
+            replace(base_config(m=10, **bands), m=8)
+        doc = config_to_dict(base_config(m=10, **bands))
+        with pytest.raises(ConfigError, match=f"^config is invalid: {msg[1:]}"):
+            config_from_dict({**doc, "m": 8})
 
     @pytest.mark.parametrize(
         "value", [Fraction(1, 2), Decimal("0.5"), np.True_], ids=["Fraction", "Decimal", "np-bool"]

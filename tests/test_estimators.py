@@ -1,6 +1,7 @@
 """The six estimators: identities, exact-recovery cases, degeneracies."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +30,9 @@ from spatialconfound import (
     scenario_config,
     select_lambda_gcv,
 )
+from spatialconfound.estimators import OUTCOME_NAMES
 from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE
+from spatialconfound.pls import _select
 
 from support import (
     fourier_columns,
@@ -302,6 +305,45 @@ class TestSpatialPlusLowFreq:
         b = fourier_basis(ds.grid, 5)
         with pytest.raises(DegenerateResidualError):
             fit_spatial_plus_lowfreq(ds.observations(), b, cutoff=5)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cutoff_row_is_the_fit_on_the_basis_at_the_cutoff(self, seed):
+        # Weight +inf on the labels above c, 0 below, against the fit on
+        # fourier_basis(grid, c): Spatial at lambda = 0 and Spatial+.
+        obs = generate_dataset(scenario_config(SCENARIO_STRONG_EXPOSURE), 300 + seed).observations()
+        b = fourier_basis(obs.grid, 10)
+        for c in range(1, b.max_freq + 1):
+            r = fourier_basis(obs.grid, c)
+            got = _select(obs.moments(b), [0.0], OUTCOME_NAMES, c)
+            want = fit_spatial(obs, r, smoothing=0.0)
+            assert got.fixed_coefs[1] == pytest.approx(want.beta1_hat, rel=1e-12, abs=0)
+            assert math.sqrt(got.cov_fixed[1, 1]) == pytest.approx(want.se, rel=1e-12, abs=0)
+            assert (got.edf, got.aic) == pytest.approx((want.edf["outcome"], want.aic), rel=1e-12)
+            low = fit_spatial_plus_lowfreq(obs, b, c).to_dict()
+            plus = fit_spatial_plus(obs, r, smoothing=0.0).to_dict()
+            assert low.pop("diagnostics").pop("cutoff") == c
+            assert low["lambdas"] == plus["lambdas"] and low["edf"] == plus["edf"]
+            for key in ("beta1_hat", "se", "aic"):
+                assert low[key] == pytest.approx(plus[key], rel=1e-12, abs=0), key
+
+    @pytest.mark.parametrize("include_c", [True, False])
+    def test_collinear_cutoff_names_only_kept_columns(self, include_c):
+        # C in the span of labels <= 2: the cutoff-2 joint design is
+        # collinear, and its error names C and the kept columns only.
+        obs = generate_dataset(scenario(), 5).observations()
+        b = fourier_basis(obs.grid, 7)
+        C = fourier_basis(obs.grid, 2).synthesize(np.random.default_rng(5).normal(size=24))
+        obs = Observations(Z=obs.Z, C=C, Y=obs.Y, grid=obs.grid)
+        with pytest.raises(CollinearityError) as err:
+            fit_spatial_plus_lowfreq(obs, b, 2, include_c_in_stage1=include_c)
+        columns = (
+            "C", "cos(k=(0,1))", "sin(k=(0,1))", "sin(k=(1,-1))", "cos(k=(1,0))",
+            "cos(k=(1,1))", "sin(k=(1,1))", "cos(k=(0,2))",
+        )
+        assert err.value.columns == columns
+        named = re.escape("implicated columns: " + ", ".join(columns))
+        rcond = r"joint design at lambda=0 is numerically collinear \(rcond [0-9.e+-]+\); "
+        assert re.fullmatch(rcond + named, str(err.value))
 
     def test_cutoff_below_s1_band_drifts_to_unconditional(self):
         # With the cutoff below every S1 frequency nothing spatial gets

@@ -94,6 +94,15 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="^max_freq must be"):
             EstimatorSpec(kind=EstimatorKind.SPATIAL, max_freq=max_freq)
 
+    @pytest.mark.parametrize("kind", [EstimatorKind.SPATIAL, EstimatorKind.SPATIAL_PLUS_LOWFREQ])
+    def test_max_freq_beyond_the_grid_refused_when_built(self, kind):
+        # m = 12 holds labels up to 5, as fourier_basis says.
+        spec = EstimatorSpec(kind=kind, max_freq=6, cutoff=2)
+        msg = r"^max_freq for an m=12 grid must be in \[1, 5\], got 6$"
+        with pytest.raises(ValueError, match=msg):
+            small_plan(estimators=(spec,))
+        assert small_plan(estimators=(replace(spec, max_freq=5),)).estimators[0].max_freq == 5
+
     def test_duplicate_labels(self):
         specs = (
             EstimatorSpec(kind=EstimatorKind.SPATIAL, max_freq=3),
@@ -194,8 +203,8 @@ class TestRunMc:
         assert counts == {"analyze": 1, "synthesize": 1}
 
     def test_one_basis_pass_per_replication_every_kind(self, monkeypatch):
-        # Spatial+-lowfreq restricts the moments on the full basis, and the
-        # non-spatial fit takes none.
+        # Spatial+-lowfreq fits the moments on the full basis with its high
+        # labels dropped, and the non-spatial fit takes none.
         counts = self._count_basis_passes(monkeypatch)
         every_kind = tuple(
             EstimatorSpec(

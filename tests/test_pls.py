@@ -22,6 +22,7 @@ from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE
 from spatialconfound.errors import _is_real
 from spatialconfound.pls import (
     DEFAULT_LAMBDA_GRID,
+    _label_weights,
     _Solver,
     basis_moments,
     select_moments,
@@ -235,7 +236,7 @@ class TestGridIsPointwise:
         sweep = sweep_lambda(y, F, b, DEFAULT_LAMBDA_GRID)
         # A sweep keeps no basis coefficients; a fit's are (B'y - B'F a) / D.
         WX = basis_moments(np.column_stack([F, y]), b).WX
-        inv_D = b.shrinkage(np.array(DEFAULT_LAMBDA_GRID + (math.inf,)))[3]
+        inv_D = b.shrinkage(_label_weights(b, DEFAULT_LAMBDA_GRID + (math.inf,)))[3]
         for i, lam in enumerate(DEFAULT_LAMBDA_GRID):
             fit = fit_pls(y, F, b, lam)
             assert (sweep.edf[i], sweep.gcv[i], sweep.aic[i]) == (fit.edf, fit.gcv, fit.aic)
@@ -275,8 +276,8 @@ def test_kept_shrinkage_weights_give_the_fresh_sweeps(reverse):
             for field in SWEEP_FIELDS:
                 assert getattr(kept, field).tobytes() == getattr(fresh, field).tobytes(), field
     assert len(b._shrinkage) == len(grids)
-    lam = np.array([3.0, math.inf])
-    assert b.shrinkage(lam) is b.shrinkage(lam)
+    weights = _label_weights(b, [3.0, math.inf])
+    assert b.shrinkage(weights) is b.shrinkage(weights)
     for weights in b._shrinkage.values():
         assert len(weights) == 4
         assert not any(w.flags.writeable for w in weights)

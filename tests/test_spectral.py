@@ -16,7 +16,6 @@ from spatialconfound import (
     fourier_basis,
     frequency_pairs,
     make_grid,
-    restrict_low_frequency,
     sample_grf,
 )
 from support import fourier_columns
@@ -59,7 +58,7 @@ def test_products_match_dense(m):
 
 @pytest.mark.parametrize("m", [16, 31])
 def test_restricted_products_match_dense(m):
-    b = restrict_low_frequency(fourier_basis(make_grid(m), 7), 3)
+    b = fourier_basis(make_grid(m), 3)
     assert b.pairs is not None and 2 * len(b.pairs) == b.p
     check_products(b, seed=m + 1)
 
