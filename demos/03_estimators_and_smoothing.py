@@ -30,15 +30,15 @@ print(f"targets: unconditional {targets.beta_uncond:.4f}, "
       f"achieved {targets.beta_cond_achieved:.4f}, structural {targets.beta_structural:.4f}\n")
 
 records = {
-    "nonspatial": fit_nonspatial(obs),
-    "rsr": fit_rsr(obs, basis),
-    "spatial (GCV)": fit_spatial(obs, basis),
-    "spatial+ (GCV)": fit_spatial_plus(obs, basis),
-    "gsem (GCV)": fit_gsem(obs, basis),
-    "spatial+ lowfreq cut=2": fit_spatial_plus_lowfreq(obs, basis, cutoff=2),
-    "spatial (lam=0)": fit_spatial(obs, basis, smoothing=0.0),
-    "spatial+ (lam=0)": fit_spatial_plus(obs, basis, smoothing=0.0),
-    "gsem (lam=0)": fit_gsem(obs, basis, smoothing=0.0),
+    "nonspatial": fit_nonspatial(obs.moments()),
+    "rsr": fit_rsr(obs.moments(basis)),
+    "spatial (GCV)": fit_spatial(obs.moments(basis)),
+    "spatial+ (GCV)": fit_spatial_plus(obs.moments(basis)),
+    "gsem (GCV)": fit_gsem(obs.moments(basis)),
+    "spatial+ lowfreq cut=2": fit_spatial_plus_lowfreq(obs.moments(basis), cutoff=2),
+    "spatial (lam=0)": fit_spatial(obs.moments(basis), smoothing=0.0),
+    "spatial+ (lam=0)": fit_spatial_plus(obs.moments(basis), smoothing=0.0),
+    "gsem (lam=0)": fit_gsem(obs.moments(basis), smoothing=0.0),
 }
 print(f"{'estimator':24s} {'beta1':>8s} {'se':>7s}  lambdas")
 for name, rec in records.items():

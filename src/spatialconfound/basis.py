@@ -10,12 +10,11 @@ and its truncation level ``max_freq``, the largest frequency label it
 holds, never an n x p array, and its products are 2-D FFTs (see
 ``BasisSet``); the p = 0 basis is the one at ``max_freq`` 0.
 
-The pairs, each column's label and its penalty weight f**2 for label f
-follow from ``max_freq``: they are derived when the basis is built and are
-read-only.  The weights grow with the label, so a single smoothing
-parameter shrinks high frequencies harder, in the spirit of a roughness
-penalty.  The constant function is never part of the basis; it belongs to
-the fixed-effects design.
+The pairs and each column's label follow from ``max_freq``: they are
+derived when the basis is built and are read-only.  A smoothing lam weighs
+label f by lam * f**2 (``pls._label_weights``), a roughness penalty that
+shrinks high frequencies harder.  The constant function is never part of
+the basis; it belongs to the fixed-effects design.
 """
 
 from __future__ import annotations
@@ -38,10 +37,9 @@ class BasisSet:
     every array is read-only.  ``pairs`` are ``frequency_pairs(1,
     max_freq)`` (none at 0), ordered by (label, k1, k2); column 2t is
     cos(2 pi k_t.s) and column 2t+1 sin(2 pi k_t.s) for the t-th pair.
-    ``freq[j]`` is the max-norm label of column j's pair and ``penalty[j]``
-    its weight freq[j]**2.  Label f holds the 8f columns [4f(f - 1),
-    4f(f + 1)), so the basis at a lower label is a leading block of the
-    columns.
+    ``freq[j]`` is the max-norm label of column j's pair.  Label f holds the
+    8f columns [4f(f - 1), 4f(f + 1)), so the basis at a lower label is a
+    leading block of the columns.
 
     The penalized solver in ``pls`` reaches B only through ``analyze`` (B'X,
     one real 2-D FFT) and ``synthesize`` (B G, one inverse FFT), and relies
@@ -56,7 +54,6 @@ class BasisSet:
     max_freq: int
     pairs: np.ndarray = field(init=False, repr=False)  # (p/2, 2) frequency pairs
     freq: np.ndarray = field(init=False, repr=False)  # (p,) int labels
-    penalty: np.ndarray = field(init=False, repr=False)  # (p,) float, freq**2
     d0: np.ndarray = field(init=False, repr=False)  # (p,) diagonal of B'B
     _shrinkage: dict = field(init=False, repr=False)
 
@@ -72,7 +69,6 @@ class BasisSet:
             ("max_freq", max_freq),
             ("pairs", pairs),
             ("freq", freq),
-            ("penalty", _readonly(freq.astype(float) ** 2)),
             ("d0", _readonly(np.full(len(freq), self.grid.n / 2))),
             ("_shrinkage", {}),
         ):

@@ -1,10 +1,10 @@
 """The six exposure-coefficient estimators.
 
-All estimators consume only the observed data (Z, C, Y, grid); latent
-fields never enter.  Each returns an ``EstimateRecord`` with the point
-estimate for the exposure coefficient, a model-based standard error, the
-per-stage smoothing parameters and effective degrees of freedom, the
-outcome-stage AIC, and a few numeric diagnostics.
+``fit_estimator`` reads the observed data (Z, C, Y, grid), never a latent
+field, and each ``fit_*`` only their moments on its basis.  Each returns an
+``EstimateRecord`` with the point estimate for the exposure coefficient, a
+model-based standard error, the per-stage smoothing parameters and
+effective degrees of freedom, the outcome-stage AIC, and a few diagnostics.
 
 Methods:
 
@@ -25,13 +25,13 @@ Methods:
 Every estimator but RSR ends in one outcome regression, y on (1, z, c)
 plus a basis, with residuals in place of Z, C or Y in SpatialPlus and GSEM;
 every stage is one GCV selection on moments, a fixed lambda being the
-one-point grid.  The observations arrive checked (``Observations``), and
-every stage starts from their moments on the basis, X = [1, Z, C, Y]:
-B'X and the R factor of X less its basis part, formed once per basis and
-replication (``Observations.moments``).  A stage's design and response are
-columns X T - B G, a stage-1 residual being Z less its fitted fixed and
-basis parts, so a stage is a few small matrix products and a QR of at most
-4 + p rows (``Moments``), and no estimator forms an n-length residual.
+one-point grid.  The moments of X = [1, Z, C, Y] on the basis are B'X and
+the R factor of X less its basis part, formed once per basis and
+replication (``Observations.moments``; the p = 0 basis for NonSpatialOLS).
+A stage's design and response are columns X T - B G, a stage-1 residual
+being Z less its fitted fixed and basis parts, so a stage is a few small
+matrix products and a QR of at most 4 + p rows (``Moments``), and no
+estimator forms an n-length residual.
 
 Two-stage standard errors come from the final stage only; no propagation
 of first-stage uncertainty is attempted, so coverage for those methods is
@@ -59,6 +59,9 @@ Z_CRIT_95 = 1.96
 # Stage-1 residual variance below this share of var(Z) means that, to
 # working precision, the exposure is a function of the conditioning set.
 RESIDUAL_DEGENERACY_SHARE = 1e-12
+
+# var(Z) below this share of Z's mean square is round-off: a constant exposure.
+CONSTANT_EXPOSURE_SHARE = 1e-20
 
 # The columns of X = [1, Z, C, Y], the observations' moments, as unit vectors.
 _ONE, _Z, _C, _Y = np.eye(4)
@@ -125,20 +128,22 @@ def _residual(fixed: np.ndarray, response: np.ndarray, fit: StageFit) -> np.ndar
     return response - fixed @ fit.fixed_coefs
 
 
-def _exposure_residual_share(m: Moments, t: np.ndarray, g: np.ndarray, z) -> float:
+def _exposure_residual_share(m: Moments, t: np.ndarray, g: np.ndarray) -> float:
     """var(r_z) / var(Z) for r_z = X t - B g, after checking that the
     residuals are not zero.
 
-    |r_z|^2 and 1'r_z come from the coordinates of [1, r_z] (``Moments.frame``).
+    |r_z|^2, 1'r_z and Z come from the coordinates of [1, r_z, Z] (``Moments.frame``).
     Raises ``DegenerateResidualError`` when spatial adjustment leaves the
-    exposure residuals numerically zero.
+    exposure residuals numerically zero, as it does a constant exposure.
     """
-    frame = m.frame(np.column_stack([_ONE, t]), np.column_stack([np.zeros_like(g), g]))
-    one, r = frame[:, 0], frame[:, 1]
+    zero = np.zeros_like(g)
+    frame = m.frame(np.column_stack([_ONE, t, _Z]), np.column_stack([zero, g, zero]))
+    one, r, z = frame.T
     n = m.n
-    var_z = float(np.asarray(z).var())
+    centred = z - (float(one @ z) / n) * one
+    var_z = float(centred @ centred) / n
     var_r = float(r @ r) / n - (float(one @ r) / n) ** 2
-    if var_z == 0.0 or var_r < RESIDUAL_DEGENERACY_SHARE * var_z:
+    if var_z <= CONSTANT_EXPOSURE_SHARE * (z @ z) / n or var_r < RESIDUAL_DEGENERACY_SHARE * var_z:
         raise DegenerateResidualError(
             "exposure residuals are numerically zero after spatial adjustment: "
             "the exposure is fully spatial and the spatially-conditional "
@@ -147,9 +152,11 @@ def _exposure_residual_share(m: Moments, t: np.ndarray, g: np.ndarray, z) -> flo
     return var_r / var_z
 
 
-def fit_nonspatial(obs: Observations) -> EstimateRecord:
-    """OLS of the outcome on (1, Z, C): the unconditional-target estimator."""
-    m = obs.moments()
+def fit_nonspatial(m: Moments) -> EstimateRecord:
+    """OLS of the outcome on (1, Z, C), the unconditional-target estimator,
+    from the moments on the p = 0 basis (on a basis, it would be Spatial)."""
+    if m.basis.p:
+        raise ValueError(f"nonspatial OLS takes moments on the empty basis, not p={m.basis.p}")
     fit = select_moments(m, 0.0, OUTCOME_NAMES)
     return _outcome_record(
         EstimatorKind.NONSPATIAL_OLS,
@@ -160,7 +167,7 @@ def fit_nonspatial(obs: Observations) -> EstimateRecord:
     )
 
 
-def fit_rsr(obs: Observations, b: BasisSet) -> EstimateRecord:
+def fit_rsr(m: Moments) -> EstimateRecord:
     """Restricted spatial regression: spatial terms projected off (1, Z, C).
 
     RSR is OLS of Y on [F, B_perp], F = (1, Z, C) and B_perp the basis
@@ -172,7 +179,6 @@ def fit_rsr(obs: Observations, b: BasisSet) -> EstimateRecord:
     edf = q + p, sigma2, AIC); the standard error is
     sqrt(sigma2 * [(F'F)^-1]_11).
     """
-    m = obs.moments(b)
     sweep = sweep_moments(m, [math.inf, 0.0], OUTCOME_NAMES)  # rows: OLS, joint
     s_inv = sweep.V[0] @ sweep.V[0].T  # (F'F)^-1
     return EstimateRecord(
@@ -186,9 +192,8 @@ def fit_rsr(obs: Observations, b: BasisSet) -> EstimateRecord:
     )
 
 
-def fit_spatial(obs: Observations, b: BasisSet, smoothing: Smoothing = None) -> EstimateRecord:
+def fit_spatial(m: Moments, smoothing: Smoothing = None) -> EstimateRecord:
     """Penalized outcome regression with the basis entered directly."""
-    m = obs.moments(b)
     fit = select_moments(m, smoothing, OUTCOME_NAMES)
     return _outcome_record(
         EstimatorKind.SPATIAL,
@@ -200,7 +205,7 @@ def fit_spatial(obs: Observations, b: BasisSet, smoothing: Smoothing = None) -> 
 
 
 def _spatial_plus(
-    m: Moments, z, smoothing: Smoothing, include_c_in_stage1: bool, cutoff: Optional[int] = None
+    m: Moments, smoothing: Smoothing, include_c_in_stage1: bool, cutoff: Optional[int] = None
 ) -> EstimateRecord:
     """Spatial+ from the moments of [1, Z, C, Y] on its labels up to ``cutoff``."""
     grid = _gcv_grid(smoothing)
@@ -208,7 +213,7 @@ def _spatial_plus(
     names1 = ["intercept", "C"] if include_c_in_stage1 else ["intercept"]
     stage1 = _select(m.columns(np.column_stack([fixed1, _Z])), grid, names1, cutoff)
     t, g = _residual(fixed1, _Z, stage1), stage1.basis_coefs
-    share = _exposure_residual_share(m, t, g, z)
+    share = _exposure_residual_share(m, t, g)
     zero = np.zeros_like(g)
     m2 = m.columns(np.column_stack([_ONE, t, _C, _Y]), np.column_stack([zero, g, zero, zero]))
     stage2 = _select(m2, grid, ["intercept", "r_Z", "C"], cutoff)
@@ -222,8 +227,7 @@ def _spatial_plus(
 
 
 def fit_spatial_plus(
-    obs: Observations,
-    b: BasisSet,
+    m: Moments,
     smoothing: Smoothing = None,
     include_c_in_stage1: bool = True,
 ) -> EstimateRecord:
@@ -239,10 +243,10 @@ def fit_spatial_plus(
     Raises ``DegenerateResidualError`` when stage 1 leaves numerically zero
     residual variance (a fully spatial exposure).
     """
-    return _spatial_plus(obs.moments(b), obs.Z, smoothing, include_c_in_stage1)
+    return _spatial_plus(m, smoothing, include_c_in_stage1)
 
 
-def fit_gsem(obs: Observations, b: BasisSet, smoothing: Smoothing = None) -> EstimateRecord:
+def fit_gsem(m: Moments, smoothing: Smoothing = None) -> EstimateRecord:
     """Residualize outcome, exposure and covariate on space, then OLS.
 
     Each variable is residualized on (intercept + basis) with its own
@@ -250,7 +254,6 @@ def fit_gsem(obs: Observations, b: BasisSet, smoothing: Smoothing = None) -> Est
     basis, lambda = 0) of outcome residuals on exposure and covariate
     residuals.
     """
-    m = obs.moments(b)
     ones = _ONE[:, None]
     columns = {"outcome": _Y, "exposure": _Z, "covariate": _C}
     fits = {
@@ -260,11 +263,11 @@ def fit_gsem(obs: Observations, b: BasisSet, smoothing: Smoothing = None) -> Est
     # Each residual is X t - B g.
     t = {name: _residual(ones, columns[name], fit) for name, fit in fits.items()}
     g = {name: fit.basis_coefs for name, fit in fits.items()}
-    share = _exposure_residual_share(m, t["exposure"], g["exposure"], obs.Z)
+    share = _exposure_residual_share(m, t["exposure"], g["exposure"])
     final_columns = ("exposure", "covariate", "outcome")  # r_Z, r_C, then the response r_Y
     final_m = m.without_basis(
         np.column_stack([_ONE] + [t[k] for k in final_columns]),
-        np.column_stack([np.zeros(b.p)] + [g[k] for k in final_columns]),
+        np.column_stack([np.zeros(m.basis.p)] + [g[k] for k in final_columns]),
     )
     final = select_moments(final_m, 0.0, ["intercept", "r_Z", "r_C"])
     return _outcome_record(
@@ -277,22 +280,21 @@ def fit_gsem(obs: Observations, b: BasisSet, smoothing: Smoothing = None) -> Est
 
 
 def fit_spatial_plus_lowfreq(
-    obs: Observations,
-    b: BasisSet,
+    m: Moments,
     cutoff: int,
     smoothing: Smoothing = 0.0,
     include_c_in_stage1: bool = True,
 ) -> EstimateRecord:
     """SpatialPlus on the low-frequency block of the basis.
 
-    Drops the labels above ``cutoff``, an integer in [1, b.max_freq], by
-    penalty +inf (the fit on ``fourier_basis(b.grid, cutoff)``), and runs
+    Drops the labels above ``cutoff``, an integer in [1, max_freq], by
+    penalty +inf (the fit on ``fourier_basis(grid, cutoff)``), and runs
     both stages unpenalized by default (a different ``smoothing`` puts lam
     * f**2 on the kept labels).  Targets the coefficient conditional on C
     and the low-frequency confounder only.
     """
-    cutoff = _integer(cutoff, "cutoff", 1, b.max_freq)
-    rec = _spatial_plus(obs.moments(b), obs.Z, smoothing, include_c_in_stage1, cutoff)
+    cutoff = _integer(cutoff, "cutoff", 1, m.basis.max_freq)
+    rec = _spatial_plus(m, smoothing, include_c_in_stage1, cutoff)
     return replace(
         rec,
         kind=EstimatorKind.SPATIAL_PLUS_LOWFREQ,
@@ -308,22 +310,23 @@ def fit_estimator(
     cutoff: Optional[int] = None,
     include_c_in_stage1: bool = True,
 ) -> EstimateRecord:
-    """Dispatch a single estimator by kind with uniform settings."""
+    """Dispatch a single estimator by kind on the moments of ``obs`` on ``b``."""
     if kind is EstimatorKind.NONSPATIAL_OLS:
-        return fit_nonspatial(obs)
+        return fit_nonspatial(obs.moments())
     if b is None:
         raise ValueError(f"estimator {kind.value!r} needs a basis")
+    if kind is EstimatorKind.SPATIAL_PLUS_LOWFREQ and cutoff is None:
+        raise ValueError("spatial-plus-lowfreq needs a cutoff")
+    m = obs.moments(b)
     if kind is EstimatorKind.RSR:
-        return fit_rsr(obs, b)
+        return fit_rsr(m)
     if kind is EstimatorKind.SPATIAL:
-        return fit_spatial(obs, b, smoothing)
+        return fit_spatial(m, smoothing)
     if kind is EstimatorKind.SPATIAL_PLUS:
-        return fit_spatial_plus(obs, b, smoothing, include_c_in_stage1)
+        return fit_spatial_plus(m, smoothing, include_c_in_stage1)
     if kind is EstimatorKind.GSEM:
-        return fit_gsem(obs, b, smoothing)
+        return fit_gsem(m, smoothing)
     if kind is EstimatorKind.SPATIAL_PLUS_LOWFREQ:
-        if cutoff is None:
-            raise ValueError("spatial-plus-lowfreq needs a cutoff")
         smoothing = 0.0 if smoothing is None else smoothing
-        return fit_spatial_plus_lowfreq(obs, b, cutoff, smoothing, include_c_in_stage1)
+        return fit_spatial_plus_lowfreq(m, cutoff, smoothing, include_c_in_stage1)
     raise ValueError(f"unknown estimator kind {kind!r}")

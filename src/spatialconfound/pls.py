@@ -2,12 +2,12 @@
 
 Fits  y ~ fixed design + penalized basis,  minimizing
 
-    || y - F a - B g ||^2  +  lam * g' diag(penalty) g.
+    || y - F a - B g ||^2  +  lam * g' diag(f**2) g,   f each column's label.
 
 The fixed block F (n x q) is never penalized.  The basis B (n x p) has
 mutually orthogonal columns, B'B = diag(d0), as the Fourier basis has on its
 grid (``BasisSet`` keeps d0 = n/2).  Then, with W = B'F,
-b = B'y and D = d0 + lam * penalty, the basis block has the closed form
+b = B'y and D = d0 + lam * f**2, the basis block has the closed form
 
     g = (b - W a) / D,
 
@@ -51,7 +51,7 @@ that lambda alone.  The array API builds the moments of [F y] and calls them:
 Conventions pinned here and relied on elsewhere:
 
     edf       = trace of the influence (hat) operator
-              = q + p - lam * sum_j penalty_j [D^-1 + D^-1 W S^-1 W' D^-1]_jj
+              = q + p - lam * sum_j f_j**2 [D^-1 + D^-1 W S^-1 W' D^-1]_jj
     sigma2    = RSS / (n - edf)
     gcv       = n * RSS / (n - edf)^2
     aic       = n * log(RSS / n) + 2 * edf

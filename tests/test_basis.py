@@ -78,13 +78,15 @@ class TestFourierBasis:
         fourier_basis(grid, 7)
 
     def test_penalty_default_quadratic(self):
+        # lam = 1 weighs each column by its label squared.
         b = fourier_basis(make_grid(16), 4)
-        assert np.array_equal(b.penalty, b.freq.astype(float) ** 2)
+        w = _label_weights(b, [1.0])[0, b.freq - 1]
+        assert np.array_equal(w, b.freq.astype(float) ** 2)
 
     def test_penalty_monotone_in_frequency(self):
         b = fourier_basis(make_grid(32), 9)
         order = np.argsort(b.freq, kind="stable")
-        assert np.all(np.diff(b.penalty[order]) >= 0)
+        assert np.all(np.diff(_label_weights(b, [1.0])[0, b.freq[order] - 1]) >= 0)
 
     def test_span_contains_band_limited_fields(self):
         grid = make_grid(32)
@@ -107,7 +109,8 @@ class TestRestrictLowFrequency:
         b = fourier_basis(make_grid(16), 5)
         w = _label_weights(b, LAMS, 5)
         assert w.tobytes() == _label_weights(b, LAMS).tobytes()
-        assert np.array_equal(w[1:3, b.freq - 1], np.array(LAMS[1:3])[:, None] * b.penalty)
+        f2 = b.freq.astype(float) ** 2
+        assert np.array_equal(w[1:3, b.freq - 1], np.array(LAMS[1:3])[:, None] * f2)
 
     def test_cutoff_filters_labels(self):
         b = fourier_basis(make_grid(16), 5)
@@ -130,7 +133,7 @@ class TestRestrictLowFrequency:
         rng = np.random.default_rng(0)
         obs = Observations(*rng.normal(size=(3, grid.n)), grid=grid)
         with pytest.raises(ValueError, match=rf"^cutoff must be in \[1, 5\], got {cutoff}$"):
-            fit_spatial_plus_lowfreq(obs, b, cutoff)
+            fit_spatial_plus_lowfreq(obs.moments(b), cutoff)
 
     def test_high_band_field_orthogonal_to_low_basis(self):
         grid = make_grid(32)
@@ -180,7 +183,8 @@ BUILT = dict(_built_bases())
 def test_labels_penalty_and_max_freq_follow_from_the_pairs(name):
     b, built_to = BUILT[name]
     freq, penalty, max_freq = brute_force_labels(b)
-    assert b.freq.tolist() == freq and b.penalty.tolist() == penalty
+    assert b.freq.tolist() == freq
+    assert _label_weights(b, [1.0])[0, b.freq - 1].tolist() == penalty
     assert type(b.max_freq) is int and b.max_freq == max_freq == built_to
 
 
@@ -201,7 +205,6 @@ def test_a_restriction_is_the_leading_block_of_the_basis(m):
         assert r.max_freq == cutoff and r.p == 4 * cutoff * (cutoff + 1)
         assert np.array_equal(r.pairs, b.pairs[: r.p // 2])
         assert np.array_equal(r.freq, b.freq[: r.p])
-        assert np.array_equal(r.penalty, b.penalty[: r.p])
         rho = b.shrinkage(_label_weights(b, [0.0], cutoff))[0][0]
         assert np.flatnonzero(rho == 0.0).tolist() == list(range(r.p))
 
@@ -225,7 +228,7 @@ def test_restricted_moments_are_those_on_the_restricted_basis(cutoff):
 
 
 @pytest.mark.parametrize("name", ["fourier-16-5", "fourier-16-2", "empty"])
-@pytest.mark.parametrize("attr", ["pairs", "freq", "penalty", "d0"])
+@pytest.mark.parametrize("attr", ["pairs", "freq", "d0"])
 def test_basis_arrays_are_read_only(name, attr):
     # A write would leave the weights kept by ``shrinkage`` stale.
     a = getattr(BUILT[name][0], attr)

@@ -50,7 +50,7 @@ def test_a_copied_basis_is_rebuilt(how, cutoff):
     c = COPIES[how](b)
     assert type(c) is type(b) and c.max_freq == b.max_freq and c.grid.m == b.grid.m
     assert c._shrinkage == {} and "coords" not in vars(c.grid)
-    for attr in ("pairs", "freq", "penalty", "d0"):
+    for attr in ("pairs", "freq", "d0"):
         a = getattr(c, attr)
         assert np.array_equal(a, getattr(b, attr)) and not a.flags.writeable
     if cutoff is None:

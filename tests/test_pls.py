@@ -33,7 +33,7 @@ from support import fourier_columns, residuals
 
 def penalized_objective(y, F, b, lam, alpha, gamma):
     resid = y - F @ alpha - fourier_columns(b) @ gamma
-    return float(resid @ resid + lam * (gamma * b.penalty) @ gamma)
+    return float(resid @ resid + lam * (gamma * b.freq.astype(float) ** 2) @ gamma)
 
 
 def random_problem(seed, n=64, m=8, max_freq=3, noise=0.5):
@@ -58,7 +58,7 @@ def dense_oracle(y, F, b, lam):
         X, pen = F, np.zeros(q)
     else:
         X = np.column_stack([F, fourier_columns(b)])
-        pen = np.concatenate([np.zeros(q), lam * b.penalty])
+        pen = np.concatenate([np.zeros(q), lam * b.freq.astype(float) ** 2])
     A = X.T @ X
     A_pen = A + np.diag(pen)
     coef = np.linalg.solve(A_pen, X.T @ y)
@@ -193,7 +193,7 @@ class TestOrthogonalShrinkageIdentity:
         lam = 7.3
         fit = fit_pls(y, F, b, lam)
         d = np.full(b.p, grid.n / 2)  # column squared norms
-        expected = ols.basis_coefs * d / (d + lam * b.penalty)
+        expected = ols.basis_coefs * d / (d + lam * b.freq.astype(float) ** 2)
         assert fit.basis_coefs == pytest.approx(expected, rel=1e-8)
 
 
