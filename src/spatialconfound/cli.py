@@ -38,6 +38,7 @@ from .errors import ConfigError, DegeneracyError
 from .estimators import EstimatorKind, fit_estimator
 from .basis import fourier_basis
 from .mc import (
+    DEFAULT_SCENARIO_MAX_FREQ,
     EstimatorSpec,
     MCPlan,
     SCENARIO_KINDS,
@@ -102,9 +103,9 @@ def _write_outputs(args, argv, config, write_csv, payload) -> int:
 
 
 def _max_freq(args, m: int) -> int:
-    """``--max-freq`` if given, else the largest basis size up to 10 that an
-    m-point grid side allows."""
-    return min(10, (m - 1) // 2) if args.max_freq is None else args.max_freq
+    """``--max-freq`` if given, else the largest basis size up to
+    ``DEFAULT_SCENARIO_MAX_FREQ`` that an m-point grid side allows."""
+    return min(DEFAULT_SCENARIO_MAX_FREQ, (m - 1) // 2) if args.max_freq is None else args.max_freq
 
 
 def finite_float(text: str) -> float:
@@ -142,9 +143,7 @@ def cmd_fit(args, argv) -> int:
     basis = None
     if kind is not EstimatorKind.NONSPATIAL_OLS:
         basis = fourier_basis(obs.grid, _max_freq(args, obs.grid.m))
-    smoothing = args.lam if args.lam is not None else (
-        _parse_lambdas(args.lambda_grid) if args.lambda_grid else None
-    )
+    smoothing = _parse_lambdas(args.lambda_grid) if args.lambda_grid else args.lam
     record = fit_estimator(
         kind,
         obs,
@@ -250,10 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset CSV (x,y,Z,C,Y)")
     p.add_argument("--estimator", required=True, choices=ESTIMATOR_NAMES)
     p.add_argument("--max-freq", type=int, default=None, dest="max_freq")
-    p.add_argument("--lam", type=finite_float, default=None,
-                   help="fixed smoothing value (default: GCV selection)")
-    p.add_argument("--lambda-grid", default=None, dest="lambda_grid",
-                   help="comma-separated GCV grid")
+    smoothing = p.add_mutually_exclusive_group()
+    smoothing.add_argument("--lam", type=finite_float, default=None,
+                           help="fixed smoothing value (default: GCV, 0 for spatial-plus-lowfreq)")
+    smoothing.add_argument("--lambda-grid", default=None, dest="lambda_grid",
+                           help="comma-separated GCV grid")
     p.add_argument("--cutoff", type=int, default=None,
                    help="frequency cutoff for spatial-plus-lowfreq")
     p.add_argument("--no-c-in-stage1", action="store_true", dest="no_c_in_stage1",

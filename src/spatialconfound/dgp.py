@@ -201,14 +201,19 @@ def generate_dataset(config: ScenarioConfig, seed: int) -> Dataset:
     )
 
 
+# var(Z) at or below this share of Z's mean square is round-off: a constant
+# exposure, whose variance is exactly 0 for some constants and not others.
+CONSTANT_EXPOSURE_SHARE = 1e-20
+
+
 def exposure_spatial_fraction(ds: Dataset) -> float:
     """Share of exposure variance carried by completely spatial components.
 
     Computed from latent fields as var(Z - nu - a2*E) / var(Z).  Raises
-    ``DegenerateExposureError`` when the exposure has zero variance.
+    ``DegenerateExposureError`` when the exposure is constant.
     """
     var_z = float(ds.Z.var())
-    if var_z == 0.0:
+    if var_z <= CONSTANT_EXPOSURE_SHARE * float(ds.Z @ ds.Z) / ds.Z.size:
         raise DegenerateExposureError("exposure has zero variance; fraction undefined")
     a2 = ds.config.loadings[1]
     spatial_part = ds.Z - ds.nu - a2 * ds.E

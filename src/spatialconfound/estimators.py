@@ -33,6 +33,10 @@ being Z less its fitted fixed and basis parts, so a stage is a few small
 matrix products and a QR of at most 4 + p rows (``Moments``), and no
 estimator forms an n-length residual.
 
+Every fit but NonSpatialOLS and RSR reads ``smoothing`` by the rule of
+``pls`` (None: the GCV choice on ``DEFAULT_LAMBDA_GRID``), except that
+SpatialPlusLowFreq reads None as lambda = 0, at every entry.
+
 Two-stage standard errors come from the final stage only; no propagation
 of first-stage uncertainty is attempted, so coverage for those methods is
 approximate by construction.
@@ -48,9 +52,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .basis import BasisSet
-from .dgp import Observations
+from .dgp import CONSTANT_EXPOSURE_SHARE, Observations
 from .errors import DegenerateResidualError, _integer
-from .pls import Moments, StageFit, _gcv_grid, _select, select_moments, sweep_moments
+from .pls import Moments, StageFit, select_moments, sweep_moments
 
 Smoothing = Union[None, float, Sequence[float]]
 
@@ -59,9 +63,6 @@ Z_CRIT_95 = 1.96
 # Stage-1 residual variance below this share of var(Z) means that, to
 # working precision, the exposure is a function of the conditioning set.
 RESIDUAL_DEGENERACY_SHARE = 1e-12
-
-# var(Z) below this share of Z's mean square is round-off: a constant exposure.
-CONSTANT_EXPOSURE_SHARE = 1e-20
 
 # The columns of X = [1, Z, C, Y], the observations' moments, as unit vectors.
 _ONE, _Z, _C, _Y = np.eye(4)
@@ -208,15 +209,14 @@ def _spatial_plus(
     m: Moments, smoothing: Smoothing, include_c_in_stage1: bool, cutoff: Optional[int] = None
 ) -> EstimateRecord:
     """Spatial+ from the moments of [1, Z, C, Y] on its labels up to ``cutoff``."""
-    grid = _gcv_grid(smoothing)
     fixed1 = np.column_stack([_ONE, _C] if include_c_in_stage1 else [_ONE])
     names1 = ["intercept", "C"] if include_c_in_stage1 else ["intercept"]
-    stage1 = _select(m.columns(np.column_stack([fixed1, _Z])), grid, names1, cutoff)
+    stage1 = select_moments(m.columns(np.column_stack([fixed1, _Z])), smoothing, names1, cutoff)
     t, g = _residual(fixed1, _Z, stage1), stage1.basis_coefs
     share = _exposure_residual_share(m, t, g)
     zero = np.zeros_like(g)
     m2 = m.columns(np.column_stack([_ONE, t, _C, _Y]), np.column_stack([zero, g, zero, zero]))
-    stage2 = _select(m2, grid, ["intercept", "r_Z", "C"], cutoff)
+    stage2 = select_moments(m2, smoothing, ["intercept", "r_Z", "C"], cutoff)
     return _outcome_record(
         EstimatorKind.SPATIAL_PLUS,
         stage2,
@@ -236,9 +236,8 @@ def fit_spatial_plus(
     Stage 2 is the Spatial outcome regression with the stage-1 residual r_Z
     in place of Z.
 
-    ``smoothing`` applies to both stages: None lets each stage pick its own
-    GCV smoothing on the default grid, a float fixes that value for both,
-    and a sequence is used as the GCV grid of each stage independently.
+    ``smoothing`` applies to each stage independently: with None or a
+    grid, each stage makes its own GCV choice.
 
     Raises ``DegenerateResidualError`` when stage 1 leaves numerically zero
     residual variance (a fully spatial exposure).
@@ -289,11 +288,12 @@ def fit_spatial_plus_lowfreq(
 
     Drops the labels above ``cutoff``, an integer in [1, max_freq], by
     penalty +inf (the fit on ``fourier_basis(grid, cutoff)``), and runs
-    both stages unpenalized by default (a different ``smoothing`` puts lam
-    * f**2 on the kept labels).  Targets the coefficient conditional on C
-    and the low-frequency confounder only.
+    both stages unpenalized by default, None included (lambda = 0, not GCV;
+    any other ``smoothing`` puts lam * f**2 on the kept labels).  Targets
+    the coefficient conditional on C and the low-frequency confounder only.
     """
     cutoff = _integer(cutoff, "cutoff", 1, m.basis.max_freq)
+    smoothing = 0.0 if smoothing is None else smoothing
     rec = _spatial_plus(m, smoothing, include_c_in_stage1, cutoff)
     return replace(
         rec,
@@ -327,6 +327,5 @@ def fit_estimator(
     if kind is EstimatorKind.GSEM:
         return fit_gsem(m, smoothing)
     if kind is EstimatorKind.SPATIAL_PLUS_LOWFREQ:
-        smoothing = 0.0 if smoothing is None else smoothing
         return fit_spatial_plus_lowfreq(m, cutoff, smoothing, include_c_in_stage1)
     raise ValueError(f"unknown estimator kind {kind!r}")

@@ -34,11 +34,11 @@ import numpy as np
 
 from .basis import BasisSet, fourier_basis
 from .dgp import ScenarioConfig, _write_csv, config_hash, generate_dataset
-from .errors import DegeneracyError, _integer
+from .errors import DegeneracyError, _integer, _is_real
 from .estimators import OUTCOME_NAMES, EstimatorKind, Smoothing, fit_estimator
 from .fields import IidSpec, SpectralSpec, derive_seed, make_grid
 from .oracle import EstimandSet, compute_estimands
-from .pls import DEFAULT_LAMBDA_GRID, _distinct_lambdas, sweep_lambda
+from .pls import _lambda_grid, sweep_lambda
 
 TARGET_NAMES = ("beta_structural", "beta_uncond", "beta_cond_achieved", "beta_cond_S1")
 
@@ -77,7 +77,9 @@ class EstimatorSpec:
     one needs ``max_freq``, an integer of at least 1 (its upper bound needs
     the grid); ``spatial-plus-lowfreq`` needs an integer ``cutoff`` in [1,
     max_freq]; and a ``smoothing`` other than None must be one nonnegative
-    real or a grid of distinct ones.  The values are stored as given.
+    real or a grid of distinct ones (the rule of ``pls``).  It is stored
+    parsed, as None, a float or a tuple of floats: a spec hashes and
+    compares by value, and a generator is read once.
     """
 
     kind: EstimatorKind
@@ -97,7 +99,8 @@ class EstimatorSpec:
                 raise ValueError(f"estimator {self.name!r} needs a cutoff")
             _integer(self.cutoff, "cutoff", 1, self.max_freq)
         if self.smoothing is not None:
-            _distinct_lambdas(self.smoothing)
+            grid = _lambda_grid(self.smoothing)
+            object.__setattr__(self, "smoothing", grid[0] if _is_real(self.smoothing) else grid)
 
     @property
     def name(self) -> str:
@@ -431,7 +434,9 @@ class AicBiasResult:
         }
 
 
-def default_aic_plan(r: int = 300, master_seed: int = 20240707, max_freq: int = 10) -> MCPlan:
+def default_aic_plan(
+    r: int = 300, master_seed: int = 20240707, max_freq: int = DEFAULT_SCENARIO_MAX_FREQ
+) -> MCPlan:
     """Default plan for the AIC experiment: the high-frequency-confounder
     scenario where the confounder drives the exposure."""
     return MCPlan(
@@ -447,14 +452,14 @@ def aic_bias_experiment(
 ) -> AicBiasResult:
     """Fit Spatial at every fixed lambda and tabulate mean AIC vs mean bias.
 
-    The grid must hold distinct nonnegative values, lambda = 0 (the
-    unpenalized reference row) among them, and the plan must carry a
+    The grid, read as every fit reads one (its rows in the order given),
+    must hold lambda = 0 (the unpenalized reference row); the plan must carry a
     Spatial estimator, whose ``max_freq`` sets the basis; both are checked
     before any dataset is drawn.  Replications where the unpenalized design
     is collinear are dropped (and counted) for every lambda, keeping rows
     comparable.
     """
-    grid_lams = _distinct_lambdas(DEFAULT_LAMBDA_GRID if lambda_grid is None else lambda_grid)
+    grid_lams = _lambda_grid(lambda_grid)
     if 0.0 not in grid_lams:
         raise ValueError("lambda grid must include 0 (the unpenalized reference)")
     spatial = next((s for s in base.estimators if s.kind is EstimatorKind.SPATIAL), None)

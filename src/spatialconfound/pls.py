@@ -42,9 +42,15 @@ run on one basis works them out once.  The edf term diag(W S^-1 W') of
 every row is one matrix product of W with all the V's (S^-1 = V V'),
 squared and summed over the q columns.  Its one result is a
 ``LambdaSweep``, which holds no basis coefficients.  ``sweep_moments``
-returns it and ``select_moments`` fits its GCV minimizer (one real lambda
-is the one-point grid), as a ``StageFit``: g = (b - W a) / D is formed for
-that lambda alone.  The array API builds the moments of [F y] and calls them:
+returns it and ``select_moments`` fits its GCV minimizer, as a
+``StageFit``: g = (b - W a) / D is formed for that lambda alone.
+
+Every entry reads a smoothing grid by one rule (``_lambda_grid``): None is
+``DEFAULT_LAMBDA_GRID``, one real number (+inf included) is the one-point
+grid, and a sequence must hold distinct reals; every value is at least 0.
+A sweep keeps the caller's order; a selection sorts the grid, so that GCV
+ties go to the smallest lambda.  The array API builds the moments of [F y]
+and calls them:
 ``sweep_lambda`` returns the ``LambdaSweep``, and ``select_lambda_gcv`` and
 ``fit_pls`` (``select_lambda_gcv`` at one lambda) the ``StageFit``.
 
@@ -78,7 +84,28 @@ from .errors import CollinearityError, _is_real
 
 RCOND_COLLINEAR = 1e-10
 
-DEFAULT_LAMBDA_GRID = tuple([0.0] + list(np.logspace(-4.0, 6.0, 41)))
+
+def _lambda_grid(values) -> tuple[float, ...]:
+    """A smoothing grid by the module's rule, as floats in the caller's order.
+    A string or a bool, alone or in a grid, is refused, not read as a number."""
+    if values is None:
+        return DEFAULT_LAMBDA_GRID
+    bare = _is_real(values) or isinstance(values, (str, bool, np.bool_))
+    lams = [values] if bare else list(values)
+    if not lams:
+        raise ValueError("lambda grid must be nonempty")
+    for v in lams:
+        if not _is_real(v):
+            raise ValueError(f"lambda values must be real numbers, got {v!r}")
+        if math.isnan(v) or v < 0:
+            raise ValueError(f"lambda values must be nonnegative, got {float(v)}")
+    grid = tuple(float(v) for v in lams)
+    if len(set(grid)) != len(grid):
+        raise ValueError("lambda grid values must be distinct")
+    return grid
+
+
+DEFAULT_LAMBDA_GRID = _lambda_grid([0.0, *np.logspace(-4.0, 6.0, 41)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,30 +155,6 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., None])[..., 0, 0]
-
-
-def _as_lambdas(values) -> list[float]:
-    """A smoothing grid as floats; one real number is the one-point grid.
-
-    A string or a bool, alone or in a grid, is refused, not read as a number.
-    """
-    bare = _is_real(values) or isinstance(values, (str, bool, np.bool_))
-    lams = [values] if bare else list(values)
-    if not lams:
-        raise ValueError("lambda grid must be nonempty")
-    for v in lams:
-        if not _is_real(v):
-            raise ValueError(f"lambda values must be real numbers, got {v!r}")
-        if math.isnan(v) or v < 0:
-            raise ValueError(f"lambda values must be nonnegative, got {float(v)}")
-    return [float(v) for v in lams]
-
-
-def _distinct_lambdas(values) -> list[float]:
-    lams = _as_lambdas(values)
-    if len(set(lams)) != len(lams):
-        raise ValueError("lambda grid values must be distinct")
-    return lams
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,20 +300,11 @@ class _Solver:
 
 
 def sweep_moments(
-    m: Moments, lambdas: Sequence[float], fixed_names: Optional[Sequence[str]] = None
+    m: Moments, lambdas: Optional[Sequence[float]], fixed_names: Optional[Sequence[str]] = None
 ) -> LambdaSweep:
     """``sweep_lambda`` on the moments of [F y]: no n-row pass."""
-    lams = _as_lambdas(lambdas)
+    lams = _lambda_grid(lambdas)
     return _Solver(m, fixed_names).solve(lams, _label_weights(m.basis, lams))
-
-
-def select_moments(
-    m: Moments,
-    lambda_grid: Optional[Sequence[float]] = None,
-    fixed_names: Optional[Sequence[str]] = None,
-) -> StageFit:
-    """``select_lambda_gcv`` on the moments of [F y]."""
-    return _select(m, _gcv_grid(lambda_grid), fixed_names)
 
 
 def _label_weights(basis: BasisSet, lams: Sequence[float], cutoff=None) -> np.ndarray:
@@ -321,9 +315,15 @@ def _label_weights(basis: BasisSet, lams: Sequence[float], cutoff=None) -> np.nd
     return np.where(f > top, math.inf, np.array(lams)[:, None] * f**2)
 
 
-def _select(m: Moments, grid: Sequence[float], fixed_names, cutoff=None) -> StageFit:
-    """The fit at the GCV choice of a checked, sorted grid, on the labels up
-    to ``cutoff``."""
+def select_moments(
+    m: Moments,
+    lambda_grid: Optional[Sequence[float]] = None,
+    fixed_names: Optional[Sequence[str]] = None,
+    cutoff: Optional[int] = None,
+) -> StageFit:
+    """``select_lambda_gcv`` on the moments of [F y], on the labels up to
+    ``cutoff`` (None: all of them; the labels above it get weight +inf)."""
+    grid = sorted(_lambda_grid(lambda_grid))
     solver = _Solver(m, fixed_names)
     sweep = solver.solve(grid, _label_weights(m.basis, grid, cutoff))
     i = int(np.argmin(sweep.gcv))  # first minimum = smallest lambda
@@ -338,14 +338,6 @@ def _select(m: Moments, grid: Sequence[float], fixed_names, cutoff=None) -> Stag
         aic=float(sweep.aic[i]),
         cov_fixed=_scale(sweep.sigma2[i] * 0.5, s_inv + s_inv.T),
     )
-
-
-def _gcv_grid(lambda_grid) -> Sequence[float]:
-    """A GCV grid checked and sorted; the default grid was checked at import."""
-    return _DEFAULT_GCV_GRID if lambda_grid is None else sorted(_distinct_lambdas(lambda_grid))
-
-
-_DEFAULT_GCV_GRID = tuple(sorted(_distinct_lambdas(DEFAULT_LAMBDA_GRID)))
 
 
 def _array_moments(y, fixed, basis: BasisSet, fixed_names) -> Moments:
@@ -391,10 +383,11 @@ def sweep_lambda(
     y,
     fixed,
     basis: BasisSet,
-    lambdas: Sequence[float],
+    lambdas: Optional[Sequence[float]],
     fixed_names: Optional[Sequence[str]] = None,
 ) -> LambdaSweep:
-    """Evaluate RSS, EDF, GCV, AIC and fixed coefficients on a lambda grid.
+    """Evaluate RSS, EDF, GCV, AIC and fixed coefficients on a lambda grid,
+    in the order given (None: the default grid).
 
     The basis products are formed once, and one stacked SVD call of (q + p) x q
     matrices covers the grid.
@@ -411,13 +404,10 @@ def select_lambda_gcv(
 ) -> StageFit:
     """Fit every lambda in the grid and return the GCV minimizer.
 
-    ``lambda_grid`` is a grid of distinct smoothing values, or one real
-    number, the one-point grid; None is the default grid,
-    {0} union 41 log-spaced points in [1e-4, 1e6].  Ties break toward the
-    smallest lambda.
+    None is the default grid, {0} union 41 log-spaced points in [1e-4, 1e6].
+    Ties break toward the smallest lambda.
     """
-    grid = _gcv_grid(lambda_grid)
-    return _select(_array_moments(y, fixed, basis, fixed_names), grid, fixed_names)
+    return select_moments(_array_moments(y, fixed, basis, fixed_names), lambda_grid, fixed_names)
 
 
 def _scale(sigma2: float, m: np.ndarray) -> np.ndarray:

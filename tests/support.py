@@ -13,6 +13,7 @@ from spatialconfound import (
     fourier_basis,
     select_lambda_gcv,
 )
+from spatialconfound.estimators import CONSTANT_EXPOSURE_SHARE, RESIDUAL_DEGENERACY_SHARE
 
 
 def ols_coef_and_se(X, y, index):
@@ -101,7 +102,11 @@ def residuals(y, F, b, fit):
 
 
 def _exposure_share_check(r_z, z):
-    if r_z.var() < 1e-12 * z.var():
+    """The package's rule: a constant exposure, its variance round-off of
+    its mean square, has no residual variance to keep."""
+    var_z = z.var()
+    constant = var_z <= CONSTANT_EXPOSURE_SHARE * np.mean(z * z)
+    if constant or r_z.var() < RESIDUAL_DEGENERACY_SHARE * var_z:
         raise DegenerateResidualError("exposure residuals are numerically zero")
 
 
@@ -126,7 +131,9 @@ def reference_spatial_plus(obs, b, smoothing=None):
 
 
 def reference_spatial_plus_lowfreq(obs, b, cutoff, smoothing=0.0):
-    """Spatial+ on the basis that stops at the cutoff label."""
+    """Spatial+ on the basis that stops at the cutoff label, at lambda = 0
+    when ``smoothing`` is None."""
+    smoothing = 0.0 if smoothing is None else smoothing
     return reference_spatial_plus(obs, fourier_basis(b.grid, cutoff), smoothing)
 
 

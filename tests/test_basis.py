@@ -19,7 +19,7 @@ from spatialconfound import (
     scenario_config,
 )
 from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE
-from spatialconfound.pls import _label_weights, _select, basis_moments
+from spatialconfound.pls import _label_weights, basis_moments, select_moments
 from support import fourier_columns
 
 
@@ -218,8 +218,8 @@ def test_restricted_moments_are_those_on_the_restricted_basis(cutoff):
     X = np.random.default_rng(cutoff).normal(size=(grid.n, 3))
     r = fourier_basis(grid, cutoff)
     for grid_lams in ([0.0], [0.0, 0.1, 10.0]):
-        got = _select(basis_moments(X, b), grid_lams, None, cutoff)
-        want = _select(basis_moments(X, r), grid_lams, None)
+        got = select_moments(basis_moments(X, b), grid_lams, cutoff=cutoff)
+        want = select_moments(basis_moments(X, r), grid_lams)
         assert got.lam == want.lam
         for field in ("fixed_coefs", "cov_fixed", "edf", "gcv", "aic"):
             assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12), field

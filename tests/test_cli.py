@@ -150,6 +150,8 @@ class TestFit:
             record = json.loads(capsys.readouterr().out)
             assert record["kind"] == name
             assert np.isfinite(record["beta1_hat"])
+        # The last, spatial-plus-lowfreq without --lam, fits lambda = 0, not GCV.
+        assert record["lambdas"] == {"exposure": 0.0, "outcome": 0.0}
 
     def test_fully_spatial_exposure_exit_4(self, tmp_path, capsys):
         config_path, _ = write_config(
@@ -170,6 +172,15 @@ class TestFit:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "nonspatial" in err and "spatial-plus" in err
+
+    def test_lam_and_lambda_grid_exclusive_exit_2(self, data_csv, capsys):
+        # Two smoothings for one fit are a usage error, not a silent choice.
+        out, _ = data_csv
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", str(out), "--estimator", "spatial", "--max-freq", "5",
+                  "--lam", "1", "--lambda-grid", "0,1"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_missing_column_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -141,6 +141,17 @@ class TestExposureSpatialFraction:
         with pytest.raises(DegenerateExposureError):
             exposure_spatial_fraction(ds)
 
+    @pytest.mark.parametrize("value", [0.0, 1.0, 1.3, 1000.0, -7.1, 0.1])
+    @pytest.mark.parametrize("m", [16, 32])
+    def test_every_constant_exposure_is_degenerate(self, m, value):
+        # np.var of a constant is exactly 0 for some constants and round-off
+        # for others; neither is a spatial fraction.
+        ds = generate_dataset(base_config(m=m), 5)
+        n = ds.grid.n
+        ds = replace(ds, Z=np.full(n, value), nu=np.zeros(n), E=np.zeros(n))
+        with pytest.raises(DegenerateExposureError, match="^exposure has zero variance"):
+            exposure_spatial_fraction(ds)
+
 
 class TestConfigValidation:
     def test_wrong_beta_length(self):

@@ -32,7 +32,7 @@ from spatialconfound import (
 )
 from spatialconfound.estimators import OUTCOME_NAMES
 from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE, SCENARIO_STRONG_OUTCOME
-from spatialconfound.pls import _select, basis_moments
+from spatialconfound.pls import basis_moments, select_moments
 
 from support import (
     fourier_columns,
@@ -314,7 +314,7 @@ class TestSpatialPlusLowFreq:
         b = fourier_basis(obs.grid, 10)
         for c in range(1, b.max_freq + 1):
             r = fourier_basis(obs.grid, c)
-            got = _select(obs.moments(b), [0.0], OUTCOME_NAMES, c)
+            got = select_moments(obs.moments(b), 0.0, OUTCOME_NAMES, cutoff=c)
             want = fit_spatial(obs.moments(r), smoothing=0.0)
             assert got.fixed_coefs[1] == pytest.approx(want.beta1_hat, rel=1e-12, abs=0)
             assert math.sqrt(got.cov_fixed[1, 1]) == pytest.approx(want.se, rel=1e-12, abs=0)
@@ -432,6 +432,24 @@ def _basis(kind, grid):
 
 BASES = ["spectral", "highest-freq", "lowfreq-cutoff"]
 
+# (m, value): var(Z) of a constant is round-off of either sign, exactly zero
+# for some constants and not for others.
+CONSTANT_EXPOSURES = [
+    (12, 0.0), (12, 1.0), (12, 1.3), (12, 1000.0), (12, -7.1), (12, 0.1), (32, 1.3)
+]
+DEGENERATE_CASES = [
+    pytest.param("fully-spatial-exposure", id="fully-spatial-exposure"),
+    pytest.param("covariate-in-span", id="covariate-in-span"),
+    *(pytest.param(c, id=f"constant-{c[1]:g}-m{c[0]}") for c in CONSTANT_EXPOSURES),
+]
+
+
+def _constant_exposure(m, value):
+    """Observations whose exposure is ``value`` everywhere, with random C and Y."""
+    grid = make_grid(m)
+    C, Y = np.random.default_rng(m).normal(size=(2, grid.n))
+    return Observations(Z=np.full(grid.n, value), C=C, Y=Y, grid=grid)
+
 
 class TestGeneralBases:
     """The estimators' fits from moments against stages fitted on n-row
@@ -460,10 +478,11 @@ class TestGeneralBases:
     @pytest.mark.parametrize("smoothing", [None, 0.0, 3.7], ids=["gcv", "lam0", "lam3.7"])
     @pytest.mark.parametrize("kind", list(TWO_STAGE))
     @pytest.mark.parametrize("basis", BASES)
-    @pytest.mark.parametrize("case", ["fully-spatial-exposure", "covariate-in-span"])
+    @pytest.mark.parametrize("case", DEGENERATE_CASES)
     def test_degenerate_data_same_error(self, case, basis, kind, smoothing):
-        b = _basis(basis, make_grid(12))
-        obs = _observations(case, b, 0)
+        constant = isinstance(case, tuple)
+        b = _basis(basis, make_grid(case[0] if constant else 12))
+        obs = _constant_exposure(*case) if constant else _observations(case, b, 0)
         fit, reference = TWO_STAGE[kind]
         got = _outcome(lambda: _as_reference(fit(obs.moments(b), smoothing=smoothing)))
         want = _outcome(lambda: reference(obs, b, smoothing=smoothing))
@@ -476,16 +495,10 @@ class TestGeneralBases:
     @pytest.mark.parametrize("smoothing", [None, 0.0, 3.7], ids=["gcv", "lam0", "lam3.7"])
     @pytest.mark.parametrize("kind", list(TWO_STAGE))
     @pytest.mark.parametrize("basis", BASES)
-    @pytest.mark.parametrize(
-        "m, value", [(12, 0.0), (12, 1.0), (12, 1.3), (12, 1000.0), (12, -7.1), (12, 0.1), (32, 1.3)]
-    )
+    @pytest.mark.parametrize("m, value", CONSTANT_EXPOSURES)
     def test_constant_exposure_degenerate_residual(self, m, value, basis, kind, smoothing):
-        # var(Z) of a constant is round-off of either sign, exactly zero for
-        # some constants and not for others: every constant is the same error.
-        grid = make_grid(m)
-        C, Y = np.random.default_rng(m).normal(size=(2, grid.n))
-        obs = Observations(Z=np.full(grid.n, value), C=C, Y=Y, grid=grid)
-        b = _basis(basis, grid)
+        obs = _constant_exposure(m, value)
+        b = _basis(basis, obs.grid)
         with pytest.raises(DegenerateResidualError):
             TWO_STAGE[kind][0](obs.moments(b), smoothing=smoothing)
 
@@ -503,7 +516,7 @@ def _from_moments(kind, X, b, smoothing):
         return fit_spatial_plus(m, smoothing)
     if kind is EstimatorKind.GSEM:
         return fit_gsem(m, smoothing)
-    return fit_spatial_plus_lowfreq(m, 2, 0.0 if smoothing is None else smoothing)
+    return fit_spatial_plus_lowfreq(m, 2, smoothing)
 
 
 class TestFitFromMoments:

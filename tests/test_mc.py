@@ -147,11 +147,32 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match=f"got {value}$"):
             build()
 
-    def test_settings_stored_as_given(self):
-        spec = EstimatorSpec(
-            kind=EstimatorKind.SPATIAL_PLUS_LOWFREQ, max_freq=4, smoothing=(3, 1.5), cutoff=2
-        )
-        assert (spec.max_freq, spec.smoothing, spec.cutoff) == (4, (3, 1.5), 2)
+    @pytest.mark.parametrize(
+        "smoothing, stored",
+        [
+            ((3, 1.5), (3.0, 1.5)),
+            ([3, 1.5], (3.0, 1.5)),
+            (np.array([3.0, 1.5]), (3.0, 1.5)),
+            ((v for v in (3, 1.5)), (3.0, 1.5)),
+            (np.int64(2), 2.0),
+            (None, None),
+        ],
+        ids=["tuple", "list", "array", "generator", "real", "none"],
+    )
+    def test_settings_stored_parsed(self, smoothing, stored):
+        # A grid is stored as a tuple of floats in the order given, one real
+        # number as a float: specs of the same values hash and compare alike.
+        def spec(value):
+            return EstimatorSpec(
+                kind=EstimatorKind.SPATIAL_PLUS_LOWFREQ, max_freq=4, smoothing=value, cutoff=2
+            )
+
+        got = spec(smoothing)
+        assert (got.max_freq, got.smoothing, got.cutoff) == (4, stored, 2)
+        assert type(got.smoothing) is type(stored)
+        if isinstance(stored, tuple):
+            assert all(type(v) is float for v in got.smoothing)
+        assert got == spec(stored) and hash(got) == hash(spec(stored))
 
     def test_replaced_config_recomputes_targets(self):
         plan = default_scenario_plan(SCENARIO_STRONG_EXPOSURE, r=2)
@@ -228,6 +249,17 @@ class TestRunMc:
         assert np.isnan(cell.mc_se_of_bias)
         assert np.isfinite(cell.mean_bias)
         assert cell.n_success == 1 and cell.n_failed == 0
+
+    def test_generator_smoothing_runs_as_its_tuple(self):
+        # A spec reads a generator once, when built, not at the first fit.
+        grid = (0.0, 1.0, 10.0)
+        summaries = [
+            run_mc(small_plan(r=3, estimators=(
+                EstimatorSpec(kind=EstimatorKind.SPATIAL_PLUS, max_freq=4, smoothing=smoothing),
+            ))).to_dict()
+            for smoothing in ((v for v in grid), grid)
+        ]
+        assert summaries[0] == summaries[1]
 
     def test_repeat_run_identical(self):
         a = run_mc(small_plan(r=5))

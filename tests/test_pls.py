@@ -234,8 +234,13 @@ class TestGridIsPointwise:
     def test_default_grid_sweep_rows(self, problem):
         y, F, b = problem
         sweep = sweep_lambda(y, F, b, DEFAULT_LAMBDA_GRID)
+        # None is the default grid in a sweep too, bit for bit.
+        m = basis_moments(np.column_stack([F, y]), b)
+        for default in (sweep_lambda(y, F, b, None), sweep_moments(m, None)):
+            for field in SWEEP_FIELDS:
+                assert getattr(default, field).tobytes() == getattr(sweep, field).tobytes()
         # A sweep keeps no basis coefficients; a fit's are (B'y - B'F a) / D.
-        WX = basis_moments(np.column_stack([F, y]), b).WX
+        WX = m.WX
         inv_D = b.shrinkage(_label_weights(b, DEFAULT_LAMBDA_GRID + (math.inf,)))[3]
         for i, lam in enumerate(DEFAULT_LAMBDA_GRID):
             fit = fit_pls(y, F, b, lam)
@@ -335,14 +340,17 @@ class TestSelectLambdaGcv:
             ref = fit_pls(y, F, b, lam)
             assert sel.gcv <= ref.gcv * (1 + 1e-9)
 
-    def test_bad_grids_rejected(self):
+    @pytest.mark.parametrize(
+        "grid, match",
+        [([], "nonempty"), ([1.0, 1.0], "distinct"), ([-1.0, 2.0], "nonnegative")],
+        ids=["empty", "repeated", "negative"],
+    )
+    def test_bad_grids_rejected(self, grid, match):
+        # A sweep reads its grid by the rule a selection does.
         y, F, b = random_problem(12)
-        with pytest.raises(ValueError):
-            select_lambda_gcv(y, F, b, [])
-        with pytest.raises(ValueError):
-            select_lambda_gcv(y, F, b, [1.0, 1.0])
-        with pytest.raises(ValueError):
-            select_lambda_gcv(y, F, b, [-1.0, 2.0])
+        for call in (select_lambda_gcv, sweep_lambda):
+            with pytest.raises(ValueError, match=match):
+                call(y, F, b, grid)
 
     def test_default_grid_checked_once_explicit_grids_per_call(self, monkeypatch):
         # The default grid is checked at import; an explicit one once per call.
@@ -357,6 +365,7 @@ class TestSelectLambdaGcv:
         monkeypatch.setattr("spatialconfound.pls._is_real", counted)
         select_moments(m)
         select_lambda_gcv(y, F, b)
+        sweep_moments(m, None)
         assert calls == []
         select_lambda_gcv(y, F, b, [0.0, 1.0])
         assert calls == [[0.0, 1.0], 0.0, 1.0]  # is it one number?, then each value
