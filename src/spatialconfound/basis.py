@@ -47,7 +47,8 @@ class BasisSet:
     so d0 = n/2 holds on the grid analytically, and ``gram()`` is the exact
     (n/2) I.  No n x p array is ever built.  At ``max_freq`` 0 it is the
     p = 0 basis of ``empty_basis``.  A copy (``pickle``, ``copy``) is
-    rebuilt from the grid and ``max_freq``.
+    rebuilt from the grid and ``max_freq``.  A basis is geometry only: the
+    shrinkage of a smoothing on its columns is kept by ``pls._shrinkage``.
     """
 
     grid: LocationGrid
@@ -55,7 +56,6 @@ class BasisSet:
     pairs: np.ndarray = field(init=False, repr=False)  # (p/2, 2) frequency pairs
     freq: np.ndarray = field(init=False, repr=False)  # (p,) int labels
     d0: np.ndarray = field(init=False, repr=False)  # (p,) diagonal of B'B
-    _shrinkage: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         m = self.grid.m
@@ -70,7 +70,6 @@ class BasisSet:
             ("pairs", pairs),
             ("freq", freq),
             ("d0", _readonly(np.full(len(freq), self.grid.n / 2))),
-            ("_shrinkage", {}),
         ):
             object.__setattr__(self, name, value)
 
@@ -100,30 +99,6 @@ class BasisSet:
     def gram(self) -> np.ndarray:
         """B'B: the exact diag(d0), with no round-off."""
         return np.diag(self.d0)
-
-    def shrinkage(self, weights: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The shrinkage of a smoothing, (L, max_freq) penalties per label
-        in [0, +inf] (``pls._label_weights``), on the columns.
-
-        Returns (rho, delta, sqrt(delta), 1/D), each (L, p) and read-only,
-        with D = d0 + w for the weight w of the column's label: rho = w / D
-        is the shrunk share of each column (1 at w = +inf) and delta = rho /
-        d0.  They are worked out on the first call for an array and kept with
-        the basis (``dataclasses.replace`` starts with none).  Threads sharing
-        a basis may each work them out once; the results are the same numbers.
-        """
-        key = (weights.shape, weights.tobytes())
-        kept = self._shrinkage.get(key)
-        if kept is None:
-            w = weights[:, self.freq - 1]
-            finite = np.isfinite(w)
-            pen = np.where(finite, w, 0.0)
-            rho = np.where(finite, pen / (self.d0 + pen), 1.0)
-            delta = rho / self.d0
-            inv_D = (1.0 - rho) / self.d0
-            kept = tuple(_readonly(a) for a in (rho, delta, np.sqrt(delta), inv_D))
-            self._shrinkage[key] = kept
-        return kept
 
 
 def empty_basis(grid: LocationGrid) -> BasisSet:

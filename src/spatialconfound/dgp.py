@@ -253,6 +253,9 @@ def read_observations_csv(path) -> Observations:
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise ValueError(f"dataset CSV repeats columns: {', '.join(repeated)}")
         try:
             idx = [header.index(c) for c in OBSERVED_COLUMNS]
         except ValueError as exc:
@@ -293,6 +296,7 @@ def _csv_number(text: str, lineno: int, column: str) -> float:
 # A config document has one entry per ScenarioConfig field, under its name.
 _CONFIG_FIELDS = tuple(f.name for f in fields(ScenarioConfig))
 _SPEC_FIELDS = ("spec_S1", "spec_S2", "spec_C")
+_SPEC_KINDS = {"grf": SpectralSpec, "iid": IidSpec}
 
 
 def _spec_to_dict(spec: FieldSpec) -> dict:
@@ -303,21 +307,20 @@ def _spec_from_dict(d, field: str) -> FieldSpec:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError(f"field '{field}' must be an object with a 'kind' entry")
     kind = d["kind"]
+    spec = _SPEC_KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise ConfigError(f"field '{field}' has unknown kind {kind!r} (use 'grf' or 'iid')")
+    unknown = sorted(set(d) - {"kind", *(f.name for f in fields(spec))})
+    if unknown:
+        raise ConfigError(f"field '{field}' has unknown entries: {', '.join(unknown)}")
     try:
-        if kind == "grf":
-            return SpectralSpec(
-                k_min=d["k_min"],
-                k_max=d["k_max"],
-                decay=d.get("decay", 0.0),
-                variance=d["variance"],
-            )
-        if kind == "iid":
-            return IidSpec(sd=d["sd"])
+        if spec is SpectralSpec:
+            return SpectralSpec(d["k_min"], d["k_max"], d.get("decay", 0.0), d["variance"])
+        return IidSpec(d["sd"])
     except KeyError as exc:
         raise ConfigError(f"field '{field}' is missing entry {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field '{field}' is invalid: {exc}") from exc
-    raise ConfigError(f"field '{field}' has unknown kind {kind!r} (use 'grf' or 'iid')")
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:

@@ -36,11 +36,11 @@ a lambda grid, +inf above a cutoff (1/D = 0: the column is dropped).  The
 rows are one stacked SVD call, of [R; sqrt(delta) W] per row: lam = 0, lam
 = +inf (the basis pinned to zero), a cutoff and p = 0 (F_perp = F) are all
 rows of the same array formulas, sigma2, GCV and AIC included.  The column
-weights rho = w / D, delta, sqrt(delta) and 1/D depend on nothing but d0
-and the rows, so the basis keeps them (``BasisSet.shrinkage``), and an MC
-run on one basis works them out once.  The edf term diag(W S^-1 W') of
-every row is one matrix product of W with all the V's (S^-1 = V V'),
-squared and summed over the q columns.  Its one result is a
+weights rho = w / D, delta, sqrt(delta) and 1/D depend on nothing but the
+grid, ``max_freq`` and the rows, so this module keeps those of the last 8
+smoothings (``_shrinkage``); the stage solve keeps nothing.  The edf term
+diag(W S^-1 W') of every row is one matrix product of W with all the V's
+(S^-1 = V V'), squared and summed over the q columns.  Its one result is a
 ``LambdaSweep``, which holds no basis coefficients.  ``sweep_moments``
 returns it and ``select_moments`` fits its GCV minimizer, as a
 ``StageFit``: g = (b - W a) / D is formed for that lambda alone.
@@ -73,6 +73,7 @@ values of q-column matrices, never on a Gram product.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -81,6 +82,7 @@ import numpy as np
 
 from .basis import BasisSet, column_names, empty_basis
 from .errors import CollinearityError, _is_real
+from .fields import _readonly, make_grid
 
 RCOND_COLLINEAR = 1e-10
 
@@ -224,79 +226,68 @@ def _fixed_labels(fixed_names: Optional[Sequence[str]], q: int) -> list[str]:
     return [f"fixed[{j}]" for j in range(q)]
 
 
-class _Solver:
-    """The penalized least-squares problem of one stage, any lambda, from
-    the moments of [F y] on its basis."""
+def _require_full_rank(
+    m: Moments, fixed_names, lam: float, rho: np.ndarray, s: np.ndarray, vt: np.ndarray
+) -> None:
+    if s[0] > 0 and s[-1] / s[0] >= RCOND_COLLINEAR:
+        return
+    rcond = s[-1] / s[0] if s[0] > 0 else 0.0
+    # [F, B_kept] [v; -W_kept v / d0] = F_perp v, for the row's columns of
+    # rho 0 (none at lam = +inf): the joint null vector.
+    q, keep = m.WX.shape[1] - 1, rho == 0.0
+    null = np.concatenate([vt[-1], -(m.WX[keep, :q] @ vt[-1]) / m.basis.d0[keep]])
+    names = _fixed_labels(fixed_names, q)
+    names += [name for name, kept in zip(column_names(m.basis), keep) if kept]
+    what = "joint design at lambda=0" if lam == 0.0 else "fixed design"
+    load = np.abs(null)
+    picks = np.nonzero(load > 0.2 * load.max())[0]
+    cols = tuple(names[int(j)] for j in picks[:8])
+    raise CollinearityError(
+        f"{what} is numerically collinear (rcond {rcond:.2e}); "
+        f"implicated columns: {', '.join(cols)}",
+        columns=cols,
+    )
 
-    def __init__(self, m: Moments, fixed_names: Optional[Sequence[str]]):
-        q = m.WX.shape[1] - 1
-        self.n, self.q, self.basis, self.fixed_names = m.n, q, m.basis, fixed_names
-        self.d0 = m.basis.d0
-        self.W, self.b = m.WX[:, :q], m.WX[:, q]
-        self.R, self.c = m.R[:q, :q], m.R[:q, q]
-        self.rss_perp = float(m.R[q:, q] @ m.R[q:, q])
 
-    def _require_full_rank(
-        self, lam: float, rho: np.ndarray, s: np.ndarray, vt: np.ndarray
-    ) -> None:
-        if s[0] > 0 and s[-1] / s[0] >= RCOND_COLLINEAR:
-            return
-        rcond = s[-1] / s[0] if s[0] > 0 else 0.0
-        # [F, B_kept] [v; -W_kept v / d0] = F_perp v, for the row's columns of
-        # rho 0 (none at lam = +inf): the joint null vector.
-        keep = rho == 0.0
-        null = np.concatenate([vt[-1], -(self.W[keep] @ vt[-1]) / self.d0[keep]])
-        names = _fixed_labels(self.fixed_names, self.q)
-        names += [name for name, kept in zip(column_names(self.basis), keep) if kept]
-        what = "joint design at lambda=0" if lam == 0.0 else "fixed design"
-        load = np.abs(null)
-        picks = np.nonzero(load > 0.2 * load.max())[0]
-        cols = tuple(names[int(j)] for j in picks[:8])
-        raise CollinearityError(
-            f"{what} is numerically collinear (rcond {rcond:.2e}); "
-            f"implicated columns: {', '.join(cols)}",
-            columns=cols,
-        )
-
-    def solve(self, lams: Sequence[float], weights: np.ndarray) -> LambdaSweep:
-        """Every row of ``weights`` (``_label_weights`` of ``lams``) from one
-        stacked SVD of the designs [R; sqrt(delta) W].
-
-        When some lambda is positive, the all-+inf row (F alone) rides along
-        last, and its rank check precedes each lam = 0 row's, on F and the
-        row's kept columns.  1/D stays as ``inv_D`` for basis coefficients.
-        """
-        n, q, p, L = self.n, self.q, self.basis.p, len(lams)
-        if max(lams) > 0:
-            weights = np.vstack([weights, np.full((1, weights.shape[1]), math.inf)])
-        rows = len(weights)
-        rho, delta, root, self.inv_D = self.basis.shrinkage(weights)
-        R, c = self.R[None].repeat(rows, axis=0), self.c[None].repeat(rows, axis=0)
-        u, s, vt = np.linalg.svd(np.hstack([R, root[..., None] * self.W]), full_matrices=False)
-        if rows > L:
-            self._require_full_rank(math.inf, rho[-1], s[-1], vt[-1])
-        for i, lam in enumerate(lams):
-            if lam == 0.0:
-                self._require_full_rank(lam, rho[i], s[i], vt[i])
-        v = np.swapaxes(vt, -1, -2)
-        V = v / s[..., None, :]
-        a = _matvec(v, _matvec(np.swapaxes(u, -1, -2), np.hstack([c, root * self.b])) / s)
-        gap = self.b - _matvec(self.W, a)
-        r_perp = self.c - _matvec(self.R, a)  # ||y_perp - F_perp a||^2 = ||r_perp||^2 + rss_perp
-        rss = _dot(r_perp, r_perp) + self.rss_perp + _dot((delta * gap) ** 2, self.d0)
-        # diag(W S^-1 W') for every lambda: one product of W with all the V's,
-        # squared in place and summed over q by a product with ones.
-        WV = self.W @ np.swapaxes(V, 0, 1).reshape(q, rows * q)
-        WV *= WV
-        h = (WV.reshape(p * rows, q) @ np.ones(q)).reshape(p, rows).T
-        edf = q + p - (rho * (1.0 + self.inv_D * h)).sum(axis=-1)
-        fits, fitted = n - edf > 0, rss > 0
-        denom = np.where(fits, n - edf, 1.0)
-        sigma2 = np.where(fits, rss / denom, math.inf)
-        gcv = np.where(fits, n * rss / (denom * denom), math.inf)
-        aic = np.where(fitted, n * _log(np.where(fitted, rss, n) / n) + 2.0 * edf, -math.inf)
-        fields = (rss, edf, gcv, aic, a, sigma2, V)
-        return LambdaSweep(np.array(lams), *(x[:L] for x in fields))
+def _solve(
+    m: Moments, lams: Sequence[float], weights: np.ndarray, fixed_names: Optional[Sequence[str]]
+) -> LambdaSweep:
+    """The sweep of ``lams`` on the moments of [F y]: every row of
+    ``weights`` (``_label_weights`` of ``lams``) from one stacked SVD of the
+    designs [R; sqrt(delta) W].  A row beyond ``lams`` is the all-+inf one
+    (F alone), whose rank check precedes each lam = 0 row's."""
+    q = m.WX.shape[1] - 1
+    n, p, d0, L, rows = m.n, m.basis.p, m.basis.d0, len(lams), len(weights)
+    W, b = m.WX[:, :q], m.WX[:, q]
+    R, c = m.R[:q, :q], m.R[:q, q]
+    rho, delta, root, inv_D = _shrinkage(m.basis, weights)
+    Rs, cs = np.broadcast_to(R, (rows, q, q)), np.broadcast_to(c, (rows, q))
+    u, s, vt = np.linalg.svd(np.hstack([Rs, root[..., None] * W]), full_matrices=False)
+    if rows > L:
+        _require_full_rank(m, fixed_names, math.inf, rho[-1], s[-1], vt[-1])
+    for i, lam in enumerate(lams):
+        if lam == 0.0:
+            _require_full_rank(m, fixed_names, lam, rho[i], s[i], vt[i])
+    v = np.swapaxes(vt, -1, -2)
+    V = v / s[..., None, :]
+    a = _matvec(v, _matvec(np.swapaxes(u, -1, -2), np.hstack([cs, root * b])) / s)
+    gap = b - _matvec(W, a)
+    r_perp = c - _matvec(R, a)  # ||y_perp - F_perp a||^2 = ||r_perp||^2 + rss_perp
+    rss_perp = float(m.R[q:, q] @ m.R[q:, q])
+    rss = _dot(r_perp, r_perp) + rss_perp + _dot((delta * gap) ** 2, d0)
+    # diag(W S^-1 W') for every lambda: one product of W with all the V's,
+    # squared in place and summed over q by a product with ones.
+    WV = W @ np.swapaxes(V, 0, 1).reshape(q, rows * q)
+    WV *= WV
+    h = (WV.reshape(p * rows, q) @ np.ones(q)).reshape(p, rows).T
+    edf = q + p - (rho * (1.0 + inv_D * h)).sum(axis=-1)
+    fits, fitted = n - edf > 0, rss > 0
+    denom = np.where(fits, n - edf, 1.0)
+    sigma2 = np.where(fits, rss / denom, math.inf)
+    gcv = np.where(fits, n * rss / (denom * denom), math.inf)
+    aic = np.where(fitted, n * _log(np.where(fitted, rss, n) / n) + 2.0 * edf, -math.inf)
+    fields = (rss, edf, gcv, aic, a, sigma2, V)
+    return LambdaSweep(np.array(lams), *(x[:L] for x in fields))
 
 
 def sweep_moments(
@@ -304,15 +295,40 @@ def sweep_moments(
 ) -> LambdaSweep:
     """``sweep_lambda`` on the moments of [F y]: no n-row pass."""
     lams = _lambda_grid(lambdas)
-    return _Solver(m, fixed_names).solve(lams, _label_weights(m.basis, lams))
+    return _solve(m, lams, _label_weights(m.basis, lams), fixed_names)
 
 
 def _label_weights(basis: BasisSet, lams: Sequence[float], cutoff=None) -> np.ndarray:
-    """A smoothing as (L, max_freq) penalties per label: lam * f**2 on label
-    f, and +inf, which drops the label, above ``cutoff`` (None: none)."""
+    """The rows a stage solves for a smoothing, as penalties per label: lam *
+    f**2 on label f, and +inf, which drops the label, above ``cutoff`` (None:
+    none); when some lambda is positive, the all-+inf row (F alone) last."""
     f = np.arange(1.0, basis.max_freq + 1)
     top = basis.max_freq if cutoff is None else cutoff
+    lams = [*lams, math.inf] if max(lams) > 0 else lams
     return np.where(f > top, math.inf, np.array(lams)[:, None] * f**2)
+
+
+def _shrinkage(basis: BasisSet, weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The shrinkage of ``_label_weights`` rows on the columns of ``basis``:
+    (rho, delta, sqrt(delta), 1/D), each (L, p) and read-only, with D = d0 +
+    w for the weight w of the column's label, rho = w / D the shrunk share
+    of each column (1 at w = +inf) and delta = rho / d0."""
+    return _kept_shrinkage(basis.grid.m, basis.max_freq, weights.shape, weights.tobytes())
+
+
+# Kept under the grid's size, max_freq and the weights, not under a basis:
+# bases built alike share them, and a dead basis keeps none alive.  A plan
+# solves at most 4 weight arrays.
+@functools.lru_cache(maxsize=8)
+def _kept_shrinkage(m: int, max_freq: int, shape: tuple, weights: bytes) -> tuple:
+    basis = BasisSet(make_grid(m), max_freq)
+    w = np.frombuffer(weights).reshape(shape)[:, basis.freq - 1]
+    finite = np.isfinite(w)
+    pen = np.where(finite, w, 0.0)
+    rho = np.where(finite, pen / (basis.d0 + pen), 1.0)
+    delta = rho / basis.d0
+    inv_D = (1.0 - rho) / basis.d0
+    return tuple(_readonly(a) for a in (rho, delta, np.sqrt(delta), inv_D))
 
 
 def select_moments(
@@ -324,14 +340,15 @@ def select_moments(
     """``select_lambda_gcv`` on the moments of [F y], on the labels up to
     ``cutoff`` (None: all of them; the labels above it get weight +inf)."""
     grid = sorted(_lambda_grid(lambda_grid))
-    solver = _Solver(m, fixed_names)
-    sweep = solver.solve(grid, _label_weights(m.basis, grid, cutoff))
+    weights = _label_weights(m.basis, grid, cutoff)
+    sweep = _solve(m, grid, weights, fixed_names)
     i = int(np.argmin(sweep.gcv))  # first minimum = smallest lambda
     a = sweep.fixed_coefs[i]
     s_inv = sweep.V[i] @ sweep.V[i].T
+    inv_D = _shrinkage(m.basis, weights)[3][i]
     return StageFit(
         fixed_coefs=a,
-        basis_coefs=solver.inv_D[i] * (solver.b - _matvec(solver.W, a)),
+        basis_coefs=inv_D * (m.WX[:, -1] - _matvec(m.WX[:, :-1], a)),
         lam=grid[i],
         edf=float(sweep.edf[i]),
         gcv=float(sweep.gcv[i]),

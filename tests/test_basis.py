@@ -19,7 +19,7 @@ from spatialconfound import (
     scenario_config,
 )
 from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE
-from spatialconfound.pls import _label_weights, basis_moments, select_moments
+from spatialconfound.pls import _label_weights, _shrinkage, basis_moments, select_moments
 from support import fourier_columns
 
 
@@ -116,14 +116,14 @@ class TestRestrictLowFrequency:
         b = fourier_basis(make_grid(16), 5)
         r = fourier_basis(b.grid, 2)
         assert r.p == brute_force_column_count(2)
-        rho, delta, root, inv_D = b.shrinkage(_label_weights(b, LAMS, 2))
+        rho, delta, root, inv_D = _shrinkage(b, _label_weights(b, LAMS, 2))
         keep = b.freq <= 2
         assert keep.sum() == r.p
         # The dropped columns are shrunk all the way (1/D = 0, delta = 1/d0);
         # the kept ones keep their labels, and so their shrinkage, bit for bit.
         assert np.all(rho[:, ~keep] == 1.0) and np.all(inv_D[:, ~keep] == 0.0)
-        assert np.array_equal(delta[:, ~keep], np.broadcast_to(1.0 / b.d0[~keep], (4, b.p - r.p)))
-        for got, want in zip((rho, delta, root, inv_D), r.shrinkage(_label_weights(r, LAMS))):
+        assert np.array_equal(delta[:, ~keep], np.broadcast_to(1.0 / b.d0[~keep], (5, b.p - r.p)))
+        for got, want in zip((rho, delta, root, inv_D), _shrinkage(r, _label_weights(r, LAMS))):
             assert got[:, keep].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("cutoff", [0, 6, -1])
@@ -205,7 +205,7 @@ def test_a_restriction_is_the_leading_block_of_the_basis(m):
         assert r.max_freq == cutoff and r.p == 4 * cutoff * (cutoff + 1)
         assert np.array_equal(r.pairs, b.pairs[: r.p // 2])
         assert np.array_equal(r.freq, b.freq[: r.p])
-        rho = b.shrinkage(_label_weights(b, [0.0], cutoff))[0][0]
+        rho = _shrinkage(b, _label_weights(b, [0.0], cutoff))[0][0]
         assert np.flatnonzero(rho == 0.0).tolist() == list(range(r.p))
 
 
@@ -230,7 +230,7 @@ def test_restricted_moments_are_those_on_the_restricted_basis(cutoff):
 @pytest.mark.parametrize("name", ["fourier-16-5", "fourier-16-2", "empty"])
 @pytest.mark.parametrize("attr", ["pairs", "freq", "d0"])
 def test_basis_arrays_are_read_only(name, attr):
-    # A write would leave the weights kept by ``shrinkage`` stale.
+    # A write would leave the weights ``pls`` keeps for the basis stale.
     a = getattr(BUILT[name][0], attr)
     assert not a.flags.writeable
     with pytest.raises(ValueError, match="read-only"):

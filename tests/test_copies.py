@@ -17,7 +17,9 @@ from spatialconfound import (
     sample_grf,
     scenario_config,
 )
+from spatialconfound import pls
 from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE
+from spatialconfound.pls import _shrinkage
 
 COPIES = {"pickle": lambda o: pickle.loads(pickle.dumps(o)), "deepcopy": copy.deepcopy}
 KINDS = [EstimatorKind.SPATIAL, EstimatorKind.SPATIAL_PLUS, EstimatorKind.SPATIAL_PLUS_LOWFREQ]
@@ -29,14 +31,14 @@ def _fits(obs, b):
 
 
 def _in_use():
-    """Observations and an m = 32 basis after a few fits: the basis holds
+    """Observations and an m = 32 basis after a few fits: ``pls`` holds
     the default grid's weights, the observations its moments, and the grid
     its coordinates."""
     obs = generate_dataset(scenario_config(SCENARIO_STRONG_EXPOSURE), 1).observations()
     b = fourier_basis(obs.grid, 10)
     fits = _fits(obs, b)
     obs.grid.coords
-    assert b._shrinkage and obs._moments and "coords" in vars(obs.grid)
+    assert pls._kept_shrinkage.cache_info().currsize and obs._moments and "coords" in vars(obs.grid)
     return obs, b, fits
 
 
@@ -46,10 +48,12 @@ def test_a_copied_basis_is_rebuilt(how, cutoff):
     obs, b, fits = _in_use()
     if cutoff is not None:
         b = fourier_basis(obs.grid, cutoff)
-        b.shrinkage(np.array([[0.0, 0.0], [1.0, 4.0]]))
+        _shrinkage(b, np.array([[0.0, 0.0], [1.0, 4.0]]))
     c = COPIES[how](b)
     assert type(c) is type(b) and c.max_freq == b.max_freq and c.grid.m == b.grid.m
-    assert c._shrinkage == {} and "coords" not in vars(c.grid)
+    # A basis is its fields alone: it carries no kept weights to copy.
+    assert set(vars(c)) == {"grid", "max_freq", "pairs", "freq", "d0"}
+    assert "coords" not in vars(c.grid)
     for attr in ("pairs", "freq", "d0"):
         a = getattr(c, attr)
         assert np.array_equal(a, getattr(b, attr)) and not a.flags.writeable

@@ -279,6 +279,13 @@ class TestInterchange:
         with pytest.raises(ValueError, match="Y"):
             read_observations_csv(path)
 
+    def test_csv_repeated_column_named(self, tmp_path):
+        # Neither Z is read in place of the other.
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y,Z,C,Y,Z\n0.5,0.5,1,2,3,4\n")
+        with pytest.raises(ValueError, match="^dataset CSV repeats columns: Z$"):
+            read_observations_csv(path)
+
     def test_csv_non_numeric_field_named(self, tmp_path):
         path = tmp_path / "bad.csv"
         rows = ["x,y,Z,C,Y", "0.25,0.25,1,2,3", "0.75,0.25,1,abc,3"]
@@ -329,6 +336,21 @@ class TestInterchange:
         doc = config_to_dict(base_config())
         doc["betta"] = [0, 0, 0, 0, 0, 0]
         with pytest.raises(ConfigError, match="betta"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "spec, entry",
+        [
+            ({"kind": "grf", "k_min": 1, "k_max": 3, "decya": 1.5, "variance": 1.0}, "decya"),
+            ({"kind": "iid", "sd": 1, "k_min": 3}, "k_min"),
+        ],
+        ids=["grf-misspelled", "iid-with-grf-entry"],
+    )
+    def test_unknown_spec_entry_named(self, spec, entry):
+        # An entry the spec's kind does not have is refused, not dropped.
+        doc = config_to_dict(base_config())
+        doc["spec_C"] = spec
+        with pytest.raises(ConfigError, match=f"^field 'spec_C' has unknown entries: {entry}$"):
             config_from_dict(doc)
 
     def test_bad_spec_kind(self):

@@ -1,6 +1,8 @@
 """Penalized least-squares engine: solver, GCV selection, projections."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -19,11 +21,12 @@ from spatialconfound import (
     sweep_lambda,
 )
 from spatialconfound.mc import SCENARIO_STRONG_EXPOSURE
+from spatialconfound import pls
 from spatialconfound.errors import _is_real
 from spatialconfound.pls import (
     DEFAULT_LAMBDA_GRID,
     _label_weights,
-    _Solver,
+    _shrinkage,
     basis_moments,
     select_moments,
     sweep_moments,
@@ -241,7 +244,7 @@ class TestGridIsPointwise:
                 assert getattr(default, field).tobytes() == getattr(sweep, field).tobytes()
         # A sweep keeps no basis coefficients; a fit's are (B'y - B'F a) / D.
         WX = m.WX
-        inv_D = b.shrinkage(_label_weights(b, DEFAULT_LAMBDA_GRID + (math.inf,)))[3]
+        inv_D = _shrinkage(b, _label_weights(b, DEFAULT_LAMBDA_GRID))[3]
         for i, lam in enumerate(DEFAULT_LAMBDA_GRID):
             fit = fit_pls(y, F, b, lam)
             assert (sweep.edf[i], sweep.gcv[i], sweep.aic[i]) == (fit.edf, fit.gcv, fit.aic)
@@ -266,27 +269,73 @@ SWEEP_FIELDS = ("lambdas", "rss", "edf", "gcv", "aic", "fixed_coefs", "sigma2", 
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["small-first", "default-first"])
-def test_kept_shrinkage_weights_give_the_fresh_sweeps(reverse):
-    # The lambda-grid weights are kept per (basis, grid); sweeps that reuse
-    # them equal, bit for bit, those on a copy of the basis with none kept
-    # (replace(b) copies a spectral basis as a spectral one, with no weights).
+def test_kept_shrinkage_weights_give_the_fresh_sweeps(reverse, monkeypatch):
+    # The lambda-grid weights are kept per (grid size, max_freq, grid), not
+    # per basis; sweeps that reuse them equal, bit for bit, those worked out
+    # with none kept.
     obs = generate_dataset(scenario_config(SCENARIO_STRONG_EXPOSURE), 4).observations()
     X = np.column_stack([np.ones(obs.grid.n), obs.Z, obs.C, obs.Y])
     b = fourier_basis(obs.grid, 10)
     grids = [[3.0], [math.inf, 0.0], list(DEFAULT_LAMBDA_GRID)]
+    pls._kept_shrinkage.cache_clear()
     for lams in grids[::-1] if reverse else grids:
         for _ in range(2):
             kept = sweep_moments(basis_moments(X, b), lams)
-            fresh = sweep_moments(basis_moments(X, replace(b)), lams)
+            with monkeypatch.context() as none_kept:
+                none_kept.setattr(pls, "_kept_shrinkage", pls._kept_shrinkage.__wrapped__)
+                fresh = sweep_moments(basis_moments(X, b), lams)
             for field in SWEEP_FIELDS:
                 assert getattr(kept, field).tobytes() == getattr(fresh, field).tobytes(), field
-    assert len(b._shrinkage) == len(grids)
-    weights = _label_weights(b, [3.0, math.inf])
-    assert b.shrinkage(weights) is b.shrinkage(weights)
-    for weights in b._shrinkage.values():
-        assert len(weights) == 4
-        assert not any(w.flags.writeable for w in weights)
-    assert replace(b)._shrinkage == {}
+    assert pls._kept_shrinkage.cache_info().currsize == len(grids)
+    weights = _label_weights(b, [3.0])
+    rows = _shrinkage(b, weights)
+    assert len(rows) == 4 and not any(a.flags.writeable for a in rows)
+    # The basis itself, a copy of it, or another one built alike: one entry.
+    for other in (b, replace(b), fourier_basis(make_grid(obs.grid.m), 10)):
+        assert _shrinkage(other, weights) is rows
+    # Another max_freq is another entry.
+    lower = fourier_basis(obs.grid, 9)
+    assert _shrinkage(lower, _label_weights(lower, [3.0])) is not rows
+
+
+def test_kept_shrinkage_stays_at_its_bound():
+    # Fits on 50 distinct grids keep the rows of the last 8 of them, each
+    # equal, bit for bit, to a fresh computation.
+    pls._kept_shrinkage.cache_clear()
+    y, F, b = random_problem(5)
+    m = basis_moments(np.column_stack([F, y]), b)
+    grids = [[0.0, 0.1 * (k + 1), 10.0 + k] for k in range(50)]
+    for grid in grids:
+        select_moments(m, grid)
+    info = pls._kept_shrinkage.cache_info()
+    assert info.currsize == info.maxsize == 8 and info.misses == 50
+    for grid in grids[-8:]:
+        weights = _label_weights(b, grid)
+        kept = _shrinkage(b, weights)
+        fresh = pls._kept_shrinkage.__wrapped__(b.grid.m, b.max_freq, weights.shape, weights.tobytes())
+        assert kept is not fresh
+        assert [a.tobytes() for a in kept] == [a.tobytes() for a in fresh]
+    assert pls._kept_shrinkage.cache_info().misses == 50
+
+
+def test_kept_shrinkage_shared_by_threads():
+    # Threads share the memo, as run_mc's workers do: each gets the rows of
+    # a fresh computation, and the memo stays at its bound.
+    pls._kept_shrinkage.cache_clear()
+    b = fourier_basis(make_grid(8), 3)
+    grids = [[0.0, 0.5 * (k + 1)] for k in range(20)] * 6
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = list(pool.map(lambda g: _shrinkage(b, _label_weights(b, g)), grids, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for grid, rows in zip(grids, got):
+        w = _label_weights(b, grid)
+        fresh = pls._kept_shrinkage.__wrapped__(b.grid.m, b.max_freq, w.shape, w.tobytes())
+        assert [a.tobytes() for a in rows] == [a.tobytes() for a in fresh]
+    assert pls._kept_shrinkage.cache_info().currsize == 8
 
 
 class TestDenseOracle:
@@ -473,7 +522,7 @@ class TestExactFit:
         rng = np.random.default_rng(3)
         y, F = rng.normal(size=9), rng.normal(size=(9, 9))
         m = basis_moments(np.column_stack([F, y]), empty_basis(make_grid(3)))
-        assert _Solver(m, None).rss_perp == 0.0
+        assert m.R.shape == (9, 10) and m.R[9:, 9] @ m.R[9:, 9] == 0.0
         sweep = sweep_lambda(y, F, m.basis, [0.0])
         assert sweep.edf[0] == 9
         assert sweep.sigma2[0] == math.inf and sweep.gcv[0] == math.inf
