@@ -42,6 +42,7 @@ from .mc import (
     EstimatorSpec,
     MCPlan,
     SCENARIO_KINDS,
+    UNSMOOTHED_KINDS,
     aic_bias_experiment,
     aic_table_to_csv,
     default_aic_plan,
@@ -164,18 +165,16 @@ def cmd_targets(args, argv) -> int:
 
 
 def _estimator_specs(names, max_freq, cutoff, lam) -> tuple[EstimatorSpec, ...]:
-    specs = []
-    for name in names:
-        kind = EstimatorKind(name)
-        specs.append(
-            EstimatorSpec(
-                kind=kind,
-                max_freq=None if kind is EstimatorKind.NONSPATIAL_OLS else max_freq,
-                smoothing=lam,
-                cutoff=cutoff if kind is EstimatorKind.SPATIAL_PLUS_LOWFREQ else None,
-            )
+    """A spec per name, each with only the settings its kind reads."""
+    return tuple(
+        EstimatorSpec(
+            kind=kind,
+            max_freq=None if kind is EstimatorKind.NONSPATIAL_OLS else max_freq,
+            smoothing=None if kind in UNSMOOTHED_KINDS else lam,
+            cutoff=cutoff if kind is EstimatorKind.SPATIAL_PLUS_LOWFREQ else None,
         )
-    return tuple(specs)
+        for kind in map(EstimatorKind, names)
+    )
 
 
 def cmd_mc(args, argv) -> int:

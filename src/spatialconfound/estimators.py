@@ -25,9 +25,9 @@ Methods:
 Every estimator but RSR ends in one outcome regression, y on (1, z, c)
 plus a basis, with residuals in place of Z, C or Y in SpatialPlus and GSEM;
 every stage is one GCV selection on moments, a fixed lambda being the
-one-point grid.  The moments of X = [1, Z, C, Y] on the basis are B'X and
-the R factor of X less its basis part, formed once per basis and
-replication (``Observations.moments``; the p = 0 basis for NonSpatialOLS).
+one-point grid and OLS the lambda = +inf one (the basis pinned to zero).
+The moments of X = [1, Z, C, Y] on the basis are B'X and the R factor of X
+less its basis part, once per basis and replication (``Observations.moments``).
 A stage's design and response are columns X T - B G, a stage-1 residual
 being Z less its fitted fixed and basis parts, so a stage is a few small
 matrix products and a QR of at most 4 + p rows (``Moments``), and no
@@ -154,11 +154,10 @@ def _exposure_residual_share(m: Moments, t: np.ndarray, g: np.ndarray) -> float:
 
 
 def fit_nonspatial(m: Moments) -> EstimateRecord:
-    """OLS of the outcome on (1, Z, C), the unconditional-target estimator,
-    from the moments on the p = 0 basis (on a basis, it would be Spatial)."""
-    if m.basis.p:
-        raise ValueError(f"nonspatial OLS takes moments on the empty basis, not p={m.basis.p}")
-    fit = select_moments(m, 0.0, OUTCOME_NAMES)
+    """OLS of the outcome on (1, Z, C), the unconditional-target estimator:
+    the lambda = +inf row (the basis pinned to zero) on moments on any
+    basis, the p = 0 one included."""
+    fit = select_moments(m, math.inf, OUTCOME_NAMES)
     return _outcome_record(
         EstimatorKind.NONSPATIAL_OLS,
         fit,
@@ -249,9 +248,9 @@ def fit_gsem(m: Moments, smoothing: Smoothing = None) -> EstimateRecord:
     """Residualize outcome, exposure and covariate on space, then OLS.
 
     Each variable is residualized on (intercept + basis) with its own
-    smoothing; the final stage is the non-spatial outcome regression (empty
-    basis, lambda = 0) of outcome residuals on exposure and covariate
-    residuals.
+    smoothing; the final stage is the non-spatial outcome regression
+    (lambda = +inf, the basis pinned to zero) of outcome residuals on
+    exposure and covariate residuals.
     """
     ones = _ONE[:, None]
     columns = {"outcome": _Y, "exposure": _Z, "covariate": _C}
@@ -264,11 +263,11 @@ def fit_gsem(m: Moments, smoothing: Smoothing = None) -> EstimateRecord:
     g = {name: fit.basis_coefs for name, fit in fits.items()}
     share = _exposure_residual_share(m, t["exposure"], g["exposure"])
     final_columns = ("exposure", "covariate", "outcome")  # r_Z, r_C, then the response r_Y
-    final_m = m.without_basis(
+    final_m = m.columns(
         np.column_stack([_ONE] + [t[k] for k in final_columns]),
         np.column_stack([np.zeros(m.basis.p)] + [g[k] for k in final_columns]),
     )
-    final = select_moments(final_m, 0.0, ["intercept", "r_Z", "r_C"])
+    final = select_moments(final_m, math.inf, ["intercept", "r_Z", "r_C"])
     return _outcome_record(
         EstimatorKind.GSEM,
         final,
@@ -310,14 +309,15 @@ def fit_estimator(
     cutoff: Optional[int] = None,
     include_c_in_stage1: bool = True,
 ) -> EstimateRecord:
-    """Dispatch a single estimator by kind on the moments of ``obs`` on ``b``."""
-    if kind is EstimatorKind.NONSPATIAL_OLS:
-        return fit_nonspatial(obs.moments())
-    if b is None:
+    """Dispatch a single estimator by kind on the moments of ``obs`` on ``b``,
+    which only the non-spatial kind may leave None (the p = 0 basis)."""
+    if b is None and kind is not EstimatorKind.NONSPATIAL_OLS:
         raise ValueError(f"estimator {kind.value!r} needs a basis")
     if kind is EstimatorKind.SPATIAL_PLUS_LOWFREQ and cutoff is None:
         raise ValueError("spatial-plus-lowfreq needs a cutoff")
     m = obs.moments(b)
+    if kind is EstimatorKind.NONSPATIAL_OLS:
+        return fit_nonspatial(m)
     if kind is EstimatorKind.RSR:
         return fit_rsr(m)
     if kind is EstimatorKind.SPATIAL:

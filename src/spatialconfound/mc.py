@@ -66,6 +66,8 @@ _SCENARIO_STRENGTHS = {
 }
 DEFAULT_SCENARIO_MAX_FREQ = 10
 _TRIO = (EstimatorKind.SPATIAL, EstimatorKind.SPATIAL_PLUS, EstimatorKind.GSEM)
+# The kinds whose fits read no smoothing: OLS, and RSR's fixed rows.
+UNSMOOTHED_KINDS = (EstimatorKind.NONSPATIAL_OLS, EstimatorKind.RSR)
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,12 @@ class EstimatorSpec:
     Checked when built, so that a bad plan fails before any dataset is
     drawn: ``kind`` is an ``EstimatorKind``; every kind but the non-spatial
     one needs ``max_freq``, an integer of at least 1 (its upper bound needs
-    the grid); ``spatial-plus-lowfreq`` needs an integer ``cutoff`` in [1,
-    max_freq]; and a ``smoothing`` other than None must be one nonnegative
-    real or a grid of distinct ones (the rule of ``pls``).  It is stored
-    parsed, as None, a float or a tuple of floats: a spec hashes and
-    compares by value, and a generator is read once.
+    the grid), and a non-spatial spec that names one fits on that basis; only ``spatial-plus-lowfreq`` takes a ``cutoff``, an integer
+    in [1, max_freq], which it needs; and a ``smoothing`` other than None,
+    refused by ``UNSMOOTHED_KINDS``, must be one nonnegative real or a grid
+    of distinct ones (the rule of ``pls``).  It is stored parsed, as None, a
+    float or a tuple of floats: a spec hashes and compares by value, and a
+    generator is read once.
     """
 
     kind: EstimatorKind
@@ -98,7 +101,11 @@ class EstimatorSpec:
             if self.cutoff is None:
                 raise ValueError(f"estimator {self.name!r} needs a cutoff")
             _integer(self.cutoff, "cutoff", 1, self.max_freq)
+        elif self.cutoff is not None:
+            raise ValueError(f"estimator {self.name!r} reads no cutoff, got {self.cutoff!r}")
         if self.smoothing is not None:
+            if self.kind in UNSMOOTHED_KINDS:
+                raise ValueError(f"estimator {self.name!r} reads no smoothing, got {self.smoothing!r}")
             grid = _lambda_grid(self.smoothing)
             object.__setattr__(self, "smoothing", grid[0] if _is_real(self.smoothing) else grid)
 
@@ -177,13 +184,11 @@ class MCSummary:
 
 
 def _bases(plan: MCPlan) -> dict[int, BasisSet]:
-    """One Fourier basis per ``max_freq`` among the plan's basis estimators."""
+    """One Fourier basis per ``max_freq`` among the plan's estimators."""
     grid = make_grid(plan.config.m)
     bases: dict[int, BasisSet] = {}
     for spec in plan.estimators:
-        if spec.kind is EstimatorKind.NONSPATIAL_OLS:
-            continue
-        if spec.max_freq not in bases:
+        if spec.max_freq is not None and spec.max_freq not in bases:
             bases[spec.max_freq] = fourier_basis(grid, spec.max_freq)
     return bases
 

@@ -28,17 +28,17 @@ in BLAS, so their sums do not change with its thread count.  R's leading
 block is R of F_perp, c = Q'y_perp sits above it in the last column, and the
 rest of that column is the part of y_perp outside col(F_perp).  The moments
 of any columns X T - B G follow from those of X without another n-row pass
-(``Moments.columns``, ``Moments.without_basis``): that is how the
-two-stage estimators fit a stage on the residuals of another.
+(``Moments.columns``): that is how the two-stage estimators fit a stage on
+the residuals of another, on the same basis.
 
 A smoothing is rows of penalties w per label in [0, +inf]: lam * f**2 for
 a lambda grid, +inf above a cutoff (1/D = 0: the column is dropped).  The
 rows are one stacked SVD call, of [R; sqrt(delta) W] per row: lam = 0, lam
-= +inf (the basis pinned to zero), a cutoff and p = 0 (F_perp = F) are all
-rows of the same array formulas, sigma2, GCV and AIC included.  The column
-weights rho = w / D, delta, sqrt(delta) and 1/D depend on nothing but the
-grid, ``max_freq`` and the rows, so this module keeps those of the last 8
-smoothings (``_shrinkage``); the stage solve keeps nothing.  The edf term
+= +inf (OLS: the basis pinned to zero), a cutoff and p = 0 (F_perp = F) are
+all rows of the same array formulas, sigma2, GCV and AIC included.  The
+column weights rho = w / D, delta, sqrt(delta) and 1/D depend on nothing but
+the grid, ``max_freq`` and the rows, so this module keeps those of the last
+8 smoothings (``_shrinkage``); the stage solve keeps nothing.  The edf term
 diag(W S^-1 W') of every row is one matrix product of W with all the V's
 (S^-1 = V V'), squared and summed over the q columns.  Its one result is a
 ``LambdaSweep``, which holds no basis coefficients.  ``sweep_moments``
@@ -80,7 +80,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import BasisSet, column_names, empty_basis
+from .basis import BasisSet, column_names
 from .errors import CollinearityError, _is_real
 from .fields import _readonly, make_grid
 
@@ -199,11 +199,6 @@ class Moments:
         if G is not None:
             H = H - G
         return np.vstack([self.R @ T, np.sqrt(d0) * H])
-
-    def without_basis(self, T, G=None) -> "Moments":
-        """The moments of X T - B G on the empty basis of the same grid."""
-        R = np.linalg.qr(self.frame(T, G), mode="r")
-        return Moments(empty_basis(self.basis.grid), np.zeros((0, R.shape[1])), R)
 
 
 def basis_moments(X, basis: BasisSet) -> Moments:

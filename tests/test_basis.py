@@ -265,4 +265,4 @@ class TestEmptyBasis:
         obs = generate_dataset(scenario_config(SCENARIO_STRONG_EXPOSURE), 1).observations()
         m = obs.moments(None)
         assert m.basis.grid is obs.grid and m.basis.p == 0
-        assert m.without_basis(np.eye(4)).basis.grid is obs.grid
+        assert m.columns(np.eye(4)).basis.grid is obs.grid

@@ -255,6 +255,17 @@ class TestMcCommand:
         manifest = json.loads((tmp_path / "mc_out.manifest.json").read_text())
         assert manifest["subcommand"] == "mc"
 
+    def test_lam_goes_only_to_the_kinds_that_read_it(self, tmp_path):
+        config_path, _ = write_config(tmp_path, m=12, spec_S2=SpectralSpec(3, 5, 0.0, 1.0))
+        out = tmp_path / "mc_lam"
+        code = main(["mc", "--config", str(config_path), "--reps", "2", "--lam", "1.0",
+                     "--estimators", "nonspatial,rsr,spatial", "--max-freq", "4",
+                     "--out", str(out)])
+        assert code == 0
+        assert set(json.loads((tmp_path / "mc_lam.json").read_text())["cells"]) == {
+            "nonspatial", "rsr", "spatial"
+        }
+
     def test_zero_threads_exit_2(self, tmp_path, capsys):
         config_path, _ = write_config(tmp_path)
         code = main(["mc", "--config", str(config_path), "--reps", "2", "--threads", "0",

@@ -123,14 +123,18 @@ class TestNonSpatial:
         )
 
     def test_constant_exposure_collinear(self):
+        # With or without a basis, the fixed design (1, Z, C) is collinear.
         grid = make_grid(8)
         rng = np.random.default_rng(2)
         obs = Observations(
             Z=np.ones(grid.n), C=rng.normal(size=grid.n),
             Y=rng.normal(size=grid.n), grid=grid,
         )
-        with pytest.raises(CollinearityError):
-            fit_nonspatial(obs.moments())
+        for b in (None, fourier_basis(grid, 3)):
+            with pytest.raises(CollinearityError) as err:
+                fit_nonspatial(obs.moments(b))
+            assert err.value.columns == ("intercept", "Z")
+            assert str(err.value).startswith("fixed design is numerically collinear")
 
 
 class TestRSR:
@@ -274,6 +278,12 @@ class TestGSEM:
         with pytest.raises(CollinearityError) as err:
             fit_gsem(ds.observations().moments(b), smoothing=smoothing)
         assert err.value.columns == ("r_C",)
+
+    @pytest.mark.parametrize("smoothing", [None, 0.0, 3.7], ids=["gcv", "lam0", "lam3.7"])
+    def test_final_ols_has_three_edf(self, obs_and_basis, smoothing):
+        # The last stage is the lambda = +inf row: the basis adds no edf.
+        obs, b = obs_and_basis
+        assert fit_gsem(obs.moments(b), smoothing=smoothing).edf["final_ols"] == 3.0
 
     def test_zero_basis_equals_nonspatial(self, obs_and_basis):
         obs, _ = obs_and_basis
@@ -505,9 +515,9 @@ class TestGeneralBases:
 
 def _from_moments(kind, X, b, smoothing):
     """The ``kind`` fit of the moments of X = [1, Z, C, Y] alone."""
-    if kind is EstimatorKind.NONSPATIAL_OLS:
-        return fit_nonspatial(basis_moments(X, empty_basis(b.grid)))
     m = basis_moments(X, b)
+    if kind is EstimatorKind.NONSPATIAL_OLS:
+        return fit_nonspatial(m)
     if kind is EstimatorKind.RSR:
         return fit_rsr(m)
     if kind is EstimatorKind.SPATIAL:
@@ -538,12 +548,18 @@ class TestFitFromMoments:
         assert got == want
         assert share[0] == pytest.approx(share[1], rel=1e-12, abs=0, nan_ok=True)
 
-    def test_nonspatial_refuses_moments_on_a_basis(self):
+    @pytest.mark.parametrize("max_freq", [1, 5, 7])
+    def test_nonspatial_on_a_basis_is_the_empty_basis_ols(self, max_freq):
+        # The basis pinned to zero (lambda = +inf) leaves OLS on (1, Z, C).
         ds = generate_dataset(scenario(), 3)
-        b = fourier_basis(ds.grid, 5)
         X = np.column_stack([np.ones(ds.grid.n), ds.Z, ds.C, ds.Y])
-        with pytest.raises(ValueError, match="empty basis"):
-            fit_nonspatial(basis_moments(X, b))
+        got = fit_nonspatial(basis_moments(X, fourier_basis(ds.grid, max_freq)))
+        want = fit_nonspatial(basis_moments(X, empty_basis(ds.grid)))
+        assert got.edf == want.edf == {"outcome": 3.0} and got.lambdas == {}
+        for key in ("beta1_hat", "se", "aic"):
+            assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12, abs=0), key
+        got_cond, want_cond = got.diagnostics["fixed_cond"], want.diagnostics["fixed_cond"]
+        assert got_cond == pytest.approx(want_cond, rel=1e-12, abs=0)
 
 
 def test_a_replication_builds_no_grid_coordinates():
