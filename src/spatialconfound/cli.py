@@ -165,7 +165,6 @@ def cmd_targets(args, argv) -> int:
 
 
 def _estimator_specs(names, max_freq, cutoff, lam) -> tuple[EstimatorSpec, ...]:
-    """A spec per name, each with only the settings its kind reads."""
     return tuple(
         EstimatorSpec(
             kind=kind,

@@ -155,8 +155,7 @@ def _exposure_residual_share(m: Moments, t: np.ndarray, g: np.ndarray) -> float:
 
 def fit_nonspatial(m: Moments) -> EstimateRecord:
     """OLS of the outcome on (1, Z, C), the unconditional-target estimator:
-    the lambda = +inf row (the basis pinned to zero) on moments on any
-    basis, the p = 0 one included."""
+    the lambda = +inf row (the basis pinned to zero) on moments on any basis."""
     fit = select_moments(m, math.inf, OUTCOME_NAMES)
     return _outcome_record(
         EstimatorKind.NONSPATIAL_OLS,

@@ -66,8 +66,7 @@ _SCENARIO_STRENGTHS = {
 }
 DEFAULT_SCENARIO_MAX_FREQ = 10
 _TRIO = (EstimatorKind.SPATIAL, EstimatorKind.SPATIAL_PLUS, EstimatorKind.GSEM)
-# The kinds whose fits read no smoothing: OLS, and RSR's fixed rows.
-UNSMOOTHED_KINDS = (EstimatorKind.NONSPATIAL_OLS, EstimatorKind.RSR)
+UNSMOOTHED_KINDS = (EstimatorKind.NONSPATIAL_OLS, EstimatorKind.RSR)  # OLS, RSR's fixed rows
 
 
 @dataclass(frozen=True)
@@ -77,12 +76,12 @@ class EstimatorSpec:
     Checked when built, so that a bad plan fails before any dataset is
     drawn: ``kind`` is an ``EstimatorKind``; every kind but the non-spatial
     one needs ``max_freq``, an integer of at least 1 (its upper bound needs
-    the grid), and a non-spatial spec that names one fits on that basis; only ``spatial-plus-lowfreq`` takes a ``cutoff``, an integer
-    in [1, max_freq], which it needs; and a ``smoothing`` other than None,
-    refused by ``UNSMOOTHED_KINDS``, must be one nonnegative real or a grid
-    of distinct ones (the rule of ``pls``).  It is stored parsed, as None, a
-    float or a tuple of floats: a spec hashes and compares by value, and a
-    generator is read once.
+    the grid); ``spatial-plus-lowfreq`` needs an integer ``cutoff`` in [1,
+    max_freq]; a ``smoothing`` other than None must be one nonnegative real
+    or a grid of distinct ones (the rule of ``pls``); and a setting its kind
+    does not read is refused.  It is stored parsed, as None, a float or a
+    tuple of floats: a spec hashes and compares by value, and a generator
+    is read once.
     """
 
     kind: EstimatorKind
@@ -93,6 +92,8 @@ class EstimatorSpec:
     def __post_init__(self):
         if not isinstance(self.kind, EstimatorKind):
             raise ValueError(f"estimator kind must be an EstimatorKind, got {self.kind!r}")
+        if self.kind is EstimatorKind.NONSPATIAL_OLS and self.max_freq is not None:
+            raise ValueError(f"estimator {self.name!r} reads no max_freq, got {self.max_freq!r}")
         if self.kind is not EstimatorKind.NONSPATIAL_OLS and self.max_freq is None:
             raise ValueError(f"estimator {self.name!r} needs max_freq for its basis")
         if self.max_freq is not None:
@@ -103,9 +104,9 @@ class EstimatorSpec:
             _integer(self.cutoff, "cutoff", 1, self.max_freq)
         elif self.cutoff is not None:
             raise ValueError(f"estimator {self.name!r} reads no cutoff, got {self.cutoff!r}")
+        if self.smoothing is not None and self.kind in UNSMOOTHED_KINDS:
+            raise ValueError(f"estimator {self.name!r} reads no smoothing, got {self.smoothing!r}")
         if self.smoothing is not None:
-            if self.kind in UNSMOOTHED_KINDS:
-                raise ValueError(f"estimator {self.name!r} reads no smoothing, got {self.smoothing!r}")
             grid = _lambda_grid(self.smoothing)
             object.__setattr__(self, "smoothing", grid[0] if _is_real(self.smoothing) else grid)
 

@@ -94,13 +94,9 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="^max_freq must be"):
             EstimatorSpec(kind=EstimatorKind.SPATIAL, max_freq=max_freq)
 
-    @pytest.mark.parametrize(
-        "kind",
-        [EstimatorKind.SPATIAL, EstimatorKind.SPATIAL_PLUS_LOWFREQ, EstimatorKind.NONSPATIAL_OLS],
-    )
+    @pytest.mark.parametrize("kind", [EstimatorKind.SPATIAL, EstimatorKind.SPATIAL_PLUS_LOWFREQ])
     def test_max_freq_beyond_the_grid_refused_when_built(self, kind):
-        # m = 12 holds labels up to 5, as fourier_basis says; a non-spatial
-        # spec that names a basis gets it too.
+        # m = 12 holds labels up to 5, as fourier_basis says.
         cutoff = 2 if kind is EstimatorKind.SPATIAL_PLUS_LOWFREQ else None
         spec = EstimatorSpec(kind=kind, max_freq=6, cutoff=cutoff)
         msg = r"^max_freq for an m=12 grid must be in \[1, 5\], got 6$"
@@ -117,9 +113,10 @@ class TestPlanValidation:
             ({"kind": EstimatorKind.SPATIAL, "max_freq": 10, "cutoff": 3}, "cutoff"),
             ({"kind": EstimatorKind.GSEM, "max_freq": 10, "cutoff": 2}, "cutoff"),
             ({"kind": EstimatorKind.NONSPATIAL_OLS, "cutoff": 2}, "cutoff"),
+            ({"kind": EstimatorKind.NONSPATIAL_OLS, "max_freq": 4}, "max_freq"),
         ],
         ids=["rsr-smoothing", "nonspatial-smoothing", "nonspatial-grid", "spatial-cutoff",
-             "gsem-cutoff", "nonspatial-cutoff"],
+             "gsem-cutoff", "nonspatial-cutoff", "nonspatial-max_freq"],
     )
     def test_settings_the_kind_does_not_read_refused(self, settings, name):
         # run_mc would fit without them, so a spec that sets them is an error.
@@ -249,30 +246,18 @@ class TestRunMc:
 
     def test_one_basis_pass_per_replication_every_kind(self, monkeypatch):
         # Spatial+-lowfreq fits the moments on the full basis with its high
-        # labels dropped, and the non-spatial fit those of the basis it names.
+        # labels dropped, and the non-spatial fit takes none.
         counts = self._count_basis_passes(monkeypatch)
         every_kind = tuple(
             EstimatorSpec(
-                kind=k, max_freq=4, cutoff=2 if k is EstimatorKind.SPATIAL_PLUS_LOWFREQ else None
+                kind=k,
+                max_freq=None if k is EstimatorKind.NONSPATIAL_OLS else 4,
+                cutoff=2 if k is EstimatorKind.SPATIAL_PLUS_LOWFREQ else None,
             )
             for k in EstimatorKind
         )
         run_mc(small_plan(r=1, estimators=every_kind))
         assert counts == {"analyze": 1, "synthesize": 1}
-
-    def test_nonspatial_on_the_plan_basis_is_the_same_ols(self):
-        # Naming a basis moves the non-spatial fit onto the shared moments;
-        # its OLS is the empty basis's to round-off.
-        spatial = EstimatorSpec(kind=EstimatorKind.SPATIAL, max_freq=4)
-        cells = [
-            run_mc(small_plan(r=4, estimators=(EstimatorSpec(
-                kind=EstimatorKind.NONSPATIAL_OLS, max_freq=max_freq), spatial)))
-            .cells["nonspatial"]["beta_uncond"]
-            for max_freq in (None, 4)
-        ]
-        for name in ("mean_bias", "sd", "rmse", "coverage95", "mean_aic"):
-            want, got = (getattr(c, name) for c in cells)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-14), name
 
     def test_one_basis_pass_per_aic_replication(self, monkeypatch):
         counts = self._count_basis_passes(monkeypatch)
