@@ -6,7 +6,9 @@ the same records from the code under test and compares them with
 ``compare``: beta, SE, edf and GCV within 1e-12 relative, each AIC within
 1e-12 of the largest entry of its row, and smoothing choices, counts, flags
 and errors exactly.  Regenerate the file only with this script, and say
-why wherever the change is recorded.
+why wherever the change is recorded.  The tolerances hold on the numpy and
+BLAS build that wrote the file, not across builds (README, "Install and
+test").
 
 The records:
 
